@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .digraph import KLFailure, cayley, certify_kl, power
 from .formats import (
-    CertificateError,
+    MAX_ORDER,
     FormatError,
     format_rational,
     game_payload,
@@ -63,6 +63,13 @@ def _int_at_least(minimum: int):
     return parse
 
 
+def _order(text: str) -> int:
+    value = _int_at_least(1)(text)
+    if value > MAX_ORDER:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_ORDER}, got {value}")
+    return value
+
+
 def _seed(text: str) -> int:
     try:
         value = int(text)
@@ -92,13 +99,12 @@ def _search_replay(args: argparse.Namespace) -> str:
     return (
         f"wsforge search --kappa {args.kappa} --q-min {args.q_min} --q-max {args.q_max}"
         f" --budget {args.budget} --seed {args.seed} --mode {args.mode}"
-        f" --workers {args.workers}"
     )
 
 
 def cmd_search(args: argparse.Namespace) -> int:
     spec = SearchSpec(args.kappa, args.q_min, args.q_max, args.budget, args.seed, args.mode)
-    result = search_haight_set(spec, workers=args.workers)
+    result = search_haight_set(spec)
     if isinstance(result, HaightCertificate):
         members = list(result.y.members())
         print(
@@ -141,30 +147,19 @@ def cmd_cayley(args: argparse.Namespace) -> int:
         q = args.q
         members = args.y
     d = cayley(q, ResidueSet.from_members(q, members))
-    if args.out:
-        write_digraph(d, args.out)
-    else:
-        write_digraph(d, sys.stdout)
+    write_digraph(d, args.out or sys.stdout)
     return EXIT_OK
 
 
 def cmd_power(args: argparse.Namespace) -> int:
     d = read_digraph(args.infile)
-    result = power(d, args.t)
-    if args.out:
-        write_digraph(result, args.out)
-    else:
-        write_digraph(result, sys.stdout)
+    write_digraph(power(d, args.t), args.out or sys.stdout)
     return EXIT_OK
 
 
 def cmd_bipartify(args: argparse.Namespace) -> int:
     d = read_digraph(args.infile)
-    g = bipartify(d)
-    if args.out:
-        write_game(g, args.out)
-    else:
-        write_game(g, sys.stdout)
+    write_game(bipartify(d), args.out or sys.stdout)
     return EXIT_OK
 
 
@@ -292,7 +287,6 @@ def cmd_forge(args: argparse.Namespace) -> int:
     replay = (
         f"wsforge forge --k {k} --eps {eps_text} --budget {args.budget} --seed {args.seed}"
         f" --q-min {args.q_min} --q-max {args.q_max} --mode {args.mode}"
-        f" --workers {args.workers}"
     )
 
     if k == 1:
@@ -304,7 +298,7 @@ def cmd_forge(args: argparse.Namespace) -> int:
         kappa = 2 * k * (k - 1) + 1
         print(f"[search] hunting a kappa={kappa} set in q range [{args.q_min}, {args.q_max}]")
         spec = SearchSpec(kappa, args.q_min, args.q_max, args.budget, args.seed, args.mode)
-        found = search_haight_set(spec, workers=args.workers)
+        found = search_haight_set(spec)
         if not isinstance(found, HaightCertificate):
             print(
                 f"[search] budget exhausted after {found.candidates_evaluated} candidates;"
@@ -384,17 +378,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="search Z_q for a complete-difference, zero-sum-free set")
     p.add_argument("--kappa", type=_int_at_least(2), required=True)
-    p.add_argument("--q-min", type=_int_at_least(1), default=2)
-    p.add_argument("--q-max", type=_int_at_least(1), required=True)
+    p.add_argument("--q-min", type=_order, default=2)
+    p.add_argument("--q-max", type=_order, required=True)
     p.add_argument("--budget", type=_int_at_least(1), default=1_000_000)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--mode", choices=("exhaustive", "randomized"), default="exhaustive")
-    p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.add_argument("--out", help="write a haight certificate here")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("cayley", help="build the Cayley digraph of a residue set")
-    p.add_argument("--q", type=_int_at_least(1))
+    p.add_argument("--q", type=_order)
     p.add_argument("--y", type=_residue_list, help="comma-separated residues, e.g. 1,2,4")
     p.add_argument("--cert", help="haight certificate file to take (q, Y) from")
     p.add_argument("--out", help="digraph file (stdout if omitted)")
@@ -440,10 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_rational, required=True)
     p.add_argument("--budget", type=_int_at_least(1), default=100_000)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--q-min", type=_int_at_least(1), default=2)
-    p.add_argument("--q-max", type=_int_at_least(1), default=64)
+    p.add_argument("--q-min", type=_order, default=2)
+    p.add_argument("--q-max", type=_order, default=64)
     p.add_argument("--mode", choices=("exhaustive", "randomized"), default="randomized")
-    p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.add_argument("--out-game", default=None)
     p.add_argument("--out-cert", default=None)
     p.set_defaults(func=cmd_forge)
@@ -464,9 +456,6 @@ def main(argv=None) -> int:
             args.out_cert = f"forge-k{args.k}.cert.json"
     try:
         return args.func(args)
-    except (FormatError, CertificateError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -260,6 +260,20 @@ def is_dominated(d: Digraph, s: Iterable[int]) -> Optional[int]:
     return (mask & -mask).bit_length() - 1
 
 
+def _first_undominated(
+    in_masks: tuple[int, ...], vertices: Iterable[int], l: int
+) -> Optional[tuple[int, ...]]:
+    """Lexicographically first l-combination of ``vertices`` whose in-masks
+    have an empty intersection, i.e. no vertex dominates it; else None."""
+    for combo in combinations(vertices, l):
+        mask = -1
+        for x in combo:
+            mask &= in_masks[x]
+            if mask == 0:
+                return combo
+    return None
+
+
 def all_subsets_dominated(d: Digraph, l: int) -> bool:
     """True iff every vertex subset of cardinality exactly l is dominated.
 
@@ -268,32 +282,14 @@ def all_subsets_dominated(d: Digraph, l: int) -> bool:
     """
     if not 1 <= l <= d.n:
         raise ValueError(f"need 1 <= l <= {d.n}, got {l}")
-    in_masks = d.in_masks
-    for combo in combinations(range(d.n), l):
-        mask = -1
-        for x in combo:
-            mask &= in_masks[x]
-            if mask == 0:
-                break
-        if mask == 0:
-            return False
-    return True
+    return _first_undominated(d.in_masks, range(d.n), l) is None
 
 
 def find_undominated_set(d: Digraph, l: int) -> Optional[tuple[int, ...]]:
     """Lexicographically first undominated set of cardinality l, else None."""
     if not 1 <= l <= d.n:
         raise ValueError(f"need 1 <= l <= {d.n}, got {l}")
-    in_masks = d.in_masks
-    for combo in combinations(range(d.n), l):
-        mask = -1
-        for x in combo:
-            mask &= in_masks[x]
-            if mask == 0:
-                break
-        if mask == 0:
-            return combo
-    return None
+    return _first_undominated(d.in_masks, range(d.n), l)
 
 
 # ---------------------------------------------------------------------------

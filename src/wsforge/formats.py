@@ -29,7 +29,7 @@ from .digraph import (
     all_subsets_dominated,
     shortest_cycle,
 )
-from .game import WinLoseGame, char_decision
+from .game import WinLoseGame, char_decision, out_degree_offenders
 from .residues import ResidueSet, satisfies_haight
 from .wsne import MixedStrategy, NoWitness, check_wsne, exhaustive_search
 
@@ -39,6 +39,7 @@ __all__ = [
     "CertificateEnvelope",
     "ReverifyResult",
     "SCHEMA_TAG",
+    "MAX_ORDER",
     "toolchain_version",
     "write_digraph",
     "read_digraph",
@@ -56,6 +57,11 @@ __all__ = [
 
 SCHEMA_TAG = "wsforge-cert/1"
 CERT_KINDS = ("haight", "kl_digraph", "wsne_witness", "nonexistence")
+
+# Largest vertex count or modulus accepted from a file, a certificate or the
+# command line. Far above what the search and the refutation reach, it turns
+# a hostile size into exit 2 before anything is allocated or looped over by it.
+MAX_ORDER = 4096
 
 Source = Union[str, Path, IO[str]]
 
@@ -151,6 +157,8 @@ def read_digraph(src: Source) -> Digraph:
     if len(parts) != 2 or not all(p.isdigit() for p in parts):
         raise FormatError(f"line {no}: expected header 'n m', got {header!r}")
     n, m = int(parts[0]), int(parts[1])
+    if n > MAX_ORDER:
+        raise FormatError(f"line {no}: vertex count {n} exceeds {MAX_ORDER}")
     if len(data) - 1 != m:
         raise FormatError(f"expected {m} arc lines, found {len(data) - 1}")
     rows = [0] * n
@@ -230,10 +238,15 @@ def _require(payload: dict, field: str, kinds, where: str = "payload"):
 
 def _require_int(payload: dict, field: str, minimum: int, where: str = "payload") -> int:
     value = _require(payload, field, int, where)
-    if isinstance(value, bool):
-        raise CertificateError(f"{where}.{field}: expected int, got bool")
     if value < minimum:
         raise CertificateError(f"{where}.{field}: must be >= {minimum}, got {value}")
+    return value
+
+
+def _require_order(payload: dict, field: str) -> int:
+    value = _require_int(payload, field, 1)
+    if value > MAX_ORDER:
+        raise CertificateError(f"payload.{field}: must be <= {MAX_ORDER}, got {value}")
     return value
 
 
@@ -258,9 +271,12 @@ def _require_sorted_set(payload: dict, field: str, upper: int, where: str = "pay
 def _require_rational(payload: dict, field: str, where: str = "payload") -> Fraction:
     value = _require(payload, field, str, where)
     try:
-        return parse_rational(value)
+        parsed = parse_rational(value)
     except FormatError as exc:
         raise CertificateError(f"{where}.{field}: {exc}") from exc
+    if parsed < 0:
+        raise CertificateError(f"{where}.{field}: must be >= 0, got {value}")
+    return parsed
 
 
 def _require_rows(payload: dict, field: str, m: int, n: int, where: str = "payload") -> tuple[int, ...]:
@@ -313,7 +329,12 @@ def _strategy_from_payload(payload: dict, field: str, length: int) -> MixedStrat
         raise CertificateError(f"payload.{field}: {exc}") from exc
 
 
-def validate_envelope(env: CertificateEnvelope) -> None:
+def validate_envelope(env: CertificateEnvelope) -> tuple:
+    """Check ``env`` against the schema and return its payload's values,
+    parsed: (q, y, kappa) for haight, (n, arcs, k, l, girth) for
+    kl_digraph, (g, p, q, eps) for wsne_witness and (g, k, eps,
+    pairs_refuted, char_none) for nonexistence. Every CertificateError
+    names the offending field."""
     if env.kind not in CERT_KINDS:
         raise CertificateError(f"kind: unknown certificate kind {env.kind!r}")
     if not isinstance(env.payload, dict) or not env.payload:
@@ -324,11 +345,11 @@ def validate_envelope(env: CertificateEnvelope) -> None:
         raise CertificateError("replay: must be a nonempty string")
     payload = env.payload
     if env.kind == "haight":
-        q = _require_int(payload, "q", 1)
-        _require_sorted_set(payload, "y", q)
-        _require_int(payload, "kappa", 2)
-    elif env.kind == "kl_digraph":
-        n = _require_int(payload, "n", 1)
+        q = _require_order(payload, "q")
+        y = _require_sorted_set(payload, "y", q)
+        return q, y, _require_int(payload, "kappa", 2)
+    if env.kind == "kl_digraph":
+        n = _require_order(payload, "n")
         arcs = _require(payload, "arcs", list)
         for pos, arc in enumerate(arcs):
             if (
@@ -339,8 +360,8 @@ def validate_envelope(env: CertificateEnvelope) -> None:
                 raise CertificateError(f"payload.arcs[{pos}]: expected [u, v]")
             if not all(0 <= x < n for x in arc):
                 raise CertificateError(f"payload.arcs[{pos}]: vertex outside [0, {n})")
-        _require_int(payload, "k", 1)
-        _require_int(payload, "l", 1)
+        k = _require_int(payload, "k", 1)
+        l = _require_int(payload, "l", 1)
         if "girth" not in payload:
             raise CertificateError("payload.girth: missing required field (null means acyclic)")
         girth_found = payload["girth"]
@@ -348,20 +369,22 @@ def validate_envelope(env: CertificateEnvelope) -> None:
             not isinstance(girth_found, int) or isinstance(girth_found, bool) or girth_found < 1
         ):
             raise CertificateError("payload.girth: expected a positive int or null")
-    elif env.kind == "wsne_witness":
-        g = _game_from_payload(payload)
-        _strategy_from_payload(payload, "p", g.m)
-        _strategy_from_payload(payload, "q", g.n)
-        _require_rational(payload, "eps")
-    else:  # nonexistence
-        g = _game_from_payload(payload)
-        k = _require_int(payload, "k", 1)
-        if k > min(g.m, g.n):
-            raise CertificateError(f"payload.k: {k} exceeds min(m, n) = {min(g.m, g.n)}")
-        _require_rational(payload, "eps")
-        _require_int(payload, "pairs_refuted", 1)
-        if "char_none" in payload and not isinstance(payload["char_none"], bool):
-            raise CertificateError("payload.char_none: expected a boolean")
+        return n, arcs, k, l, girth_found
+    g = _game_from_payload(payload)
+    if env.kind == "wsne_witness":
+        p = _strategy_from_payload(payload, "p", g.m)
+        q = _strategy_from_payload(payload, "q", g.n)
+        return g, p, q, _require_rational(payload, "eps")
+    # nonexistence
+    k = _require_int(payload, "k", 1)
+    if k > min(g.m, g.n):
+        raise CertificateError(f"payload.k: {k} exceeds min(m, n) = {min(g.m, g.n)}")
+    eps = _require_rational(payload, "eps")
+    pairs_refuted = _require_int(payload, "pairs_refuted", 1)
+    char_none = payload.get("char_none", False)
+    if not isinstance(char_none, bool):
+        raise CertificateError("payload.char_none: expected a boolean")
+    return g, k, eps, pairs_refuted, char_none
 
 
 def make_envelope(kind: str, payload: dict, replay: str) -> CertificateEnvelope:
@@ -406,37 +429,35 @@ def read_certificate(src: Source) -> CertificateEnvelope:
 
 def reverify(env: CertificateEnvelope) -> ReverifyResult:
     """Re-run the defining checks of any certificate from embedded data only."""
-    validate_envelope(env)
-    payload = env.payload
+    parsed = validate_envelope(env)
     if env.kind == "haight":
-        y = ResidueSet.from_members(payload["q"], payload["y"])
-        if not satisfies_haight(y, payload["kappa"]):
+        q, members, kappa = parsed
+        y = ResidueSet.from_members(q, members)
+        if not satisfies_haight(y, kappa):
             return ReverifyResult(False, env.kind, "stored set fails the certified conditions")
         return ReverifyResult(
-            True, env.kind, f"q={payload['q']} set of size {len(y)} re-verified at kappa={payload['kappa']}"
+            True, env.kind, f"q={q} set of size {len(y)} re-verified at kappa={kappa}"
         )
     if env.kind == "kl_digraph":
-        d = Digraph.from_arcs(payload["n"], [tuple(arc) for arc in payload["arcs"]])
+        n, arcs, k, l, girth_found = parsed
+        d = Digraph.from_arcs(n, arcs)
         cyc = shortest_cycle(d)
         found = None if cyc is None else len(cyc)
-        if found != payload["girth"]:
+        if found != girth_found:
             return ReverifyResult(
-                False, env.kind, f"recomputed girth {found} != certified {payload['girth']}"
+                False, env.kind, f"recomputed girth {found} != certified {girth_found}"
             )
-        if found is not None and found < payload["k"]:
-            return ReverifyResult(False, env.kind, f"girth {found} below k={payload['k']}")
-        if payload["l"] > d.n:
-            return ReverifyResult(False, env.kind, f"l={payload['l']} exceeds n={d.n}")
-        if not all_subsets_dominated(d, payload["l"]):
-            return ReverifyResult(False, env.kind, f"an undominated {payload['l']}-set exists")
+        if found is not None and found < k:
+            return ReverifyResult(False, env.kind, f"girth {found} below k={k}")
+        if l > n:
+            return ReverifyResult(False, env.kind, f"l={l} exceeds n={n}")
+        if not all_subsets_dominated(d, l):
+            return ReverifyResult(False, env.kind, f"an undominated {l}-set exists")
         return ReverifyResult(
-            True, env.kind, f"girth and domination re-verified for (k, l)=({payload['k']}, {payload['l']})"
+            True, env.kind, f"girth and domination re-verified for (k, l)=({k}, {l})"
         )
     if env.kind == "wsne_witness":
-        g = _game_from_payload(payload)
-        p = _strategy_from_payload(payload, "p", g.m)
-        q = _strategy_from_payload(payload, "q", g.n)
-        eps = parse_rational(payload["eps"])
+        g, p, q, eps = parsed
         verdict = check_wsne(g, p, q, eps)
         if not verdict.valid:
             worst = verdict.violations[0]
@@ -447,21 +468,23 @@ def reverify(env: CertificateEnvelope) -> ReverifyResult:
             )
         return ReverifyResult(True, env.kind, f"strategies re-verified at eps={eps}")
     # nonexistence
-    g = _game_from_payload(payload)
-    k = payload["k"]
-    eps = parse_rational(payload["eps"])
-    if payload.get("char_none"):
+    g, k, eps, pairs_refuted, char_none = parsed
+    if char_none:
+        offenders = out_degree_offenders(g)
+        if offenders:
+            detail = "characterization needs out-degree >= 1: " + ", ".join(offenders)
+            return ReverifyResult(False, env.kind, detail)
         witness = char_decision(g, k)
         if witness is not None:
             return ReverifyResult(False, env.kind, f"characterization found {witness}")
     result = exhaustive_search(g, k, eps)
     if not isinstance(result, NoWitness):
         return ReverifyResult(False, env.kind, "enumeration found a witness after all")
-    if result.pairs_refuted != payload["pairs_refuted"]:
+    if result.pairs_refuted != pairs_refuted:
         return ReverifyResult(
             False,
             env.kind,
-            f"refuted {result.pairs_refuted} pairs, certificate claims {payload['pairs_refuted']}",
+            f"refuted {result.pairs_refuted} pairs, certificate claims {pairs_refuted}",
         )
     return ReverifyResult(
         True, env.kind, f"all {result.pairs_refuted} support pairs re-refuted at eps={eps}"

@@ -10,10 +10,9 @@ each arc across the bipartition, and adding the diagonal arcs r_i -> c_i.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence, Union
 
-from .digraph import Digraph, shortest_cycle
+from .digraph import Digraph, _first_undominated, shortest_cycle
 
 __all__ = [
     "WinLoseGame",
@@ -139,6 +138,14 @@ def out_degree_offenders(g: WinLoseGame) -> list[str]:
     return offenders
 
 
+def _require_out_degree(g: WinLoseGame) -> None:
+    offenders = out_degree_offenders(g)
+    if offenders:
+        raise ValueError(
+            "bipartite digraph has vertices with out-degree 0: " + ", ".join(offenders)
+        )
+
+
 def char_decision(
     g: WinLoseGame, k: int
 ) -> Union[CycleWitness, UndominatedWitness, None]:
@@ -152,25 +159,15 @@ def char_decision(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    offenders = out_degree_offenders(g)
-    if offenders:
-        raise ValueError(
-            "bipartite digraph has vertices with out-degree 0: " + ", ".join(offenders)
-        )
+    _require_out_degree(g)
     h = to_bipartite_digraph(g)
     cyc = shortest_cycle(h)
     if cyc is not None and len(cyc) <= 2 * k:
         return CycleWitness(tuple(cyc))
-    in_masks = h.in_masks
     for side, count, offset in (("row", g.m, 0), ("col", g.n, g.m)):
         if k > count:
             continue
-        for combo in combinations(range(count), k):
-            mask = -1
-            for x in combo:
-                mask &= in_masks[offset + x]
-                if mask == 0:
-                    break
-            if mask == 0:
-                return UndominatedWitness(side, combo)
+        combo = _first_undominated(h.in_masks, range(offset, offset + count), k)
+        if combo is not None:
+            return UndominatedWitness(side, tuple(x - offset for x in combo))
     return None

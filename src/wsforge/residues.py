@@ -9,9 +9,8 @@ convolutions: O(q^2 / wordsize) per sumset level.
 
 from __future__ import annotations
 
-import concurrent.futures
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import Iterable, Union
 
@@ -324,15 +323,7 @@ def _search_randomized(spec: SearchSpec) -> Union[HaightCertificate, SearchExhau
     return SearchExhausted(evaluated)
 
 
-def _search_one(spec: SearchSpec) -> Union[HaightCertificate, SearchExhausted]:
-    if spec.mode == "exhaustive":
-        return _search_exhaustive(spec)
-    return _search_randomized(spec)
-
-
-def search_haight_set(
-    spec: SearchSpec, workers: int = 1
-) -> Union[HaightCertificate, SearchExhausted]:
+def search_haight_set(spec: SearchSpec) -> Union[HaightCertificate, SearchExhausted]:
     """Search Z_q for q in [q_min, q_max] for a set certified by ``kappa``.
 
     Exhaustive mode enumerates subsets of each Z_q in increasing bit-vector
@@ -341,34 +332,7 @@ def search_haight_set(
     certificate has been re-checked from scratch. SearchExhausted means
     "not found within budget", never "does not exist". q = 1 is skipped:
     no subset of Z_1 can avoid zero and still have complete differences.
-
-    With ``workers > 1`` the modulus range is split across processes with an
-    even budget split; any verified certificate may be returned.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if workers == 1 or spec.q_min == spec.q_max:
-        return _search_one(spec)
-
-    qs = list(range(max(spec.q_min, 2), spec.q_max + 1))
-    if not qs:
-        return SearchExhausted(0)
-    share, extra = divmod(spec.budget, len(qs))
-    subspecs = []
-    for idx, q in enumerate(qs):
-        sub_budget = share + (1 if idx < extra else 0)
-        if sub_budget < 1:
-            continue
-        subspecs.append(replace(spec, q_min=q, q_max=q, budget=sub_budget))
-    evaluated = 0
-    pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
-    try:
-        futures = [pool.submit(_search_one, sub) for sub in subspecs]
-        for fut in concurrent.futures.as_completed(futures):
-            result = fut.result()
-            if isinstance(result, HaightCertificate):
-                return result
-            evaluated += result.candidates_evaluated
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
-    return SearchExhausted(evaluated)
+    if spec.mode == "exhaustive":
+        return _search_exhaustive(spec)
+    return _search_randomized(spec)

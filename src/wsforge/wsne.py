@@ -20,8 +20,8 @@ from .game import (
     CycleWitness,
     UndominatedWitness,
     WinLoseGame,
+    _require_out_degree,
     char_decision,
-    out_degree_offenders,
     to_bipartite_digraph,
 )
 
@@ -222,14 +222,6 @@ def check_wsne(
 # ---------------------------------------------------------------------------
 # Constructions
 # ---------------------------------------------------------------------------
-
-
-def _require_out_degree(g: WinLoseGame) -> None:
-    offenders = out_degree_offenders(g)
-    if offenders:
-        raise ValueError(
-            "bipartite digraph has vertices with out-degree 0: " + ", ".join(offenders)
-        )
 
 
 def wsne_from_undominated(

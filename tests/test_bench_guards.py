@@ -1,0 +1,48 @@
+"""Cheap guards for the traced benchmark, whose own tests run outside the
+default test paths: every function and subcommand it wraps must still
+exist, and importing the CLI must stay free of process-pool machinery."""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import wsforge
+from wsforge.cli import build_parser
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_functions_exist():
+    for layer, fname, _ in load_tracing().WRAPPED:
+        module = importlib.import_module(f"wsforge.{layer}")
+        assert callable(getattr(module, fname, None)), f"wsforge.{layer}.{fname}"
+
+
+def test_traced_subcommands_exist():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name in load_tracing().SUBCOMMANDS:
+        assert name in sub.choices, name
+
+
+def test_cli_import_skips_concurrent_futures():
+    src = str(Path(wsforge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, wsforge.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert out.stdout.strip() == "False"

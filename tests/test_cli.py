@@ -6,15 +6,38 @@ failed.
 
 from __future__ import annotations
 
+import json
+import time
+
 import pytest
 
 from wsforge import ResidueSet, bipartify, cayley, power
 from wsforge.cli import main
-from wsforge.formats import read_certificate, read_digraph, read_game, reverify
+from wsforge.formats import (
+    MAX_ORDER,
+    SCHEMA_TAG,
+    read_certificate,
+    read_digraph,
+    read_game,
+    reverify,
+)
 
 
 def run(*argv: str) -> int:
     return main(list(argv))
+
+
+def run_timed(*argv: str) -> tuple[int, float]:
+    start = time.perf_counter()
+    code = run(*argv)
+    return code, time.perf_counter() - start
+
+
+def write_raw_certificate(path, kind: str, payload: dict):
+    doc = {"schema": SCHEMA_TAG, "kind": kind, "toolchain": "wsforge", "replay": "x"}
+    doc["payload"] = payload
+    path.write_text(json.dumps(doc))
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +82,19 @@ def test_search_usage_errors():
     assert run("search", "--kappa", "1", "--q-max", "5") == 2
     assert run("search", "--q-max", "5") == 2
     assert run("search", "--kappa", "2", "--q-max", "5", "--budget", "0") == 2
+
+
+def test_search_workers_option_is_gone():
+    assert run("search", "--kappa", "3", "--q-max", "7", "--workers", "2") == 2
+
+
+def test_moduli_above_max_order_are_usage_errors():
+    big = str(MAX_ORDER + 1)
+    assert run("search", "--kappa", "3", "--q-max", big) == 2
+    assert run("search", "--kappa", "3", "--q-min", big, "--q-max", big) == 2
+    assert run("cayley", "--q", big, "--y", "1") == 2
+    assert run("forge", "--k", "2", "--eps", "3/4", "--q-max", big) == 2
+    assert run("search", "--kappa", "3", "--q-min", "7", "--q-max", str(MAX_ORDER)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -206,3 +242,43 @@ def test_reverify_all_emitted_kinds(forged_k1, tmp_path):
 def test_unknown_command_is_usage_error():
     assert run("frobnicate") == 2
     assert run() == 2
+
+
+def test_reverify_char_none_with_zero_out_degree_exits_4(forged_k1, tmp_path, capsys):
+    _, cert = forged_k1
+    doc = json.loads(cert.read_text())
+    doc["payload"]["a"][0] = "0" * doc["payload"]["n"]
+    tampered = tmp_path / "t.json"
+    tampered.write_text(json.dumps(doc))
+    assert run("reverify", "--cert", str(tampered)) == 4
+    assert "out-degree >= 1: r0" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# hostile sizes: rejected as malformed input before any work is done
+# ---------------------------------------------------------------------------
+
+
+def test_power_rejects_huge_vertex_count(tmp_path, capsys):
+    dg = tmp_path / "huge.dg"
+    dg.write_text("100000000 0\n")
+    code, seconds = run_timed("power", "--in", str(dg), "--t", "2")
+    assert code == 2 and seconds < 1
+    assert "vertex count 100000000" in capsys.readouterr().err
+
+
+def test_reverify_rejects_huge_haight_modulus(tmp_path, capsys):
+    payload = {"q": 10**18, "y": [1], "kappa": 3}
+    cert = write_raw_certificate(tmp_path / "h.json", "haight", payload)
+    code, seconds = run_timed("reverify", "--cert", str(cert))
+    assert code == 2 and seconds < 1
+    assert "payload.q" in capsys.readouterr().err
+
+
+def test_reverify_rejects_huge_kl_vertex_count(tmp_path, capsys):
+    cert = write_raw_certificate(
+        tmp_path / "kl.json", "kl_digraph", {"n": 10**8, "arcs": [], "k": 3, "l": 1, "girth": None}
+    )
+    code, seconds = run_timed("reverify", "--cert", str(cert))
+    assert code == 2 and seconds < 1
+    assert "payload.n" in capsys.readouterr().err

@@ -251,6 +251,16 @@ def test_schema_violations_name_the_field():
         )
 
 
+def test_negative_eps_rejected_by_schema():
+    witness = game_payload(bipartify(TRIANGLE))
+    witness.update({"p": ["1", "0", "0"], "q": ["0", "1", "0"], "eps": "-1/4"})
+    refutation = game_payload(bipartify(TRIANGLE))
+    refutation.update({"k": 1, "eps": "-1/4", "pairs_refuted": 9})
+    for kind, payload in (("wsne_witness", witness), ("nonexistence", refutation)):
+        with pytest.raises(CertificateError, match="payload.eps: must be >= 0"):
+            make_envelope(kind, payload, "x")
+
+
 def test_certificate_rejects_wrong_schema_tag():
     env = make_envelope("haight", {"q": 7, "y": [1, 2, 4], "kappa": 3}, "x")
     buf = io.StringIO()

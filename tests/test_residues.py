@@ -242,13 +242,6 @@ def test_search_randomized_different_seed_still_valid():
         assert satisfies_haight(result.y, result.kappa)
 
 
-def test_search_parallel_workers_return_valid_certificate():
-    spec = SearchSpec(kappa=3, q_min=2, q_max=9, budget=4096)
-    result = search_haight_set(spec, workers=2)
-    assert isinstance(result, HaightCertificate)
-    assert satisfies_haight(result.y, 3)
-
-
 def test_search_spec_validation():
     with pytest.raises(ValueError):
         SearchSpec(kappa=1, q_min=2, q_max=5)
