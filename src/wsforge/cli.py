@@ -16,21 +16,24 @@ from .digraph import KLFailure, cayley, certify_kl, power
 from .formats import (
     MAX_ORDER,
     FormatError,
-    format_rational,
-    game_payload,
+    haight_payload,
+    kl_digraph_payload,
     make_envelope,
+    nonexistence_payload,
     parse_rational,
     read_certificate,
     read_digraph,
     read_game,
     reverify,
+    validate_envelope,
     write_certificate,
     write_digraph,
     write_game,
+    wsne_witness_payload,
 )
 from .game import bipartify, char_decision
 from .residues import HaightCertificate, ResidueSet, SearchSpec, search_haight_set
-from .wsne import MixedStrategy, NoWitness, check_wsne, exhaustive_search
+from .wsne import NoWitness, check_wsne, exhaustive_search
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -95,6 +98,14 @@ def _residue_list(text: str) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
+def _certificate_values(path: str, kind: str) -> tuple:
+    """The parsed payload of the ``kind`` certificate at ``path``."""
+    env = read_certificate(path)
+    if env.kind != kind:
+        raise FormatError(f"{path} is a {env.kind} certificate, expected {kind}")
+    return validate_envelope(env)
+
+
 def _search_replay(args: argparse.Namespace) -> str:
     return (
         f"wsforge search --kappa {args.kappa} --q-min {args.q_min} --q-max {args.q_max}"
@@ -106,22 +117,12 @@ def cmd_search(args: argparse.Namespace) -> int:
     spec = SearchSpec(args.kappa, args.q_min, args.q_max, args.budget, args.seed, args.mode)
     result = search_haight_set(spec)
     if isinstance(result, HaightCertificate):
-        members = list(result.y.members())
         print(
-            f"found q={result.modulus} Y={{{', '.join(map(str, members))}}}"
+            f"found q={result.modulus} Y={{{', '.join(map(str, result.y.members()))}}}"
             f" kappa={result.kappa} (evaluated {result.candidates_evaluated} candidates)"
         )
         if args.out:
-            env = make_envelope(
-                "haight",
-                {
-                    "q": result.modulus,
-                    "y": members,
-                    "kappa": result.kappa,
-                    "candidates_evaluated": result.candidates_evaluated,
-                },
-                _search_replay(args),
-            )
+            env = make_envelope("haight", haight_payload(result), _search_replay(args))
             write_certificate(env, args.out)
             print(f"certificate written to {args.out}")
         return EXIT_OK
@@ -134,12 +135,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 def cmd_cayley(args: argparse.Namespace) -> int:
     if args.cert:
-        env = read_certificate(args.cert)
-        if env.kind != "haight":
-            print(f"error: {args.cert} is a {env.kind} certificate", file=sys.stderr)
-            return EXIT_USAGE
-        q = env.payload["q"]
-        members = env.payload["y"]
+        q, members, _ = _certificate_values(args.cert, "haight")
     else:
         if args.q is None or args.y is None:
             print("error: need --cert or both --q and --y", file=sys.stderr)
@@ -183,13 +179,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     if args.out:
         env = make_envelope(
             "kl_digraph",
-            {
-                "n": d.n,
-                "arcs": [[u, v] for u, v in d.arcs()],
-                "k": args.k,
-                "l": args.l,
-                "girth": result.girth_found,
-            },
+            kl_digraph_payload(d, result),
             f"wsforge certify --in {args.infile} --k {args.k} --l {args.l}",
         )
         write_certificate(env, args.out)
@@ -197,71 +187,43 @@ def cmd_certify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_strategies(path: str, m: int, n: int) -> tuple[MixedStrategy, MixedStrategy]:
-    env = read_certificate(path)
-    if env.kind != "wsne_witness":
-        raise FormatError(f"{path} is a {env.kind} certificate, expected wsne_witness")
-    p_raw = env.payload["p"]
-    q_raw = env.payload["q"]
-    if len(p_raw) != m or len(q_raw) != n:
-        raise FormatError(
-            f"strategy dimensions ({len(p_raw)}, {len(q_raw)}) do not match game ({m}, {n})"
-        )
-    p = MixedStrategy.from_probs(p_raw)
-    q = MixedStrategy.from_probs(q_raw)
-    return p, q
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     g = read_game(args.game)
-    p, q = _read_strategies(args.strategy, g.m, g.n)
+    _, p, q, _ = _certificate_values(args.strategy, "wsne_witness")
     verdict = check_wsne(g, p, q, args.eps)
     if verdict.valid:
         print(
-            f"valid at eps={format_rational(verdict.epsilon)}"
-            f" (row best {format_rational(verdict.row_best)},"
-            f" col best {format_rational(verdict.col_best)})"
+            f"valid at eps={verdict.epsilon}"
+            f" (row best {verdict.row_best}, col best {verdict.col_best})"
         )
         return EXIT_OK
-    print(f"INVALID at eps={format_rational(verdict.epsilon)}:")
+    print(f"INVALID at eps={verdict.epsilon}:")
     for v in verdict.violations:
-        print(
-            f"  {v.player} {v.index} pays {format_rational(v.payoff)},"
-            f" short by {format_rational(v.shortfall)}"
-        )
+        print(f"  {v.player} {v.index} pays {v.payoff}, short by {v.shortfall}")
     return EXIT_VERIFY_FAILED
 
 
 def cmd_exhaust(args: argparse.Namespace) -> int:
     g = read_game(args.game)
-    eps_text = format_rational(args.eps)
     result = exhaustive_search(g, args.k, args.eps)
-    replay = f"wsforge exhaust --game {args.game} --k {args.k} --eps {eps_text}"
+    replay = f"wsforge exhaust --game {args.game} --k {args.k} --eps {args.eps}"
     if isinstance(result, NoWitness):
         print(
-            f"no eps-WSNE with supports of cardinality <= {args.k} at eps={eps_text}:"
+            f"no eps-WSNE with supports of cardinality <= {args.k} at eps={args.eps}:"
             f" refuted {result.pairs_refuted} support pairs"
         )
         if args.out:
-            payload = game_payload(g)
-            payload.update({"k": args.k, "eps": eps_text, "pairs_refuted": result.pairs_refuted})
+            payload = nonexistence_payload(g, args.k, args.eps, result)
             write_certificate(make_envelope("nonexistence", payload, replay), args.out)
             print(f"certificate written to {args.out}")
         return EXIT_OK
     p, q = result
     print(
-        f"witness found at eps={eps_text}:"
+        f"witness found at eps={args.eps}:"
         f" row support {list(p.support)}, col support {list(q.support)}"
     )
     if args.out:
-        payload = game_payload(g)
-        payload.update(
-            {
-                "p": [format_rational(x) for x in p.probs],
-                "q": [format_rational(x) for x in q.probs],
-                "eps": eps_text,
-            }
-        )
+        payload = wsne_witness_payload(g, p, q, args.eps)
         write_certificate(make_envelope("wsne_witness", payload, replay), args.out)
         print(f"certificate written to {args.out}")
     return EXIT_OK
@@ -283,9 +245,8 @@ def cmd_forge(args: argparse.Namespace) -> int:
     if not 0 <= eps < 1:
         print("error: --eps must satisfy 0 <= eps < 1", file=sys.stderr)
         return EXIT_USAGE
-    eps_text = format_rational(eps)
     replay = (
-        f"wsforge forge --k {k} --eps {eps_text} --budget {args.budget} --seed {args.seed}"
+        f"wsforge forge --k {k} --eps {eps} --budget {args.budget} --seed {args.seed}"
         f" --q-min {args.q_min} --q-max {args.q_max} --mode {args.mode}"
     )
 
@@ -345,18 +306,10 @@ def cmd_forge(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_VERIFY_FAILED
-    print(f"[exhaust] refuted all {result.pairs_refuted} support pairs at eps={eps_text}")
+    print(f"[exhaust] refuted all {result.pairs_refuted} support pairs at eps={eps}")
 
     write_game(g, args.out_game)
-    payload = game_payload(g)
-    payload.update(
-        {
-            "k": k,
-            "eps": eps_text,
-            "pairs_refuted": result.pairs_refuted,
-            "char_none": True,
-        }
-    )
+    payload = nonexistence_payload(g, k, eps, result, char_none=True)
     write_certificate(make_envelope("nonexistence", payload, replay), args.out_cert)
     print(f"game written to {args.out_game}")
     print(f"certificate written to {args.out_cert}")

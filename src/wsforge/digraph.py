@@ -60,12 +60,12 @@ class Digraph:
 
     def arcs(self) -> list[tuple[int, int]]:
         """All arcs in lexicographic order."""
-        return [
-            (u, v)
-            for u in range(self.n)
-            for v in range(self.n)
-            if self.out[u] >> v & 1
-        ]
+        arcs = []
+        for u, mask in enumerate(self.out):
+            while mask:
+                arcs.append((u, (mask & -mask).bit_length() - 1))
+                mask &= mask - 1
+        return arcs
 
     def arc_count(self) -> int:
         return sum(mask.bit_count() for mask in self.out)

@@ -12,7 +12,8 @@ toolchain version, a replay command line, and a kind-specific payload with
 every input embedded, so :func:`reverify` can re-run the defining checks
 from the envelope alone. Rationals are "a/b" strings (bare integers when
 the denominator is 1); sets are sorted integer lists. Output is UTF-8 with
-LF line endings and deterministic key order.
+LF line endings and deterministic key order. Each kind has its payload
+builder, its parser and its re-check side by side below.
 """
 
 from __future__ import annotations
@@ -21,16 +22,17 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import IO, Union
+from typing import IO, Optional, Union
 
 from . import __version__
 from .digraph import (
     Digraph,
+    KLCertificate,
     all_subsets_dominated,
     shortest_cycle,
 )
 from .game import WinLoseGame, char_decision, out_degree_offenders
-from .residues import ResidueSet, satisfies_haight
+from .residues import HaightCertificate, ResidueSet, satisfies_haight
 from .wsne import MixedStrategy, NoWitness, check_wsne, exhaustive_search
 
 __all__ = [
@@ -39,6 +41,7 @@ __all__ = [
     "CertificateEnvelope",
     "ReverifyResult",
     "SCHEMA_TAG",
+    "CERT_KINDS",
     "MAX_ORDER",
     "toolchain_version",
     "write_digraph",
@@ -50,13 +53,15 @@ __all__ = [
     "make_envelope",
     "validate_envelope",
     "game_payload",
+    "haight_payload",
+    "kl_digraph_payload",
+    "wsne_witness_payload",
+    "nonexistence_payload",
     "reverify",
-    "format_rational",
     "parse_rational",
 ]
 
 SCHEMA_TAG = "wsforge-cert/1"
-CERT_KINDS = ("haight", "kl_digraph", "wsne_witness", "nonexistence")
 
 # Largest vertex count or modulus accepted from a file, a certificate or the
 # command line. Far above what the search and the refutation reach, it turns
@@ -98,10 +103,6 @@ class ReverifyResult:
 # ---------------------------------------------------------------------------
 
 
-def format_rational(value: Fraction) -> str:
-    return str(value)
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse "a/b" or a bare integer; anything float-like is rejected."""
     if not isinstance(text, str):
@@ -138,6 +139,19 @@ def _write_text(dest: Source, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _digraph_from_arcs(n: int, arcs: list[tuple[str, int, int]], error: type) -> Digraph:
+    """The digraph on n vertices with the given (where, u, v) arcs. An arc
+    outside [0, n) or given twice raises ``error`` naming its ``where``."""
+    rows = [0] * n
+    for where, u, v in arcs:
+        if not (0 <= u < n and 0 <= v < n):
+            raise error(f"{where}: arc ({u}, {v}) outside vertex range [0, {n})")
+        if rows[u] >> v & 1:
+            raise error(f"{where}: duplicate arc ({u}, {v})")
+        rows[u] |= 1 << v
+    return Digraph(n, tuple(rows))
+
+
 def write_digraph(d: Digraph, dest: Source) -> None:
     lines = [f"{d.n} {d.arc_count()}"]
     lines.extend(f"{u} {v}" for u, v in d.arcs())
@@ -154,30 +168,30 @@ def read_digraph(src: Source) -> Digraph:
         raise FormatError("empty digraph file")
     no, header = data[0]
     parts = header.split()
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
+    if len(parts) != 2 or not all(p.isdecimal() for p in parts):
         raise FormatError(f"line {no}: expected header 'n m', got {header!r}")
     n, m = int(parts[0]), int(parts[1])
     if n > MAX_ORDER:
         raise FormatError(f"line {no}: vertex count {n} exceeds {MAX_ORDER}")
     if len(data) - 1 != m:
         raise FormatError(f"expected {m} arc lines, found {len(data) - 1}")
-    rows = [0] * n
+    arcs = []
     for no, line in data[1:]:
         parts = line.split()
-        if len(parts) != 2 or not all(p.lstrip("-").isdigit() for p in parts):
+        if len(parts) != 2 or not all(p.removeprefix("-").isdecimal() for p in parts):
             raise FormatError(f"line {no}: expected 'u v', got {line!r}")
-        u, v = int(parts[0]), int(parts[1])
-        if not (0 <= u < n and 0 <= v < n):
-            raise FormatError(f"line {no}: arc ({u}, {v}) outside vertex range [0, {n})")
-        if rows[u] >> v & 1:
-            raise FormatError(f"line {no}: duplicate arc ({u}, {v})")
-        rows[u] |= 1 << v
-    return Digraph(n, tuple(rows))
+        arcs.append((f"line {no}", int(parts[0]), int(parts[1])))
+    return _digraph_from_arcs(n, arcs, FormatError)
 
 
 # ---------------------------------------------------------------------------
 # Game format
 # ---------------------------------------------------------------------------
+
+
+def _payoff_rows(rows: tuple[int, ...], n: int) -> list[str]:
+    """Bitmask rows as 0/1 strings, column 0 first."""
+    return [bin(mask | 1 << n)[3:][::-1] for mask in rows]
 
 
 def _parse_payoff_row(line: str, n: int, no: int) -> int:
@@ -193,10 +207,7 @@ def _parse_payoff_row(line: str, n: int, no: int) -> int:
 
 
 def write_game(g: WinLoseGame, dest: Source) -> None:
-    lines = [f"{g.m} {g.n}"]
-    lines.extend("".join(str(g.a(i, j)) for j in range(g.n)) for i in range(g.m))
-    lines.append("")
-    lines.extend("".join(str(g.b(i, j)) for j in range(g.n)) for i in range(g.m))
+    lines = [f"{g.m} {g.n}", *_payoff_rows(g.a_rows, g.n), "", *_payoff_rows(g.b_rows, g.n)]
     _write_text(dest, "\n".join(lines) + "\n")
 
 
@@ -207,7 +218,7 @@ def read_game(src: Source) -> WinLoseGame:
     if not lines:
         raise FormatError("empty game file")
     parts = lines[0].split()
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
+    if len(parts) != 2 or not all(p.isdecimal() for p in parts):
         raise FormatError(f"line 1: expected header 'm n', got {lines[0]!r}")
     m, n = int(parts[0]), int(parts[1])
     if len(lines) != 2 * m + 2:
@@ -220,26 +231,26 @@ def read_game(src: Source) -> WinLoseGame:
 
 
 # ---------------------------------------------------------------------------
-# Certificate schema
+# Certificate fields
 # ---------------------------------------------------------------------------
 
 
-def _require(payload: dict, field: str, kinds, where: str = "payload"):
+def _require(payload: dict, field: str, kinds):
     if field not in payload:
-        raise CertificateError(f"{where}.{field}: missing required field")
+        raise CertificateError(f"payload.{field}: missing required field")
     value = payload[field]
     if not isinstance(value, kinds) or isinstance(value, bool) and kinds is int:
         raise CertificateError(
-            f"{where}.{field}: expected {getattr(kinds, '__name__', kinds)},"
+            f"payload.{field}: expected {getattr(kinds, '__name__', kinds)},"
             f" got {type(value).__name__}"
         )
     return value
 
 
-def _require_int(payload: dict, field: str, minimum: int, where: str = "payload") -> int:
-    value = _require(payload, field, int, where)
+def _require_int(payload: dict, field: str, minimum: int) -> int:
+    value = _require(payload, field, int)
     if value < minimum:
-        raise CertificateError(f"{where}.{field}: must be >= {minimum}, got {value}")
+        raise CertificateError(f"payload.{field}: must be >= {minimum}, got {value}")
     return value
 
 
@@ -250,48 +261,46 @@ def _require_order(payload: dict, field: str) -> int:
     return value
 
 
-def _require_int_list(payload: dict, field: str, where: str = "payload") -> list[int]:
-    value = _require(payload, field, list, where)
+def _require_sorted_set(payload: dict, field: str, upper: int) -> list[int]:
+    value = _require(payload, field, list)
     for pos, item in enumerate(value):
         if not isinstance(item, int) or isinstance(item, bool):
-            raise CertificateError(f"{where}.{field}[{pos}]: expected int")
-    return value
-
-
-def _require_sorted_set(payload: dict, field: str, upper: int, where: str = "payload") -> list[int]:
-    value = _require_int_list(payload, field, where)
-    if value != sorted(set(value)):
-        raise CertificateError(f"{where}.{field}: must be a sorted list without duplicates")
-    for pos, item in enumerate(value):
+            raise CertificateError(f"payload.{field}[{pos}]: expected int")
         if not 0 <= item < upper:
-            raise CertificateError(f"{where}.{field}[{pos}]: {item} outside [0, {upper})")
+            raise CertificateError(f"payload.{field}[{pos}]: {item} outside [0, {upper})")
+    if value != sorted(set(value)):
+        raise CertificateError(f"payload.{field}: must be a sorted list without duplicates")
     return value
 
 
-def _require_rational(payload: dict, field: str, where: str = "payload") -> Fraction:
-    value = _require(payload, field, str, where)
+def _require_rational(payload: dict, field: str) -> Fraction:
+    value = _require(payload, field, str)
     try:
         parsed = parse_rational(value)
     except FormatError as exc:
-        raise CertificateError(f"{where}.{field}: {exc}") from exc
+        raise CertificateError(f"payload.{field}: {exc}") from exc
     if parsed < 0:
-        raise CertificateError(f"{where}.{field}: must be >= 0, got {value}")
+        raise CertificateError(f"payload.{field}: must be >= 0, got {value}")
     return parsed
 
 
-def _require_rows(payload: dict, field: str, m: int, n: int, where: str = "payload") -> tuple[int, ...]:
-    value = _require(payload, field, list, where)
+def _require_rows(payload: dict, field: str, m: int, n: int) -> tuple[int, ...]:
+    value = _require(payload, field, list)
     if len(value) != m:
-        raise CertificateError(f"{where}.{field}: expected {m} rows, got {len(value)}")
+        raise CertificateError(f"payload.{field}: expected {m} rows, got {len(value)}")
     rows = []
     for pos, row in enumerate(value):
         if not isinstance(row, str):
-            raise CertificateError(f"{where}.{field}[{pos}]: expected a 0/1 string")
+            raise CertificateError(f"payload.{field}[{pos}]: expected a 0/1 string")
         try:
             rows.append(_parse_payoff_row(row, n, 0))
         except FormatError as exc:
-            raise CertificateError(f"{where}.{field}[{pos}]: {exc}") from exc
+            raise CertificateError(f"payload.{field}[{pos}]: {exc}") from exc
     return tuple(rows)
+
+
+def game_payload(g: WinLoseGame) -> dict:
+    return {"m": g.m, "n": g.n, "a": _payoff_rows(g.a_rows, g.n), "b": _payoff_rows(g.b_rows, g.n)}
 
 
 def _game_from_payload(payload: dict) -> WinLoseGame:
@@ -302,23 +311,12 @@ def _game_from_payload(payload: dict) -> WinLoseGame:
     return WinLoseGame(m, n, a_rows, b_rows)
 
 
-def game_payload(g: WinLoseGame) -> dict:
-    return {
-        "m": g.m,
-        "n": g.n,
-        "a": ["".join(str(g.a(i, j)) for j in range(g.n)) for i in range(g.m)],
-        "b": ["".join(str(g.b(i, j)) for j in range(g.n)) for i in range(g.m)],
-    }
-
-
 def _strategy_from_payload(payload: dict, field: str, length: int) -> MixedStrategy:
     value = _require(payload, field, list)
     if len(value) != length:
         raise CertificateError(f"payload.{field}: expected {length} entries, got {len(value)}")
     probs = []
     for pos, item in enumerate(value):
-        if not isinstance(item, str):
-            raise CertificateError(f"payload.{field}[{pos}]: expected a rational string")
         try:
             probs.append(parse_rational(item))
         except FormatError as exc:
@@ -329,53 +327,102 @@ def _strategy_from_payload(payload: dict, field: str, length: int) -> MixedStrat
         raise CertificateError(f"payload.{field}: {exc}") from exc
 
 
-def validate_envelope(env: CertificateEnvelope) -> tuple:
-    """Check ``env`` against the schema and return its payload's values,
-    parsed: (q, y, kappa) for haight, (n, arcs, k, l, girth) for
-    kl_digraph, (g, p, q, eps) for wsne_witness and (g, k, eps,
-    pairs_refuted, char_none) for nonexistence. Every CertificateError
-    names the offending field."""
-    if env.kind not in CERT_KINDS:
-        raise CertificateError(f"kind: unknown certificate kind {env.kind!r}")
-    if not isinstance(env.payload, dict) or not env.payload:
-        raise CertificateError("payload: must be a nonempty object")
-    if not isinstance(env.toolchain, str) or not env.toolchain:
-        raise CertificateError("toolchain: must be a nonempty string")
-    if not isinstance(env.replay, str) or not env.replay:
-        raise CertificateError("replay: must be a nonempty string")
-    payload = env.payload
-    if env.kind == "haight":
-        q = _require_order(payload, "q")
-        y = _require_sorted_set(payload, "y", q)
-        return q, y, _require_int(payload, "kappa", 2)
-    if env.kind == "kl_digraph":
-        n = _require_order(payload, "n")
-        arcs = _require(payload, "arcs", list)
-        for pos, arc in enumerate(arcs):
-            if (
-                not isinstance(arc, list)
-                or len(arc) != 2
-                or not all(isinstance(x, int) and not isinstance(x, bool) for x in arc)
-            ):
-                raise CertificateError(f"payload.arcs[{pos}]: expected [u, v]")
-            if not all(0 <= x < n for x in arc):
-                raise CertificateError(f"payload.arcs[{pos}]: vertex outside [0, {n})")
-        k = _require_int(payload, "k", 1)
-        l = _require_int(payload, "l", 1)
-        if "girth" not in payload:
-            raise CertificateError("payload.girth: missing required field (null means acyclic)")
-        girth_found = payload["girth"]
-        if girth_found is not None and (
-            not isinstance(girth_found, int) or isinstance(girth_found, bool) or girth_found < 1
-        ):
-            raise CertificateError("payload.girth: expected a positive int or null")
-        return n, arcs, k, l, girth_found
+# ---------------------------------------------------------------------------
+# Certificate kinds: a payload builder, a parser that checks the schema and
+# returns the payload's values, and a re-check of those values -> (ok, detail)
+# ---------------------------------------------------------------------------
+
+
+def haight_payload(cert: HaightCertificate) -> dict:
+    return {"q": cert.modulus, "y": list(cert.y.members()), "kappa": cert.kappa,
+            "candidates_evaluated": cert.candidates_evaluated}
+
+
+def _parse_haight(payload: dict) -> tuple[int, list[int], int]:
+    q = _require_order(payload, "q")
+    return q, _require_sorted_set(payload, "y", q), _require_int(payload, "kappa", 2)
+
+
+def _recheck_haight(q, members, kappa) -> tuple[bool, str]:
+    y = ResidueSet.from_members(q, members)
+    if not satisfies_haight(y, kappa):
+        return False, "stored set fails the certified conditions"
+    return True, f"q={q} set of size {len(y)} re-verified at kappa={kappa}"
+
+
+def kl_digraph_payload(d: Digraph, cert: KLCertificate) -> dict:
+    return {"n": d.n, "arcs": [[u, v] for u, v in d.arcs()], "k": cert.k, "l": cert.l,
+            "girth": cert.girth_found}
+
+
+def _parse_kl_digraph(payload: dict) -> tuple[Digraph, int, int, Optional[int]]:
+    n = _require_order(payload, "n")
+    arcs = []
+    for pos, arc in enumerate(_require(payload, "arcs", list)):
+        if not (isinstance(arc, list) and len(arc) == 2 and all(type(x) is int for x in arc)):
+            raise CertificateError(f"payload.arcs[{pos}]: expected [u, v]")
+        arcs.append((f"payload.arcs[{pos}]", *arc))
+    d = _digraph_from_arcs(n, arcs, CertificateError)
+    k = _require_int(payload, "k", 1)
+    l = _require_int(payload, "l", 1)
+    if "girth" not in payload:
+        raise CertificateError("payload.girth: missing required field (null means acyclic)")
+    girth_found = payload["girth"]
+    if girth_found is not None and not (type(girth_found) is int and girth_found >= 1):
+        raise CertificateError("payload.girth: expected a positive int or null")
+    return d, k, l, girth_found
+
+
+def _recheck_kl_digraph(d, k, l, girth_found) -> tuple[bool, str]:
+    cyc = shortest_cycle(d)
+    found = None if cyc is None else len(cyc)
+    if found != girth_found:
+        return False, f"recomputed girth {found} != certified {girth_found}"
+    if found is not None and found < k:
+        return False, f"girth {found} below k={k}"
+    if l > d.n:
+        return False, f"l={l} exceeds n={d.n}"
+    if not all_subsets_dominated(d, l):
+        return False, f"an undominated {l}-set exists"
+    return True, f"girth and domination re-verified for (k, l)=({k}, {l})"
+
+
+def wsne_witness_payload(
+    g: WinLoseGame, p: MixedStrategy, q: MixedStrategy, eps: Fraction
+) -> dict:
+    return {**game_payload(g), "p": [str(x) for x in p.probs], "q": [str(x) for x in q.probs],
+            "eps": str(eps)}
+
+
+def _parse_wsne_witness(
+    payload: dict,
+) -> tuple[WinLoseGame, MixedStrategy, MixedStrategy, Fraction]:
     g = _game_from_payload(payload)
-    if env.kind == "wsne_witness":
-        p = _strategy_from_payload(payload, "p", g.m)
-        q = _strategy_from_payload(payload, "q", g.n)
-        return g, p, q, _require_rational(payload, "eps")
-    # nonexistence
+    p = _strategy_from_payload(payload, "p", g.m)
+    q = _strategy_from_payload(payload, "q", g.n)
+    return g, p, q, _require_rational(payload, "eps")
+
+
+def _recheck_wsne_witness(g, p, q, eps) -> tuple[bool, str]:
+    verdict = check_wsne(g, p, q, eps)
+    if not verdict.valid:
+        worst = verdict.violations[0]
+        return False, f"{worst.player} {worst.index} pays {worst.payoff}, short by {worst.shortfall}"
+    return True, f"strategies re-verified at eps={eps}"
+
+
+def nonexistence_payload(
+    g: WinLoseGame, k: int, eps: Fraction, result: NoWitness, char_none: bool = False
+) -> dict:
+    """``char_none`` (written only when true) claims char_decision finds nothing either."""
+    payload = {**game_payload(g), "k": k, "eps": str(eps), "pairs_refuted": result.pairs_refuted}
+    if char_none:
+        payload["char_none"] = True
+    return payload
+
+
+def _parse_nonexistence(payload: dict) -> tuple[WinLoseGame, int, Fraction, int, bool]:
+    g = _game_from_payload(payload)
     k = _require_int(payload, "k", 1)
     if k > min(g.m, g.n):
         raise CertificateError(f"payload.k: {k} exceeds min(m, n) = {min(g.m, g.n)}")
@@ -385,6 +432,55 @@ def validate_envelope(env: CertificateEnvelope) -> tuple:
     if not isinstance(char_none, bool):
         raise CertificateError("payload.char_none: expected a boolean")
     return g, k, eps, pairs_refuted, char_none
+
+
+def _recheck_nonexistence(g, k, eps, pairs_refuted, char_none) -> tuple[bool, str]:
+    if char_none:
+        offenders = out_degree_offenders(g)
+        if offenders:
+            return False, "characterization needs out-degree >= 1: " + ", ".join(offenders)
+        witness = char_decision(g, k)
+        if witness is not None:
+            return False, f"characterization found {witness}"
+    result = exhaustive_search(g, k, eps)
+    if not isinstance(result, NoWitness):
+        return False, "enumeration found a witness after all"
+    if result.pairs_refuted != pairs_refuted:
+        return False, f"refuted {result.pairs_refuted} pairs, certificate claims {pairs_refuted}"
+    return True, f"all {result.pairs_refuted} support pairs re-refuted at eps={eps}"
+
+
+# kind -> (parse, re-check); the re-check takes what the parse returns.
+_KINDS = {
+    "haight": (_parse_haight, _recheck_haight),
+    "kl_digraph": (_parse_kl_digraph, _recheck_kl_digraph),
+    "wsne_witness": (_parse_wsne_witness, _recheck_wsne_witness),
+    "nonexistence": (_parse_nonexistence, _recheck_nonexistence),
+}
+CERT_KINDS = tuple(_KINDS)
+
+
+# ---------------------------------------------------------------------------
+# Envelopes
+# ---------------------------------------------------------------------------
+
+
+def validate_envelope(env: CertificateEnvelope) -> tuple:
+    """Check ``env`` against the schema and return its payload's values,
+    parsed: (q, y, kappa) for haight, (digraph, k, l, girth) for
+    kl_digraph, (g, p, q, eps) for wsne_witness and (g, k, eps,
+    pairs_refuted, char_none) for nonexistence. Every CertificateError
+    names the offending field."""
+    if env.kind not in CERT_KINDS:  # a tuple: the kind may be an unhashable JSON value
+        raise CertificateError(f"kind: unknown certificate kind {env.kind!r}")
+    if not isinstance(env.payload, dict) or not env.payload:
+        raise CertificateError("payload: must be a nonempty object")
+    if not isinstance(env.toolchain, str) or not env.toolchain:
+        raise CertificateError("toolchain: must be a nonempty string")
+    if not isinstance(env.replay, str) or not env.replay:
+        raise CertificateError("replay: must be a nonempty string")
+    parse, _ = _KINDS[env.kind]
+    return parse(env.payload)
 
 
 def make_envelope(kind: str, payload: dict, replay: str) -> CertificateEnvelope:
@@ -406,9 +502,10 @@ def write_certificate(env: CertificateEnvelope, dest: Source) -> None:
 
 
 def read_certificate(src: Source) -> CertificateEnvelope:
+    text = _read_text(src)
     try:
-        doc = json.loads(_read_text(src))
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise CertificateError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CertificateError("top level: expected an object")
@@ -422,70 +519,9 @@ def read_certificate(src: Source) -> CertificateEnvelope:
     return env
 
 
-# ---------------------------------------------------------------------------
-# Re-verification
-# ---------------------------------------------------------------------------
-
-
 def reverify(env: CertificateEnvelope) -> ReverifyResult:
     """Re-run the defining checks of any certificate from embedded data only."""
     parsed = validate_envelope(env)
-    if env.kind == "haight":
-        q, members, kappa = parsed
-        y = ResidueSet.from_members(q, members)
-        if not satisfies_haight(y, kappa):
-            return ReverifyResult(False, env.kind, "stored set fails the certified conditions")
-        return ReverifyResult(
-            True, env.kind, f"q={q} set of size {len(y)} re-verified at kappa={kappa}"
-        )
-    if env.kind == "kl_digraph":
-        n, arcs, k, l, girth_found = parsed
-        d = Digraph.from_arcs(n, arcs)
-        cyc = shortest_cycle(d)
-        found = None if cyc is None else len(cyc)
-        if found != girth_found:
-            return ReverifyResult(
-                False, env.kind, f"recomputed girth {found} != certified {girth_found}"
-            )
-        if found is not None and found < k:
-            return ReverifyResult(False, env.kind, f"girth {found} below k={k}")
-        if l > n:
-            return ReverifyResult(False, env.kind, f"l={l} exceeds n={n}")
-        if not all_subsets_dominated(d, l):
-            return ReverifyResult(False, env.kind, f"an undominated {l}-set exists")
-        return ReverifyResult(
-            True, env.kind, f"girth and domination re-verified for (k, l)=({k}, {l})"
-        )
-    if env.kind == "wsne_witness":
-        g, p, q, eps = parsed
-        verdict = check_wsne(g, p, q, eps)
-        if not verdict.valid:
-            worst = verdict.violations[0]
-            return ReverifyResult(
-                False,
-                env.kind,
-                f"{worst.player} {worst.index} pays {worst.payoff}, short by {worst.shortfall}",
-            )
-        return ReverifyResult(True, env.kind, f"strategies re-verified at eps={eps}")
-    # nonexistence
-    g, k, eps, pairs_refuted, char_none = parsed
-    if char_none:
-        offenders = out_degree_offenders(g)
-        if offenders:
-            detail = "characterization needs out-degree >= 1: " + ", ".join(offenders)
-            return ReverifyResult(False, env.kind, detail)
-        witness = char_decision(g, k)
-        if witness is not None:
-            return ReverifyResult(False, env.kind, f"characterization found {witness}")
-    result = exhaustive_search(g, k, eps)
-    if not isinstance(result, NoWitness):
-        return ReverifyResult(False, env.kind, "enumeration found a witness after all")
-    if result.pairs_refuted != pairs_refuted:
-        return ReverifyResult(
-            False,
-            env.kind,
-            f"refuted {result.pairs_refuted} pairs, certificate claims {pairs_refuted}",
-        )
-    return ReverifyResult(
-        True, env.kind, f"all {result.pairs_refuted} support pairs re-refuted at eps={eps}"
-    )
+    _, recheck = _KINDS[env.kind]
+    ok, detail = recheck(*parsed)
+    return ReverifyResult(ok, env.kind, detail)

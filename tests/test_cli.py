@@ -282,3 +282,19 @@ def test_reverify_rejects_huge_kl_vertex_count(tmp_path, capsys):
     code, seconds = run_timed("reverify", "--cert", str(cert))
     assert code == 2 and seconds < 1
     assert "payload.n" in capsys.readouterr().err
+
+
+def test_reverify_rejects_deeply_nested_json(tmp_path, capsys):
+    cert = tmp_path / "deep.json"
+    cert.write_text("[" * 100000 + "]" * 100000)
+    assert run("reverify", "--cert", str(cert)) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_cayley_and_power_at_max_order_are_fast(tmp_path):
+    dg = tmp_path / "big.dg"
+    code, seconds = run_timed("cayley", "--q", str(MAX_ORDER), "--y", "1", "--out", str(dg))
+    assert code == 0 and seconds < 1
+    code, seconds = run_timed("power", "--in", str(dg), "--t", "1", "--out", str(tmp_path / "p.dg"))
+    assert code == 0 and seconds < 1
+    assert read_digraph(dg).arc_count() == MAX_ORDER

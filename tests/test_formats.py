@@ -196,6 +196,12 @@ def test_kl_certificate_reverify():
     assert reverify(roundtrip_cert(env)).ok
 
 
+def test_kl_certificate_rejects_duplicate_arcs():
+    payload = {"n": 3, "arcs": [[0, 1], [0, 1], [1, 2], [2, 0]], "k": 3, "l": 1, "girth": 3}
+    with pytest.raises(CertificateError, match=r"payload.arcs\[1\]: duplicate arc \(0, 1\)"):
+        make_envelope("kl_digraph", payload, "x")
+
+
 def test_nonexistence_reverify():
     payload = game_payload(bipartify(TRIANGLE))
     payload.update({"k": 1, "eps": "99/100", "pairs_refuted": 9, "char_none": True})

@@ -1,0 +1,225 @@
+"""Property tests of the file formats: the readers and ``reverify`` fail
+on hostile input only with ValueError subclasses (the CLI's exit 2), and
+every certificate kind's builder parses back to the values it was built
+from."""
+
+from __future__ import annotations
+
+import io
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wsforge import (
+    Digraph,
+    HaightCertificate,
+    KLCertificate,
+    MixedStrategy,
+    NoWitness,
+    ResidueSet,
+    WinLoseGame,
+    bipartify,
+)
+from wsforge.formats import (
+    CERT_KINDS,
+    SCHEMA_TAG,
+    game_payload,
+    haight_payload,
+    kl_digraph_payload,
+    make_envelope,
+    nonexistence_payload,
+    read_certificate,
+    read_digraph,
+    read_game,
+    reverify,
+    validate_envelope,
+    write_certificate,
+    wsne_witness_payload,
+)
+
+FUZZ = settings(deadline=None, max_examples=60, derandomize=True, database=None)
+
+TRIANGLE = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
+TRIANGLE_GAME = bipartify(TRIANGLE)
+
+# One small valid payload per kind; the fuzz below damages one field.
+VALID = {
+    "haight": {"q": 7, "y": [1, 2, 4], "kappa": 3},
+    "kl_digraph": {"n": 3, "arcs": [[0, 1], [1, 2], [2, 0]], "k": 3, "l": 1, "girth": 3},
+    "wsne_witness": {
+        **game_payload(TRIANGLE_GAME),
+        "p": ["1/2", "0", "1/2"],
+        "q": ["0", "1/2", "1/2"],
+        "eps": "1/2",
+    },
+    "nonexistence": {
+        **game_payload(TRIANGLE_GAME),
+        "k": 1,
+        "eps": "99/100",
+        "pairs_refuted": 9,
+        "char_none": True,
+    },
+}
+
+
+# Explicit alphabets, with characters that only look like digits or
+# separators; they also spare Hypothesis building its Unicode tables.
+def texts(alphabet: str):
+    return st.text(alphabet=alphabet + "²٣\t\r\x00é", max_size=40)
+
+
+# Small integers keep any payload that does parse cheap to re-verify.
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 9)
+    | st.sampled_from([4097, 10**18])
+    | st.text(alphabet="01/-3 .ab", max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text("abkmnpqy", max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+def envelope_text(kind, payload) -> str:
+    doc = {"schema": SCHEMA_TAG, "kind": kind, "toolchain": "wsforge", "replay": "x"}
+    return json.dumps({**doc, "payload": payload})
+
+
+def read_and_reverify(text: str) -> None:
+    try:
+        reverify(read_certificate(io.StringIO(text)))
+    except ValueError:
+        pass
+
+
+# ---------------------------------------------------------------------------
+# hostile input
+# ---------------------------------------------------------------------------
+
+
+@FUZZ
+@given(texts("0123-# \n"))
+def test_read_digraph_raises_only_value_errors(text):
+    try:
+        d = read_digraph(io.StringIO(text))
+    except ValueError:
+        return
+    assert isinstance(d, Digraph)
+
+
+@FUZZ
+@given(texts("012 \n"))
+def test_read_game_raises_only_value_errors(text):
+    try:
+        g = read_game(io.StringIO(text))
+    except ValueError:
+        return
+    assert isinstance(g, WinLoseGame)
+
+
+@FUZZ
+@given(texts('{}[]":,0-1e. abc\\'))
+def test_read_certificate_raises_only_value_errors_on_text(text):
+    read_and_reverify(text)
+
+
+@FUZZ
+@given(st.sampled_from(CERT_KINDS + ("mystery",)) | json_values, json_values)
+def test_reverify_raises_only_value_errors_on_any_payload(kind, payload):
+    read_and_reverify(envelope_text(kind, payload))
+
+
+@pytest.mark.parametrize("kind", CERT_KINDS)
+@FUZZ
+@given(data=st.data())
+def test_reverify_raises_only_value_errors_on_a_damaged_field(kind, data):
+    payload = dict(VALID[kind])
+    field = data.draw(st.sampled_from(sorted(payload)))
+    damage = data.draw(st.sampled_from(["drop", "replace", "replace an item"]))
+    if damage == "drop":
+        del payload[field]
+    elif damage == "replace" or not isinstance(payload[field], list):
+        payload[field] = data.draw(json_values)
+    else:
+        items = list(payload[field])
+        items[data.draw(st.integers(0, len(items) - 1))] = data.draw(json_values)
+        payload[field] = items
+    read_and_reverify(envelope_text(kind, payload))
+
+
+# ---------------------------------------------------------------------------
+# builders round-trip through the file
+# ---------------------------------------------------------------------------
+
+
+def parse_back(kind: str, payload: dict) -> tuple:
+    buf = io.StringIO()
+    write_certificate(make_envelope(kind, payload, "x"), buf)
+    return validate_envelope(read_certificate(io.StringIO(buf.getvalue())))
+
+
+@st.composite
+def games(draw):
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4))
+    rows = st.lists(st.integers(0, (1 << n) - 1), min_size=m, max_size=m)
+    return WinLoseGame(m, n, tuple(draw(rows)), tuple(draw(rows)))
+
+
+@st.composite
+def strategies(draw, length):
+    weights = draw(st.lists(st.integers(0, 5), min_size=length, max_size=length).filter(any))
+    return MixedStrategy(tuple(Fraction(w, sum(weights)) for w in weights))
+
+
+rationals = st.fractions(min_value=0, max_denominator=1000)
+
+
+@FUZZ
+@given(
+    st.integers(1, 64).flatmap(lambda q: st.tuples(st.just(q), st.integers(0, (1 << q) - 1))),
+    st.integers(2, 9),
+    st.integers(0, 10**6),
+)
+def test_haight_payload_parses_back(q_bits, kappa, candidates):
+    q, bits = q_bits
+    y = ResidueSet(q, bits)
+    cert = HaightCertificate(q, y, kappa, candidates_evaluated=candidates)
+    assert parse_back("haight", haight_payload(cert)) == (q, list(y.members()), kappa)
+
+
+@FUZZ
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)
+    ),
+    st.integers(1, 9),
+    st.integers(1, 9),
+    st.none() | st.integers(1, 9),
+)
+def test_kl_digraph_payload_parses_back(rows, k, l, girth):
+    d = Digraph(len(rows), tuple(rows))
+    cert = KLCertificate(k, l, girth, domination_exhaustive=True, verified=True)
+    assert parse_back("kl_digraph", kl_digraph_payload(d, cert)) == (d, k, l, girth)
+
+
+@FUZZ
+@given(
+    games().flatmap(lambda g: st.tuples(st.just(g), strategies(g.m), strategies(g.n))),
+    rationals,
+)
+def test_wsne_witness_payload_parses_back(gpq, eps):
+    g, p, q = gpq
+    assert parse_back("wsne_witness", wsne_witness_payload(g, p, q, eps)) == (g, p, q, eps)
+
+
+@FUZZ
+@given(games(), st.integers(1, 4), rationals, st.integers(1, 10**6), st.booleans())
+def test_nonexistence_payload_parses_back(g, k, eps, pairs, char_none):
+    k = min(k, g.m, g.n)
+    payload = nonexistence_payload(g, k, eps, NoWitness(pairs), char_none=char_none)
+    assert parse_back("nonexistence", payload) == (g, k, eps, pairs, char_none)
