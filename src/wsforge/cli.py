@@ -253,7 +253,6 @@ def cmd_forge(args: argparse.Namespace) -> int:
     if k == 1:
         # Girth-3 triangle with every singleton dominated; no search needed.
         base = cayley(3, ResidueSet.from_members(3, [2]))
-        base_kl = (3, 1)
         print("[search] k=1 uses the built-in directed triangle")
     else:
         kappa = 2 * k * (k - 1) + 1
@@ -273,13 +272,14 @@ def cmd_forge(args: argparse.Namespace) -> int:
             f" ({found.candidates_evaluated} candidates)"
         )
         base = cayley(found.modulus, found.y)
-        base_kl = (kappa, 2)
-
-    base_cert = certify_kl(base, *base_kl)
-    if isinstance(base_cert, KLFailure):
-        print(f"[certify] base digraph failed: {base_cert}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
-    print(f"[certify] base is a ({base_kl[0]},{base_kl[1]})-digraph on {base.n} vertices")
+        # At k = 2 the power below is the base itself (a Haight set has no 0, so
+        # the base has no loops to strip) under the same (5,2) claim.
+        if k >= 3:
+            base_cert = certify_kl(base, kappa, 2)
+            if isinstance(base_cert, KLFailure):
+                print(f"[certify] base digraph failed: {base_cert}", file=sys.stderr)
+                return EXIT_VERIFY_FAILED
+            print(f"[certify] base is a ({kappa},2)-digraph on {base.n} vertices")
 
     exponent = k - 1
     target = power(base, exponent) if exponent >= 1 else base
@@ -308,11 +308,13 @@ def cmd_forge(args: argparse.Namespace) -> int:
         return EXIT_VERIFY_FAILED
     print(f"[exhaust] refuted all {result.pairs_refuted} support pairs at eps={eps}")
 
-    write_game(g, args.out_game)
+    out_game = args.out_game or f"forge-k{k}.wl"
+    out_cert = args.out_cert or f"forge-k{k}.cert.json"
+    write_game(g, out_game)
     payload = nonexistence_payload(g, k, eps, result, char_none=True)
-    write_certificate(make_envelope("nonexistence", payload, replay), args.out_cert)
-    print(f"game written to {args.out_game}")
-    print(f"certificate written to {args.out_cert}")
+    write_certificate(make_envelope("nonexistence", payload, replay), out_cert)
+    print(f"game written to {out_game}")
+    print(f"certificate written to {out_cert}")
     return EXIT_OK
 
 
@@ -389,8 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-min", type=_order, default=2)
     p.add_argument("--q-max", type=_order, default=64)
     p.add_argument("--mode", choices=("exhaustive", "randomized"), default="randomized")
-    p.add_argument("--out-game", default=None)
-    p.add_argument("--out-cert", default=None)
+    p.add_argument("--out-game")
+    p.add_argument("--out-cert")
     p.set_defaults(func=cmd_forge)
 
     return parser
@@ -402,11 +404,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    if getattr(args, "command", None) == "forge":
-        if args.out_game is None:
-            args.out_game = f"forge-k{args.k}.wl"
-        if args.out_cert is None:
-            args.out_cert = f"forge-k{args.k}.cert.json"
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

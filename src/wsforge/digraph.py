@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
-from .residues import ResidueSet
+from .residues import ResidueSet, _rot, _scale_bits
 
 __all__ = [
     "Digraph",
@@ -78,14 +78,19 @@ class Digraph:
 
     @cached_property
     def in_masks(self) -> tuple[int, ...]:
-        rows = [0] * self.n
-        for u, mask in enumerate(self.out):
-            m = mask
-            while m:
-                v = (m & -m).bit_length() - 1
-                rows[v] |= 1 << u
-                m &= m - 1
-        return tuple(rows)
+        return _transpose(self.out, self.n)
+
+
+def _transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
+    """Bitmask rows over ``width`` columns, transposed: bit i of entry j is
+    bit j of ``rows[i]``."""
+    cols = [0] * width
+    for i, mask in enumerate(rows):
+        while mask:
+            j = (mask & -mask).bit_length() - 1
+            cols[j] |= 1 << i
+            mask &= mask - 1
+    return tuple(cols)
 
 
 @dataclass(frozen=True)
@@ -124,15 +129,9 @@ def cayley(q: int, y: ResidueSet) -> Digraph:
     """
     if y.modulus != q:
         raise ValueError(f"generator set has modulus {y.modulus}, expected {q}")
-    neg = 0
-    for r in y.members():
-        neg |= 1 << ((q - r) % q)
-    mask = (1 << q) - 1
-    rows = []
-    for z in range(q):
-        shift = z % q
-        rows.append(((neg << shift) | (neg >> (q - shift))) & mask if shift else neg)
-    return Digraph(q, tuple(rows))
+    # Row z is -Y rotated by z: the arcs z -> z - r for r in Y.
+    neg = _scale_bits(y.bits, q - 1, q)
+    return Digraph(q, tuple(_rot(neg, z, q) for z in range(q)))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 from typing import IO, Optional, Union
 
@@ -43,6 +44,7 @@ __all__ = [
     "SCHEMA_TAG",
     "CERT_KINDS",
     "MAX_ORDER",
+    "MAX_WORK",
     "toolchain_version",
     "write_digraph",
     "read_digraph",
@@ -67,6 +69,12 @@ SCHEMA_TAG = "wsforge-cert/1"
 # command line. Far above what the search and the refutation reach, it turns
 # a hostile size into exit 2 before anything is allocated or looped over by it.
 MAX_ORDER = 4096
+
+# Most l-subsets (kl_digraph) or support pairs (nonexistence) a certificate may
+# ask reverify to enumerate; larger claims exit 2 before any work starts.
+# 10**8 admits every k = 2 game up to 140 x 140 and every k = 3 game up to
+# 39 x 39.
+MAX_WORK = 10**8
 
 Source = Union[str, Path, IO[str]]
 
@@ -194,15 +202,17 @@ def _payoff_rows(rows: tuple[int, ...], n: int) -> list[str]:
     return [bin(mask | 1 << n)[3:][::-1] for mask in rows]
 
 
-def _parse_payoff_row(line: str, n: int, no: int) -> int:
+def _parse_payoff_row(line: str, n: int) -> int:
+    """The bitmask of a 0/1 row string. The FormatError for a malformed row
+    does not say where the row is; the caller adds that."""
     if len(line) != n:
-        raise FormatError(f"line {no}: row has length {len(line)}, expected {n}")
+        raise FormatError(f"row has length {len(line)}, expected {n}")
     mask = 0
     for j, ch in enumerate(line):
         if ch == "1":
             mask |= 1 << j
         elif ch != "0":
-            raise FormatError(f"line {no}: illegal character {ch!r}")
+            raise FormatError(f"illegal character {ch!r}")
     return mask
 
 
@@ -225,9 +235,13 @@ def read_game(src: Source) -> WinLoseGame:
         raise FormatError(f"expected {2 * m + 2} lines (header, A, blank, B), found {len(lines)}")
     if lines[m + 1].strip():
         raise FormatError(f"line {m + 2}: expected a blank separator line")
-    a_rows = tuple(_parse_payoff_row(lines[1 + i], n, 2 + i) for i in range(m))
-    b_rows = tuple(_parse_payoff_row(lines[m + 2 + i], n, m + 3 + i) for i in range(m))
-    return WinLoseGame(m, n, a_rows, b_rows)
+    rows = []
+    for no in (*range(2, m + 2), *range(m + 3, 2 * m + 3)):
+        try:
+            rows.append(_parse_payoff_row(lines[no - 1], n))
+        except FormatError as exc:
+            raise FormatError(f"line {no}: {exc}") from exc
+    return WinLoseGame(m, n, tuple(rows[:m]), tuple(rows[m:]))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +307,7 @@ def _require_rows(payload: dict, field: str, m: int, n: int) -> tuple[int, ...]:
         if not isinstance(row, str):
             raise CertificateError(f"payload.{field}[{pos}]: expected a 0/1 string")
         try:
-            rows.append(_parse_payoff_row(row, n, 0))
+            rows.append(_parse_payoff_row(row, n))
         except FormatError as exc:
             raise CertificateError(f"payload.{field}[{pos}]: {exc}") from exc
     return tuple(rows)
@@ -304,8 +318,8 @@ def game_payload(g: WinLoseGame) -> dict:
 
 
 def _game_from_payload(payload: dict) -> WinLoseGame:
-    m = _require_int(payload, "m", 1)
-    n = _require_int(payload, "n", 1)
+    m = _require_order(payload, "m")
+    n = _require_order(payload, "n")
     a_rows = _require_rows(payload, "a", m, n)
     b_rows = _require_rows(payload, "b", m, n)
     return WinLoseGame(m, n, a_rows, b_rows)
@@ -365,6 +379,8 @@ def _parse_kl_digraph(payload: dict) -> tuple[Digraph, int, int, Optional[int]]:
     d = _digraph_from_arcs(n, arcs, CertificateError)
     k = _require_int(payload, "k", 1)
     l = _require_int(payload, "l", 1)
+    if comb(n, l) > MAX_WORK:
+        raise CertificateError(f"payload.l: the {l}-subsets of {n} vertices exceed {MAX_WORK}")
     if "girth" not in payload:
         raise CertificateError("payload.girth: missing required field (null means acyclic)")
     girth_found = payload["girth"]
@@ -421,11 +437,28 @@ def nonexistence_payload(
     return payload
 
 
+def _supports_up_to(count: int, k: int) -> int:
+    """The nonempty subsets of at most k of count items, counted only until
+    the count passes MAX_WORK."""
+    total = 0
+    for size in range(1, k + 1):
+        total += comb(count, size)
+        if total > MAX_WORK:
+            break
+    return total
+
+
 def _parse_nonexistence(payload: dict) -> tuple[WinLoseGame, int, Fraction, int, bool]:
     g = _game_from_payload(payload)
     k = _require_int(payload, "k", 1)
     if k > min(g.m, g.n):
         raise CertificateError(f"payload.k: {k} exceeds min(m, n) = {min(g.m, g.n)}")
+    # The char_none scan tries at most C(m, k) + C(n, k) sets, fewer than the pairs.
+    if _supports_up_to(g.m, k) * _supports_up_to(g.n, k) > MAX_WORK:
+        raise CertificateError(
+            f"payload.k: the support pairs of size <= {k} of a {g.m} x {g.n} game"
+            f" exceed {MAX_WORK}"
+        )
     eps = _require_rational(payload, "eps")
     pairs_refuted = _require_int(payload, "pairs_refuted", 1)
     char_none = payload.get("char_none", False)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .digraph import Digraph, _first_undominated, shortest_cycle
+from .digraph import Digraph, _first_undominated, _transpose, shortest_cycle
 
 __all__ = [
     "WinLoseGame",
@@ -84,14 +84,7 @@ class WinLoseGame:
 
     def b_col_masks(self) -> tuple[int, ...]:
         """Bitmask over rows per column: bit i of entry j is B[i][j]."""
-        cols = [0] * self.n
-        for i, mask in enumerate(self.b_rows):
-            m = mask
-            while m:
-                j = (m & -m).bit_length() - 1
-                cols[j] |= 1 << i
-                m &= m - 1
-        return tuple(cols)
+        return _transpose(self.b_rows, self.n)
 
 
 @dataclass(frozen=True)

@@ -210,12 +210,13 @@ def check_wsne(
     row_best = max(row_pay)
     col_best = max(col_pay)
     violations = []
-    for i in p.support:
-        if row_pay[i] < row_best - eps:
-            violations.append(Violation("row", i, row_pay[i], row_best - eps - row_pay[i]))
-    for j in q.support:
-        if col_pay[j] < col_best - eps:
-            violations.append(Violation("col", j, col_pay[j], col_best - eps - col_pay[j]))
+    for player, strategy, pay, best in (
+        ("row", p, row_pay, row_best),
+        ("col", q, col_pay, col_best),
+    ):
+        for i in strategy.support:
+            if pay[i] < best - eps:
+                violations.append(Violation(player, i, pay[i], best - eps - pay[i]))
     return WsneVerdict(not violations, eps, row_best, col_best, tuple(violations))
 
 
@@ -238,7 +239,7 @@ def wsne_from_undominated(
     chosen = sorted(set(indices))
     if not chosen:
         raise ValueError("undominated set must be nonempty")
-    count = g.m if side == "row" else g.n
+    count, other = (g.m, g.n) if side == "row" else (g.n, g.m)
     if chosen[0] < 0 or chosen[-1] >= count:
         raise ValueError(f"indices outside [0, {count})")
     _require_out_degree(g)
@@ -249,16 +250,12 @@ def wsne_from_undominated(
         raise ValueError(f"set is dominated (by bipartite vertex {dominator})")
     k = len(chosen)
     eps = _ONE - Fraction(1, k)
-    if side == "row":
-        # least-index column out-neighbor of each supported row
-        image = sorted({(g.a_rows[i] & -g.a_rows[i]).bit_length() - 1 for i in chosen})
-        p = MixedStrategy.uniform_on(chosen, g.m)
-        q = MixedStrategy.uniform_on(image, g.n)
-    else:
-        cols = g.b_col_masks()
-        image = sorted({(cols[j] & -cols[j]).bit_length() - 1 for j in chosen})
-        p = MixedStrategy.uniform_on(image, g.m)
-        q = MixedStrategy.uniform_on(chosen, g.n)
+    # least-index out-neighbor on the other side of each member of U
+    masks = g.a_rows if side == "row" else g.b_col_masks()
+    image = sorted({(masks[i] & -masks[i]).bit_length() - 1 for i in chosen})
+    own = MixedStrategy.uniform_on(chosen, count)
+    reply = MixedStrategy.uniform_on(image, other)
+    p, q = (own, reply) if side == "row" else (reply, own)
     return p, q, eps
 
 
@@ -309,54 +306,45 @@ def _maximal_patterns(patterns: Iterable[int]) -> tuple[int, ...]:
     )
 
 
-class _SupportOracle:
-    """Feasibility of the decoupled support systems for one (game, eps).
+class _PlayerSystem:
+    """The support systems on one player's mixture for one (game, eps).
 
-    The well-supported conditions split: supported rows constrain only the
-    column strategy and vice versa. Each side is an exact feasibility system
-    over the support's simplex, reduced to distinct support patterns against
-    pointwise-maximal opponent patterns, then solved by Fourier-Motzkin.
-    Results are cached by pattern signature, which collapses most of the
-    enumeration in :func:`exhaustive_search`.
+    ``masks[t]`` holds the opponent's payoffs at its pure strategy t over
+    this player's strategies: rows of A for the column player, columns of B
+    for the row player. Each system is exact feasibility over the support's
+    simplex, reduced to distinct support patterns against pointwise-maximal
+    opponent patterns, then solved by Fourier-Motzkin. Results are cached
+    by pattern signature, which collapses most of the enumeration in
+    :func:`exhaustive_search`.
     """
 
-    def __init__(self, g: WinLoseGame, eps: Fraction):
-        self.g = g
+    def __init__(self, masks: Sequence[int], size: int, eps: Fraction):
+        self.masks = masks
+        self.size = size
         self.eps = eps
-        self.b_cols = g.b_col_masks()
-        self._q_tables: dict[tuple[int, ...], tuple[list[int], tuple[int, ...]]] = {}
-        self._p_tables: dict[tuple[int, ...], tuple[list[int], tuple[int, ...]]] = {}
-        self._q_solved: dict[tuple, Optional[tuple[Fraction, ...]]] = {}
-        self._p_solved: dict[tuple, Optional[tuple[Fraction, ...]]] = {}
+        self._tables: dict[tuple[int, ...], tuple[list[int], tuple[int, ...]]] = {}
+        self._solved: dict[tuple, Optional[tuple[Fraction, ...]]] = {}
 
-    def _table(self, side: str, support: tuple[int, ...]):
-        tables = self._q_tables if side == "q" else self._p_tables
-        hit = tables.get(support)
+    def _table(self, support: tuple[int, ...]):
+        hit = self._tables.get(support)
         if hit is None:
-            if side == "q":
-                # patterns of every A row over the candidate columns
-                pats = [_project(mask, support) for mask in self.g.a_rows]
-            else:
-                # patterns of every B column over the candidate rows
-                pats = [_project(mask, support) for mask in self.b_cols]
+            pats = [_project(mask, support) for mask in self.masks]
             hit = (pats, _maximal_patterns(pats))
-            tables[support] = hit
+            self._tables[support] = hit
         return hit
 
-    def _solve(
-        self,
-        side: str,
-        var_support: tuple[int, ...],
-        opp_support: tuple[int, ...],
+    def solve(
+        self, support: tuple[int, ...], opp_support: tuple[int, ...]
     ) -> Optional[tuple[Fraction, ...]]:
-        pats, maximal = self._table(side, var_support)
-        support_pats = frozenset(pats[i] for i in opp_support)
-        cache = self._q_solved if side == "q" else self._p_solved
-        key = (var_support, support_pats)
-        if key in cache:
-            return cache[key]
-        point = self._solve_system(len(var_support), support_pats, maximal)
-        cache[key] = point
+        """A distribution over ``support`` making every opponent strategy in
+        ``opp_support`` an eps-best response; None if infeasible."""
+        pats, maximal = self._table(support)
+        support_pats = frozenset(pats[t] for t in opp_support)
+        key = (support, support_pats)
+        if key in self._solved:
+            return self._solved[key]
+        point = self._solve_system(len(support), support_pats, maximal)
+        self._solved[key] = point
         return point
 
     def _solve_system(
@@ -382,29 +370,27 @@ class _SupportOracle:
                 cons.append((coeffs, self.eps))
         return feasible_point(cons, dim)
 
-    def q_feasible(
-        self, rows: tuple[int, ...], cols: tuple[int, ...]
+    def full_point(
+        self, support: tuple[int, ...], opp_support: tuple[int, ...]
     ) -> Optional[tuple[Fraction, ...]]:
-        """Column distribution over ``cols`` making every row of ``rows`` an
-        eps-best response, as a full-length vector; None if infeasible."""
-        point = self._solve("q", cols, rows)
+        """:meth:`solve` as a vector over all of this player's strategies."""
+        point = self.solve(support, opp_support)
         if point is None:
             return None
-        full = [_ZERO] * self.g.n
-        for idx, j in enumerate(cols):
-            full[j] = point[idx]
+        full = [_ZERO] * self.size
+        for idx, s in enumerate(support):
+            full[s] = point[idx]
         return tuple(full)
 
-    def p_feasible(
-        self, rows: tuple[int, ...], cols: tuple[int, ...]
-    ) -> Optional[tuple[Fraction, ...]]:
-        point = self._solve("p", rows, cols)
-        if point is None:
-            return None
-        full = [_ZERO] * self.g.m
-        for idx, i in enumerate(rows):
-            full[i] = point[idx]
-        return tuple(full)
+
+class _SupportOracle:
+    """Feasibility of a support pair for one (game, eps). The well-supported
+    conditions split: supported rows constrain only the column strategy and
+    vice versa, so each player gets one :class:`_PlayerSystem`."""
+
+    def __init__(self, g: WinLoseGame, eps: Fraction):
+        self.q_system = _PlayerSystem(g.a_rows, g.n, eps)
+        self.p_system = _PlayerSystem(g.b_col_masks(), g.m, eps)
 
     def pair_feasible(
         self, rows: tuple[int, ...], cols: tuple[int, ...]
@@ -412,16 +398,16 @@ class _SupportOracle:
         # Singleton subsystems are necessary and cache densely; test them first.
         if len(rows) > 1:
             for i in rows:
-                if self._solve("q", cols, (i,)) is None:
+                if self.q_system.solve(cols, (i,)) is None:
                     return None
         if len(cols) > 1:
             for j in cols:
-                if self._solve("p", rows, (j,)) is None:
+                if self.p_system.solve(rows, (j,)) is None:
                     return None
-        q_point = self.q_feasible(rows, cols)
+        q_point = self.q_system.full_point(cols, rows)
         if q_point is None:
             return None
-        p_point = self.p_feasible(rows, cols)
+        p_point = self.p_system.full_point(rows, cols)
         if p_point is None:
             return None
         return p_point, q_point

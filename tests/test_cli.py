@@ -178,6 +178,18 @@ def test_forge_k1_emits_triangle_game(forged_k1):
     assert reverify(env).ok
 
 
+def test_forge_k1_certifies_the_triangle_once(tmp_path, capsys):
+    code = run(
+        "forge", "--k", "1", "--eps", "99/100",
+        "--out-game", str(tmp_path / "g.wl"), "--out-cert", str(tmp_path / "c.json"),
+    )
+    assert code == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("[certify]")] == [
+        "[certify] power is a (3,1)-digraph"
+    ]
+
+
 def test_forge_usage_errors(tmp_path):
     assert run("forge", "--k", "0", "--eps", "1/2") == 2
     assert run("forge", "--k", "1", "--eps", "0.5") == 2
@@ -282,6 +294,33 @@ def test_reverify_rejects_huge_kl_vertex_count(tmp_path, capsys):
     code, seconds = run_timed("reverify", "--cert", str(cert))
     assert code == 2 and seconds < 1
     assert "payload.n" in capsys.readouterr().err
+
+
+def test_reverify_rejects_kl_claim_over_max_work(tmp_path, capsys):
+    # C(40, 20) ~ 1.4e11 subsets of the complete digraph to scan
+    arcs = [[u, v] for u in range(40) for v in range(40) if u != v]
+    payload = {"n": 40, "arcs": arcs, "k": 2, "l": 20, "girth": 2}
+    cert = write_raw_certificate(tmp_path / "kl.json", "kl_digraph", payload)
+    code, seconds = run_timed("reverify", "--cert", str(cert))
+    assert code == 2 and seconds < 1
+    assert "payload.l" in capsys.readouterr().err
+
+
+def test_reverify_rejects_nonexistence_claim_over_max_work(tmp_path, capsys):
+    ones = ["1" * 40] * 40
+    payload = {"m": 40, "n": 40, "a": ones, "b": ones, "k": 20, "eps": "1/2", "pairs_refuted": 1}
+    cert = write_raw_certificate(tmp_path / "n.json", "nonexistence", payload)
+    code, seconds = run_timed("reverify", "--cert", str(cert))
+    assert code == 2 and seconds < 1
+    assert "payload.k" in capsys.readouterr().err
+
+
+def test_reverify_rejects_nonexistence_game_over_max_order(tmp_path, capsys):
+    payload = {"m": 10**8, "n": 1, "a": [], "b": [], "k": 1, "eps": "1/2", "pairs_refuted": 1}
+    cert = write_raw_certificate(tmp_path / "n.json", "nonexistence", payload)
+    code, seconds = run_timed("reverify", "--cert", str(cert))
+    assert code == 2 and seconds < 1
+    assert "payload.m" in capsys.readouterr().err
 
 
 def test_reverify_rejects_deeply_nested_json(tmp_path, capsys):

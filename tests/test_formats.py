@@ -29,6 +29,7 @@ from wsforge.formats import (
 
 TRIANGLE = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
 PALEY7 = cayley(7, ResidueSet.from_members(7, [1, 2, 4]))
+PALEY7_GAME = bipartify(PALEY7)
 
 
 def roundtrip_digraph(d):
@@ -255,6 +256,20 @@ def test_schema_violations_name_the_field():
             },
             "x",
         )
+
+
+def test_row_errors_name_the_certificate_field_or_the_file_line():
+    payload = game_payload(PALEY7_GAME)
+    payload.update({"p": ["1"] + ["0"] * 6, "q": ["1"] + ["0"] * 6, "eps": "1/2"})
+    payload["a"][0] = "10"
+    with pytest.raises(CertificateError) as info:
+        make_envelope("wsne_witness", payload, "x")
+    assert str(info.value) == "payload.a[0]: row has length 2, expected 7"
+    payload["a"][0] = "2" * 7
+    with pytest.raises(CertificateError, match=r"^payload.a\[0\]: illegal character '2'$"):
+        make_envelope("wsne_witness", payload, "x")
+    with pytest.raises(FormatError, match="^line 5: row has length 1, expected 2$"):
+        read_game(io.StringIO("2 2\n10\n01\n\n1\n01\n"))
 
 
 def test_negative_eps_rejected_by_schema():

@@ -423,3 +423,25 @@ def test_paley_game_refutes_k1():
     report = crosscheck_characterization(g, 1)
     assert report.agree
     assert all(isinstance(pt.search_result, NoWitness) for pt in report.points)
+
+
+def test_oracle_solves_each_cached_system_once(monkeypatch):
+    # Pins the support oracle's cache keys: a key that stops matching shows
+    # here as extra Fourier-Motzkin systems, not only as a slower benchmark.
+    import wsforge.wsne as wsne
+
+    calls = []
+    original = wsne.feasible_point
+
+    def counted(cons, dim):
+        calls.append(dim)
+        return original(cons, dim)
+
+    monkeypatch.setattr(wsne, "feasible_point", counted)
+    g = bipartify(cayley(7, ResidueSet.from_members(7, [1, 2, 4])))
+    assert exhaustive_search(g, 2, F(1, 4)) == NoWitness(784)
+    assert len(calls) == 210
+    del calls[:]
+    p, q = exhaustive_search(g, 2, F(1, 2))
+    assert check_wsne(g, p, q, F(1, 2)).valid
+    assert len(calls) == 29
