@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Iterable, Optional, Sequence, Union
 
 from .digraph import is_dominated
@@ -313,8 +314,9 @@ class _PlayerSystem:
     this player's strategies: rows of A for the column player, columns of B
     for the row player. Each system is exact feasibility over the support's
     simplex, reduced to distinct support patterns against pointwise-maximal
-    opponent patterns, then solved by Fourier-Motzkin. Results are cached
-    by pattern signature, which collapses most of the enumeration in
+    opponent patterns, then solved in closed form on supports of size <= 2
+    and by Fourier-Motzkin on larger ones. Results are cached by pattern
+    signature, which collapses most of the enumeration in
     :func:`exhaustive_search`.
     """
 
@@ -350,6 +352,11 @@ class _PlayerSystem:
     def _solve_system(
         self, dim: int, support_pats: frozenset[int], maximal: tuple[int, ...]
     ) -> Optional[tuple[Fraction, ...]]:
+        # Each opponent pattern mp that pays off outside a supported pattern sp
+        # gives a row: sum of x over mp \ sp minus sum over sp \ mp <= eps.
+        rows = [(mp & ~sp, sp & ~mp) for sp in support_pats for mp in maximal if mp & ~sp]
+        if dim <= 2:
+            return self._solve_interval(dim, rows)
         cons: list[Constraint] = []
         ones = tuple(_ONE for _ in range(dim))
         neg_ones = tuple(-_ONE for _ in range(dim))
@@ -358,17 +365,50 @@ class _PlayerSystem:
         for idx in range(dim):
             coeffs = tuple(-_ONE if i == idx else _ZERO for i in range(dim))
             cons.append((coeffs, _ZERO))
-        for sp in support_pats:
-            for mp in maximal:
-                if mp & ~sp == 0:
-                    continue  # opponent payoff never exceeds the supported one
-                coeffs = tuple(
-                    _ONE if (mp >> i & 1) and not (sp >> i & 1)
-                    else (-_ONE if (sp >> i & 1) and not (mp >> i & 1) else _ZERO)
-                    for i in range(dim)
-                )
-                cons.append((coeffs, self.eps))
+        for plus, minus in rows:
+            coeffs = tuple(
+                _ONE if plus >> i & 1 else (-_ONE if minus >> i & 1 else _ZERO)
+                for i in range(dim)
+            )
+            cons.append((coeffs, self.eps))
         return feasible_point(cons, dim)
+
+    def _solve_interval(
+        self, dim: int, rows: list[tuple[int, int]]
+    ) -> Optional[tuple[Fraction, ...]]:
+        """The systems of one or two variables in closed form, with the point
+        Fourier-Motzkin would pick: on x0 + x1 = 1 each row c.x <= eps reads
+        (c0 - c1) x0 <= eps - c1, and x0 is the midpoint of the interval
+        these leave of [0, 1]. With one variable, x1 = 0 and x0 = 1."""
+        lo, hi = (_ONE if dim == 1 else _ZERO), _ONE
+        for plus, minus in rows:
+            c0 = (plus & 1) - (minus & 1)
+            c1 = (plus >> 1 & 1) - (minus >> 1 & 1)
+            slope, room = c0 - c1, self.eps - c1
+            if slope > 0:
+                hi = min(hi, room / slope)
+            elif slope < 0:
+                lo = max(lo, room / slope)
+            elif room < 0:
+                return None
+        if lo > hi:
+            return None
+        x0 = (lo + hi) / 2
+        return (x0,) if dim == 1 else (x0, _ONE - x0)
+
+    def singletons(self, support: tuple[int, ...]) -> int:
+        """Bitmask of the opponent strategies t for which
+        ``solve(support, (t,))`` is feasible."""
+        pats, _ = self._table(support)
+        feasible: dict[int, bool] = {}
+        mask = 0
+        for t, pat in enumerate(pats):
+            ok = feasible.get(pat)
+            if ok is None:
+                ok = feasible[pat] = self.solve(support, (t,)) is not None
+            if ok:
+                mask |= 1 << t
+        return mask
 
     def full_point(
         self, support: tuple[int, ...], opp_support: tuple[int, ...]
@@ -395,15 +435,6 @@ class _SupportOracle:
     def pair_feasible(
         self, rows: tuple[int, ...], cols: tuple[int, ...]
     ) -> Optional[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]]:
-        # Singleton subsystems are necessary and cache densely; test them first.
-        if len(rows) > 1:
-            for i in rows:
-                if self.q_system.solve(cols, (i,)) is None:
-                    return None
-        if len(cols) > 1:
-            for j in cols:
-                if self.p_system.solve(rows, (j,)) is None:
-                    return None
         q_point = self.q_system.full_point(cols, rows)
         if q_point is None:
             return None
@@ -435,11 +466,12 @@ def feasible_on_supports(
     return MixedStrategy(p_point), MixedStrategy(q_point)
 
 
-def _supports(count: int, k: int) -> list[tuple[int, ...]]:
-    """Nonempty index sets of cardinality <= k in lexicographic tuple order."""
+def _supports(indices: Sequence[int], k: int) -> list[tuple[int, ...]]:
+    """Nonempty sets of at most k of the increasing ``indices``, in
+    lexicographic tuple order."""
     sets: list[tuple[int, ...]] = []
-    for size in range(1, min(k, count) + 1):
-        sets.extend(combinations(range(count), size))
+    for size in range(1, k + 1):
+        sets.extend(combinations(indices, size))
     sets.sort()
     return sets
 
@@ -448,23 +480,36 @@ def exhaustive_search(
     g: WinLoseGame, k: int, eps: Union[int, str, Fraction]
 ) -> Union[tuple[MixedStrategy, MixedStrategy], NoWitness]:
     """First feasible eps-WSNE over all support pairs with sizes <= k, in
-    lexicographic pair order, or the count of pairs exhaustively refuted."""
+    lexicographic pair order, or the count of pairs exhaustively refuted.
+
+    A pair (R, C) reaches the full systems only if every column of C is an
+    eps-best response to some distribution on R, and every row of R to some
+    distribution on C; both singleton conditions are read from bitmask
+    tables, so the scan visits only the column supports inside R's table.
+    """
     if not 1 <= k <= min(g.m, g.n):
         raise ValueError(f"need 1 <= k <= min(m, n) = {min(g.m, g.n)}, got {k}")
     eps = as_exact(eps)
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
     oracle = _SupportOracle(g, eps)
-    col_supports = _supports(g.n, k)
-    refuted = 0
-    for rows in _supports(g.m, k):
-        for cols in col_supports:
+    ok_rows_of: dict[tuple[int, ...], int] = {}
+    row_supports = _supports(range(g.m), k)
+    for rows in row_supports:
+        row_mask = sum(1 << i for i in rows)
+        ok_cols = oracle.p_system.singletons(rows)
+        for cols in _supports([j for j in range(g.n) if ok_cols >> j & 1], k):
+            ok_rows = ok_rows_of.get(cols)
+            if ok_rows is None:
+                ok_rows = ok_rows_of[cols] = oracle.q_system.singletons(cols)
+            if row_mask & ~ok_rows:
+                continue
             found = oracle.pair_feasible(rows, cols)
             if found is not None:
                 p_point, q_point = found
                 return MixedStrategy(p_point), MixedStrategy(q_point)
-            refuted += 1
-    return NoWitness(refuted)
+    col_count = sum(comb(g.n, size) for size in range(1, k + 1))
+    return NoWitness(len(row_supports) * col_count)
 
 
 def crosscheck_characterization(g: WinLoseGame, k: int) -> CrosscheckReport:

@@ -20,6 +20,7 @@ from wsforge.formats import (
     read_digraph,
     read_game,
     reverify,
+    write_game,
 )
 
 
@@ -222,6 +223,16 @@ def test_exhaust_refutes_k1_on_forged_game(forged_k1, tmp_path):
     env = read_certificate(out)
     assert env.kind == "nonexistence" and env.payload["pairs_refuted"] == 9
     assert reverify(env).ok
+
+
+def test_exhaust_refutes_k2_on_k4_pool_game(tmp_path):
+    # The paper's k = 2 instance: the q = 29 Haight set of kappa 4, bipartified.
+    game = tmp_path / "k4.wl"
+    write_game(bipartify(cayley(29, ResidueSet.from_members(29, [1, 7, 16, 20, 23, 24, 25]))), game)
+    out = tmp_path / "r.json"
+    assert run("exhaust", "--game", str(game), "--k", "2", "--eps", "1/4", "--out", str(out)) == 0
+    assert read_certificate(out).payload["pairs_refuted"] == 435**2
+    assert run("reverify", "--cert", str(out)) == 0
 
 
 def test_check_verdicts(forged_k1, tmp_path):

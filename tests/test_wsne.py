@@ -17,6 +17,7 @@ from wsforge import (
     NoWitness,
     ResidueSet,
     SupportPair,
+    WinLoseGame,
     bipartify,
     cayley,
     check_wsne,
@@ -29,6 +30,7 @@ from wsforge import (
     wsne_from_cycle,
     wsne_from_undominated,
 )
+from wsforge.feasibility import feasible_point
 
 F = Fraction
 TRIANGLE = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
@@ -425,23 +427,136 @@ def test_paley_game_refutes_k1():
     assert all(isinstance(pt.search_result, NoWitness) for pt in report.points)
 
 
-def test_oracle_solves_each_cached_system_once(monkeypatch):
-    # Pins the support oracle's cache keys: a key that stops matching shows
-    # here as extra Fourier-Motzkin systems, not only as a slower benchmark.
+PALEY7 = bipartify(cayley(7, ResidueSet.from_members(7, [1, 2, 4])))
+K4_Q29 = bipartify(cayley(29, ResidueSet.from_members(29, [1, 7, 16, 20, 23, 24, 25])))
+
+
+@pytest.fixture()
+def oracle_counts(monkeypatch):
+    """Counts of support systems solved (cache misses of either player's
+    system, by either solver), of those solved by Fourier-Motzkin, and of
+    pairs that reach the full pair test."""
     import wsforge.wsne as wsne
 
-    calls = []
-    original = wsne.feasible_point
+    counts = {"systems": 0, "fm": 0, "pairs": 0}
 
-    def counted(cons, dim):
-        calls.append(dim)
-        return original(cons, dim)
+    def count(holder, attr, key):
+        original = getattr(holder, attr)
 
-    monkeypatch.setattr(wsne, "feasible_point", counted)
-    g = bipartify(cayley(7, ResidueSet.from_members(7, [1, 2, 4])))
-    assert exhaustive_search(g, 2, F(1, 4)) == NoWitness(784)
-    assert len(calls) == 210
-    del calls[:]
-    p, q = exhaustive_search(g, 2, F(1, 2))
-    assert check_wsne(g, p, q, F(1, 2)).valid
-    assert len(calls) == 29
+        def counted(*args):
+            counts[key] += 1
+            return original(*args)
+
+        monkeypatch.setattr(holder, attr, counted)
+
+    count(wsne._PlayerSystem, "_solve_system", "systems")
+    count(wsne, "feasible_point", "fm")
+    count(wsne._SupportOracle, "pair_feasible", "pairs")
+    return counts
+
+
+def test_oracle_solves_each_cached_system_once(oracle_counts):
+    # Pins the support oracle's cache keys: a key that stops matching shows
+    # here as extra solved systems, not only as a slower benchmark.
+    assert exhaustive_search(PALEY7, 2, F(1, 4)) == NoWitness(784)
+    assert oracle_counts == {"systems": 217, "fm": 0, "pairs": 84}
+    oracle_counts.update(systems=0, fm=0, pairs=0)
+    p, q = exhaustive_search(PALEY7, 2, F(1, 2))
+    assert check_wsne(PALEY7, p, q, F(1, 2)).valid
+    assert oracle_counts == {"systems": 30, "fm": 0, "pairs": 1}
+    oracle_counts.update(systems=0, fm=0, pairs=0)
+    assert exhaustive_search(PALEY7, 3, F(1, 4)) == NoWitness(63**2)
+    assert oracle_counts == {"systems": 1540, "fm": 1302, "pairs": 1204}
+
+
+def test_k4_pool_game_refutes_k2(oracle_counts):
+    # The paper's k = 2 instance: the q = 29 Haight set of kappa 4, bipartified.
+    assert exhaustive_search(K4_Q29, 2, F(1, 4)) == NoWitness(435**2)
+    assert oracle_counts["pairs"] == 1218  # pairs passing every singleton condition
+    p, q = exhaustive_search(K4_Q29, 2, F(1, 2))
+    assert check_wsne(K4_Q29, p, q, F(1, 2)).valid
+
+
+def _fm_system(dim, support_pats, maximal, eps):
+    """The support system of _PlayerSystem written out row by row and solved
+    by Fourier-Motzkin alone."""
+    cons = [((F(1),) * dim, F(1)), ((F(-1),) * dim, F(-1))]
+    cons += [(tuple(F(-(i == idx)) for i in range(dim)), F(0)) for idx in range(dim)]
+    for sp in support_pats:
+        for mp in maximal:
+            if mp & ~sp:
+                coeffs = tuple(F((mp >> i & 1) - (sp >> i & 1)) for i in range(dim))
+                cons.append((coeffs, eps))
+    return feasible_point(cons, dim)
+
+
+def _nonempty_sets(items):
+    return [s for size in range(1, len(items) + 1) for s in combinations(items, size)]
+
+
+def test_closed_form_matches_fourier_motzkin_up_to_two_variables():
+    from wsforge.wsne import _PlayerSystem
+
+    epsilons = sorted({F(a, b) for b in range(1, 9) for a in range(2 * b + 1)})
+    checked = infeasible = 0
+    for dim in (1, 2):
+        patterns = range(1 << dim)
+        for support_pats in _nonempty_sets(patterns):
+            for maximal in _nonempty_sets(patterns):
+                for eps in epsilons:
+                    system = _PlayerSystem((), dim, eps)
+                    got = system._solve_system(dim, frozenset(support_pats), maximal)
+                    want = _fm_system(dim, support_pats, maximal, eps)
+                    assert got == want, (dim, support_pats, maximal, eps)
+                    if got is None:
+                        infeasible += 1
+                    else:
+                        assert all(type(x) is Fraction for x in got)
+                    checked += 1
+    assert checked == 234 * len(epsilons)
+    assert 0 < infeasible < checked
+
+
+def _lexicographic_scan(g, k, eps):
+    """Every support pair in lexicographic order through the full pair test,
+    with no singleton tables."""
+    from wsforge.wsne import _SupportOracle
+
+    def supports(count):
+        return sorted(s for size in range(1, k + 1) for s in combinations(range(count), size))
+
+    oracle = _SupportOracle(g, eps)
+    col_supports = supports(g.n)
+    refuted = 0
+    for rows in supports(g.m):
+        for cols in col_supports:
+            found = oracle.pair_feasible(rows, cols)
+            if found is not None:
+                return tuple(found)
+            refuted += 1
+    return NoWitness(refuted)
+
+
+def test_table_scan_matches_lexicographic_scan():
+    rng = random.Random(62)
+    witnesses = refuted = 0
+    for _ in range(200):
+        m = rng.randrange(1, 8)
+        n = rng.choice([x for x in range(1, 8) if x != m])
+        g = random_game(rng, m, n, p=rng.choice([0.2, 0.35, 0.5]), ensure_out_degree=False)
+        if rng.random() < 0.6:  # (near) zero-sum: B the complement of A, maybe perturbed
+            full = (1 << n) - 1
+            flip = rng.choice([0, 0.1])
+            flips = [sum(1 << j for j in range(n) if rng.random() < flip) for _ in range(m)]
+            g = WinLoseGame(m, n, g.a_rows, tuple(~a & full ^ f for a, f in zip(g.a_rows, flips)))
+        k = rng.randrange(1, min(m, n, 3) + 1)
+        for eps in (F(0), F(1, 4), F(1, 2), F(2, 3), F(1)):
+            want = _lexicographic_scan(g, k, eps)
+            got = exhaustive_search(g, k, eps)
+            if isinstance(want, NoWitness):
+                assert got == want
+                refuted += 1
+            else:
+                assert (got[0].probs, got[1].probs) == want
+                witnesses += 1
+    assert witnesses > 500 and refuted > 30
