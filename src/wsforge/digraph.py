@@ -139,43 +139,75 @@ def cayley(q: int, y: ResidueSet) -> Digraph:
 # ---------------------------------------------------------------------------
 
 
-def _shortest_return(d: Digraph, v: int, bound: int) -> Optional[int]:
-    """Length of the shortest closed walk through v, or None if none has
-    length < bound. A shortest closed walk is always a simple cycle."""
+def _shortest_return(d: Digraph, v: int, bound: int, alive: int) -> Optional[int]:
+    """Length of the shortest closed walk through v inside the vertex mask
+    ``alive``, or None if none has length < bound (bound >= 2). A shortest
+    closed walk is always a simple cycle."""
     target = 1 << v
-    frontier = d.out[v]
-    visited = 0
+    frontier = d.out[v] & alive
     steps = 1
-    while frontier and steps < bound:
+    while frontier:
         if frontier & target:
             return steps
-        visited |= frontier
+        steps += 1
+        if steps == bound:
+            return None
+        alive &= ~frontier
         nxt = 0
         m = frontier
         while m:
             u = (m & -m).bit_length() - 1
             nxt |= d.out[u]
             m &= m - 1
-        frontier = nxt & ~visited
-        steps += 1
+        frontier = nxt & alive
     return None
 
 
 def _girth_and_start(d: Digraph) -> Optional[tuple[int, int]]:
     best: Optional[tuple[int, int]] = None
+    alive = (1 << d.n) - 1
     for v in range(d.n):
+        if not alive >> v & 1:
+            continue
         bound = best[0] if best is not None else d.n + 1
-        r = _shortest_return(d, v, bound)
+        r = _shortest_return(d, v, bound, alive)
         if r is not None:
             best = (r, v)
             if r == 1:
                 break
+        if best is not None and best[0] == 2:
+            continue  # each later search stops after its first step
+        # Drop v, then peel each vertex left with no out-arc or no in-arc
+        # inside ``alive``: no cycle through it avoids the dropped vertices.
+        alive &= ~(1 << v)
+        work = [v]
+        while work:
+            x = work.pop()
+            m = (d.out[x] | d.in_masks[x]) & alive
+            while m:
+                u = (m & -m).bit_length() - 1
+                m &= m - 1
+                if not d.out[u] & alive or not d.in_masks[u] & alive:
+                    alive &= ~(1 << u)
+                    work.append(u)
     return best
 
 
 def girth(d: Digraph) -> Optional[int]:
     """Length of the shortest directed cycle (self-loop = 1), or None if
-    the digraph is acyclic. Shortest-return-path search from every vertex."""
+    the digraph is acyclic.
+
+    Searches for the shortest return path from each vertex v in turn, inside
+    the vertices not yet dropped, and only up to the girth found so far.
+    After v's search, v is dropped, and so is every vertex left with no
+    out-arc or no in-arc among the rest (a worklist peels them). Every
+    shortest cycle through the least vertex on any shortest cycle avoids
+    smaller vertices, so the girth and the start vertex that
+    ``shortest_cycle`` uses are those of a search over all vertices, while a
+    long path or cycle is walked once instead of once per vertex. Once a
+    2-cycle is found nothing more is peeled: each later search then stops
+    after its first step.
+    """
     found = _girth_and_start(d)
     return None if found is None else found[0]
 

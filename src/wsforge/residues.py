@@ -5,6 +5,13 @@ every small sumset avoids zero.
 A subset of Z_q is stored as a characteristic bit-vector packed into one
 Python int, so difference sets and sumsets reduce to shift-and-or
 convolutions: O(q^2 / wordsize) per sumset level.
+
+The search scores its candidates without redoing those convolutions for each
+one. The hill climb builds tables once per removed member a, from the
+differences and the sumset levels of Y minus a, and then scores each swap
+of a for some b with one popcount and O(kappa^2) bit tests. Exhaustive mode
+tests canonicity under unit scaling once for each pair of bit-vectors 2m and
+2m + 1, from per-unit lookup tables.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import Iterable, Union
+from typing import Callable, Iterable, Iterator, Union
 
 __all__ = [
     "ResidueSet",
@@ -212,13 +219,31 @@ def _scale_bits(bits: int, u: int, q: int) -> int:
     return out
 
 
-def _is_canonical(bits: int, q: int, units: list[int]) -> bool:
-    # Unit scaling preserves both conditions, so only the least representative
-    # of {uY : gcd(u, q) = 1} is evaluated. Shifting is not a symmetry here.
-    for u in units[1:]:
-        if _scale_bits(bits, u, q) < bits:
-            return False
-    return True
+def _canonical_evens(q: int) -> Iterator[int]:
+    """Even bit-vectors of Z_q, in increasing order, that no unit scaling
+    makes smaller: the least representatives of {uY : gcd(u, q) = 1}.
+
+    Unit scaling preserves both Haight conditions; shifting is not a symmetry
+    here. It fixes residue 0, so 2m + 1 is canonical iff 2m is. Each image uY
+    is split at bit w: the high part is scaled once per block of 2^w vectors
+    and the low part is looked up in a per-unit table. w is at most 8 and
+    keeps the tables to about 2^13 entries.
+    """
+    scalings = _units(q)[1:]
+    w = min(8, q, (8192 // max(len(scalings), 1)).bit_length() - 1)
+    lows = []  # lows[i][c]: the image of the low bit-vector c under unit i
+    for u in scalings:
+        t = [0]
+        for r in range(w):
+            image = 1 << (u * r % q)
+            t += [x | image for x in t]
+        lows.append(t)
+    for base in range(0, 1 << q, 1 << w):
+        parts = [(_scale_bits(base, u, q), t) for u, t in zip(scalings, lows)]
+        for bits in range(base, base + (1 << w), 2):
+            lo = bits - base
+            if all(high | t[lo] >= bits for high, t in parts):
+                yield bits
 
 
 def _objective(q: int, bits: int, kappa: int) -> int:
@@ -251,16 +276,60 @@ def _verified_certificate(q: int, bits: int, kappa: int, evaluated: int) -> Haig
 def _search_exhaustive(spec: SearchSpec) -> Union[HaightCertificate, SearchExhausted]:
     evaluated = 0
     for q in range(max(spec.q_min, 2), spec.q_max + 1):
-        units = _units(q)
-        for bits in range(1, 1 << q):
-            if not _is_canonical(bits, q, units):
-                continue
+        min_size = _min_size(q)
+        for bits in _canonical_evens(q):
+            if bits:
+                if evaluated >= spec.budget:
+                    return SearchExhausted(evaluated)
+                evaluated += 1
+                if bits.bit_count() >= min_size and _passes(q, bits, spec.kappa):
+                    return _verified_certificate(q, bits, spec.kappa, evaluated)
+            # bits + 1 holds residue 0, so it fails the s = 1 level.
             if evaluated >= spec.budget:
                 return SearchExhausted(evaluated)
             evaluated += 1
-            if _passes(q, bits, spec.kappa):
-                return _verified_certificate(q, bits, spec.kappa, evaluated)
     return SearchExhausted(evaluated)
+
+
+def _swap_scorer(q: int, kappa: int, ya: int) -> Callable[[int, int], int]:
+    """Scorer for the sets Y' = Ya + {b}, b not in Ya, built once from Ya.
+
+    ``score(b, bar)`` is ``_objective(q, Y', kappa)`` when that is below
+    ``bar``, and some value >= ``bar`` otherwise. The tables are D_a =
+    (Ya - Ya) + {0}, Ya and -Ya doubled to 2q bits (so a rotation is one
+    shift and a mask), and the levels L_0 = {0}, L_1 = Ya, ...,
+    L_{kappa-1} = (kappa-1)Ya. Then Y' - Y' = D_a + (b - Ya) + (Ya - b), and
+    0 is in sY' iff -j*b is in L_{s-j} for some j in 0..s. So a swap costs
+    one popcount and at most kappa*(kappa-1)/2 bit tests, where
+    ``_objective`` takes |Y'| rotations per level.
+    """
+    mask = (1 << q) - 1
+    d_a = _diff_bits(ya, q) | 1
+    neg = _scale_bits(ya, q - 1, q)
+    neg2 = neg | neg << q
+    ya2 = ya | ya << q
+    levels = [1, ya]
+    for _ in range(kappa - 2):
+        levels.append(_sumset_step(levels[-1], ya, q))
+    # Levels that already hold 0 (j = 0) count for every b; for the others,
+    # the tests (L_{s-j}, j) for j = 1..s.
+    fixed = sum(lev & 1 for lev in levels[1:])
+    open_levels = [
+        [(levels[s - j], j) for j in range(1, s + 1)] for s in range(1, kappa) if not levels[s] & 1
+    ]
+
+    def score(b: int, bar: int) -> int:
+        total = q - ((d_a | neg2 >> (q - b) | ya2 >> b) & mask).bit_count() + fixed
+        for tests in open_levels:
+            if total >= bar:
+                break
+            for lev, j in tests:
+                if lev >> (-j * b % q) & 1:
+                    total += 1
+                    break
+        return total
+
+    return score
 
 
 def _hill_climb(q: int, kappa: int, rng: random.Random, budget_left: int) -> tuple[int, int]:
@@ -268,30 +337,36 @@ def _hill_climb(q: int, kappa: int, rng: random.Random, budget_left: int) -> tup
 
     Returns (bits or 0, evaluations spent). 0 residues are never used as
     members: they fail the s = 1 level outright.
+
+    ``_objective`` scores the start set. Each step then builds the tables of
+    ``_swap_scorer`` once per removed member a (the differences and the
+    sumset levels of Y minus a) and scores every swap of a for b from them,
+    against the best score so far: the steepest descent needs no exact
+    score for a swap that cannot win.
     """
-    spent = 0
     size = min(q - 1, _min_size(q) + rng.randrange(3))
     members = set(rng.sample(range(1, q), size))
     bits = 0
     for r in members:
         bits |= 1 << r
-    if spent >= budget_left:
-        return 0, spent
-    spent += 1
+    spent = 1
     score = _objective(q, bits, kappa)
     while score > 0:
         best = None
+        bar = score  # a swap is taken only if it scores below this
         for a in sorted(members):
+            ya = bits ^ (1 << a)
+            swap_score = _swap_scorer(q, kappa, ya)
             for b in range(1, q):
-                if b in members:
+                if bits >> b & 1:
                     continue
-                cand = bits ^ (1 << a) | (1 << b)
                 if spent >= budget_left:
                     return 0, spent
                 spent += 1
-                cand_score = _objective(q, cand, kappa)
-                if cand_score < score and (best is None or cand_score < best[0]):
-                    best = (cand_score, a, b, cand)
+                cand_score = swap_score(b, bar)
+                if cand_score < bar:
+                    bar = cand_score
+                    best = (cand_score, a, b, ya | 1 << b)
         if best is None:
             return 0, spent  # local minimum
         score, a, b, bits = best
@@ -307,19 +382,15 @@ def _search_randomized(spec: SearchSpec) -> Union[HaightCertificate, SearchExhau
     rngs = {q: random.Random((spec.seed + 1) * 0x9E3779B97F4A7C15 + q) for q in qs}
     evaluated = 0
     while evaluated < spec.budget:
-        progressed = False
         for q in qs:
             left = spec.budget - evaluated
             if left <= 0:
                 break
+            # Every restart spends at least one evaluation, so this ends.
             bits, spent = _hill_climb(q, spec.kappa, rngs[q], left)
             evaluated += spent
-            if spent:
-                progressed = True
             if bits:
                 return _verified_certificate(q, bits, spec.kappa, evaluated)
-        if not progressed:
-            break
     return SearchExhausted(evaluated)
 
 

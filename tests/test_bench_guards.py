@@ -1,6 +1,7 @@
 """Cheap guards for the traced benchmark, whose own tests run outside the
 default test paths: every function and subcommand it wraps must still
-exist, and importing the CLI must stay free of process-pool machinery."""
+exist, its search jobs must be the ones whose trajectories are pinned, and
+importing the CLI must stay free of process-pool machinery."""
 
 from __future__ import annotations
 
@@ -13,28 +14,40 @@ import sys
 from pathlib import Path
 
 import wsforge
+from conftest import SEARCH_PINS
 from wsforge.cli import build_parser
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def load_bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_traced_functions_exist():
-    for layer, fname, _ in load_tracing().WRAPPED:
+    for layer, fname, _ in load_bench_module("tracing").WRAPPED:
         module = importlib.import_module(f"wsforge.{layer}")
         assert callable(getattr(module, fname, None)), f"wsforge.{layer}.{fname}"
 
 
 def test_traced_subcommands_exist():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    for name in load_tracing().SUBCOMMANDS:
+    for name in load_bench_module("tracing").SUBCOMMANDS:
         assert name in sub.choices, name
+
+
+def test_search_jobs_are_the_pinned_ones(monkeypatch):
+    # workloads.py imports its sibling modules checks and tracing by name.
+    monkeypatch.syspath_prepend(str(BENCH))
+    try:
+        workloads = load_bench_module("workloads")
+    finally:
+        for name in ("checks", "tracing"):
+            sys.modules.pop(name, None)
+    assert list(workloads.SEARCH_JOBS) == list(SEARCH_PINS)
 
 
 def test_cli_import_skips_concurrent_futures():

@@ -348,3 +348,16 @@ def test_cayley_and_power_at_max_order_are_fast(tmp_path):
     code, seconds = run_timed("power", "--in", str(dg), "--t", "1", "--out", str(tmp_path / "p.dg"))
     assert code == 0 and seconds < 1
     assert read_digraph(dg).arc_count() == MAX_ORDER
+
+
+def test_certify_and_reverify_long_directed_cycle_are_fast(tmp_path):
+    # Girth MAX_ORDER: a search from every vertex up to the girth would take
+    # about n^2 frontier steps; peeling walks the cycle once.
+    dg = tmp_path / "cycle.dg"
+    cert = tmp_path / "cycle.json"
+    assert run("cayley", "--q", str(MAX_ORDER), "--y", "1", "--out", str(dg)) == 0
+    code, seconds = run_timed("certify", "--in", str(dg), "--k", "3", "--l", "1", "--out", str(cert))
+    assert code == 0 and seconds < 3
+    code, seconds = run_timed("reverify", "--cert", str(cert))
+    assert code == 0 and seconds < 3
+    assert read_certificate(cert).payload["girth"] == MAX_ORDER

@@ -35,12 +35,14 @@ FIVE_CYCLE = Digraph.from_arcs(5, [(i, (i + 1) % 5) for i in range(5)])
 PALEY7 = cayley(7, ResidueSet.from_members(7, [1, 2, 4]))
 
 
-def brute_girth(d: Digraph) -> int | None:
-    """Minimum length over all simple cycles, each rooted at its least vertex."""
+def brute_girth(d: Digraph) -> tuple[int, int] | None:
+    """(girth, start) over all simple cycles, each rooted at its least vertex:
+    start is the least vertex that lies on a shortest cycle."""
     best: int | None = None
+    start_of_best = -1
 
     def dfs(start: int, current: int, visited: set[int], length: int) -> None:
-        nonlocal best
+        nonlocal best, start_of_best
         if best is not None and length + 1 >= best + 1 and length >= best:
             return
         for w in range(d.n):
@@ -49,6 +51,7 @@ def brute_girth(d: Digraph) -> int | None:
             if w == start:
                 if best is None or length + 1 < best:
                     best = length + 1
+                    start_of_best = start
             elif w > start and w not in visited:
                 visited.add(w)
                 dfs(start, w, visited, length + 1)
@@ -56,7 +59,7 @@ def brute_girth(d: Digraph) -> int | None:
 
     for start in range(d.n):
         dfs(start, start, {start}, 0)
-    return best
+    return None if best is None else (best, start_of_best)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +122,21 @@ def test_girth_matches_brute_force():
     for _ in range(150):
         n = rng.randrange(1, 8)
         d = random_digraph(rng, n, p=rng.choice([0.15, 0.3, 0.5]))
-        assert girth(d) == brute_girth(d)
+        assert_girth_and_start(d)
+    # Sparse digraphs leave vertices with no in-arc or out-arc among the
+    # later ones, which girth peels without searching from them.
+    rng = random.Random(24)
+    for _ in range(300):
+        n = rng.randrange(6, 13)
+        d = random_digraph(rng, n, p=rng.choice([0.08, 0.12, 0.18]))
+        assert_girth_and_start(d)
+
+
+def assert_girth_and_start(d: Digraph) -> None:
+    expected = brute_girth(d)
+    cyc = shortest_cycle(d)
+    assert girth(d) == (None if expected is None else expected[0])
+    assert (None if cyc is None else (len(cyc), cyc[0])) == expected
 
 
 def test_girth_with_self_loops():

@@ -12,6 +12,7 @@ from math import gcd
 
 import pytest
 
+from conftest import SEARCH_PINS
 from wsforge import (
     HaightCertificate,
     ResidueSet,
@@ -24,6 +25,7 @@ from wsforge import (
     search_haight_set,
     shift_set,
 )
+from wsforge.residues import _objective, _swap_scorer
 
 
 def brute_difference(q: int, members: tuple[int, ...]) -> set[int]:
@@ -251,3 +253,44 @@ def test_search_spec_validation():
         SearchSpec(kappa=2, q_min=2, q_max=5, budget=0)
     with pytest.raises(ValueError):
         SearchSpec(kappa=2, q_min=2, q_max=5, mode="lucky")
+
+
+@pytest.mark.parametrize("job", list(SEARCH_PINS), ids=lambda job: "-".join(map(str, job)))
+def test_search_trajectory_pinned(job):
+    kappa, q_min, q_max, mode, seed = job
+    spec = SearchSpec(kappa, q_min, q_max, budget=10**6, seed=seed, mode=mode)
+    result = search_haight_set(spec)
+    q, members, evaluated = SEARCH_PINS[job]
+    assert result == HaightCertificate(
+        q, ResidueSet.from_members(q, members), kappa, verified=True, candidates_evaluated=evaluated
+    )
+
+
+def test_search_budget_edge_at_q24():
+    short = search_haight_set(SearchSpec(3, 24, 24, budget=7987))
+    assert short == SearchExhausted(7987)
+    found = search_haight_set(SearchSpec(3, 24, 24, budget=7988))
+    assert isinstance(found, HaightCertificate)
+    assert found.candidates_evaluated == 7988
+    assert found.y.members() == (1, 2, 3, 4, 5, 6, 7, 13)
+
+
+def test_swap_scorer_equals_objective():
+    rng = random.Random(17)
+    for q in range(2, 49):
+        for kappa in range(2, 7):
+            for size in {1, rng.randrange(1, q), rng.randrange(1, min(q, 8))}:
+                bits = sum(1 << r for r in rng.sample(range(q), size))
+                for a in range(q):
+                    if not bits >> a & 1:
+                        continue
+                    ya = bits ^ (1 << a)
+                    score = _swap_scorer(q, kappa, ya)
+                    for b in range(q):
+                        if ya >> b & 1:
+                            continue
+                        want = _objective(q, ya | 1 << b, kappa)
+                        assert score(b, q + kappa) == want, (q, kappa, ya, b)
+                        bar = rng.randrange(q + kappa)
+                        got = score(b, bar)
+                        assert got == want if want < bar else got >= bar, (q, kappa, ya, b, bar)
