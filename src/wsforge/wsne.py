@@ -25,6 +25,7 @@ from .game import (
     char_decision,
     to_bipartite_digraph,
 )
+from .residues import _rot
 
 __all__ = [
     "MixedStrategy",
@@ -476,6 +477,28 @@ def _supports(indices: Sequence[int], k: int) -> list[tuple[int, ...]]:
     return sets
 
 
+def _shift_invariant(g: WinLoseGame) -> bool:
+    """Whether the shift (i, j) -> (i + 1, j + 1) mod n of rows and columns
+    maps both payoff matrices to themselves, as on a bipartified Cayley
+    digraph: each row of A and of B is its predecessor rotated by one (row 0
+    then follows from row n - 1, since n rotations are the identity)."""
+    n = g.n
+    if g.m != n or n < 2:
+        return False
+    return all(
+        rows[i + 1] == _rot(rows[i], 1, n)
+        for rows in (g.a_rows, g.b_rows)
+        for i in range(n - 1)
+    )
+
+
+def _least_rotation(support: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:
+    """The lexicographically least rotation of ``support`` in Z_n, and the x
+    with support = rotation + x. The least rotation contains 0, so only
+    x in ``support`` are candidates."""
+    return min((tuple(sorted((s - x) % n for s in support)), x) for x in support)
+
+
 def exhaustive_search(
     g: WinLoseGame, k: int, eps: Union[int, str, Fraction]
 ) -> Union[tuple[MixedStrategy, MixedStrategy], NoWitness]:
@@ -486,6 +509,14 @@ def exhaustive_search(
     eps-best response to some distribution on R, and every row of R to some
     distribution on C; both singleton conditions are read from bitmask
     tables, so the scan visits only the column supports inside R's table.
+
+    On a shift-invariant game (each row of A and of B its predecessor
+    rotated by one, as in every bipartified Cayley digraph; tested on ``g``
+    at every call) the pair (R + t, C + t) mod n is feasible exactly when
+    (R, C) is. So the scan visits only the row supports R that are least
+    among their rotations, and builds a column table once per rotation
+    orbit. The first feasible pair in lexicographic order has such an R, so
+    the witness is the same; ``pairs_refuted`` still counts every pair.
     """
     if not 1 <= k <= min(g.m, g.n):
         raise ValueError(f"need 1 <= k <= min(m, n) = {min(g.m, g.n)}, got {k}")
@@ -493,22 +524,34 @@ def exhaustive_search(
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
     oracle = _SupportOracle(g, eps)
+    n = g.n
+    symmetric = _shift_invariant(g)
     ok_rows_of: dict[tuple[int, ...], int] = {}
     row_supports = _supports(range(g.m), k)
     for rows in row_supports:
+        if symmetric:
+            if rows[0]:
+                break  # every later support misses 0, so none is least
+            if _least_rotation(rows, n)[0] != rows:
+                continue
         row_mask = sum(1 << i for i in rows)
         ok_cols = oracle.p_system.singletons(rows)
-        for cols in _supports([j for j in range(g.n) if ok_cols >> j & 1], k):
+        for cols in _supports([j for j in range(n) if ok_cols >> j & 1], k):
             ok_rows = ok_rows_of.get(cols)
             if ok_rows is None:
-                ok_rows = ok_rows_of[cols] = oracle.q_system.singletons(cols)
+                # cols = rep + shift, and the shift carries rep's table along
+                rep, shift = _least_rotation(cols, n) if symmetric else (cols, 0)
+                base = ok_rows_of.get(rep)
+                if base is None:
+                    base = ok_rows_of[rep] = oracle.q_system.singletons(rep)
+                ok_rows = ok_rows_of[cols] = _rot(base, shift, n)
             if row_mask & ~ok_rows:
                 continue
             found = oracle.pair_feasible(rows, cols)
             if found is not None:
                 p_point, q_point = found
                 return MixedStrategy(p_point), MixedStrategy(q_point)
-    col_count = sum(comb(g.n, size) for size in range(1, k + 1))
+    col_count = sum(comb(n, size) for size in range(1, k + 1))
     return NoWitness(len(row_supports) * col_count)
 
 

@@ -1,6 +1,7 @@
 """Cheap guards for the traced benchmark, whose own tests run outside the
 default test paths: every function and subcommand it wraps must still
-exist, its search jobs must be the ones whose trajectories are pinned, and
+exist, its search jobs must be the ones whose trajectories are pinned, its
+refutation games must come from the pool the acceptance suite checks, and
 importing the CLI must stay free of process-pool machinery."""
 
 from __future__ import annotations
@@ -13,8 +14,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import wsforge
 from conftest import SEARCH_PINS
+from test_acceptance import K4_POOL
 from wsforge.cli import build_parser
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -39,15 +43,23 @@ def test_traced_subcommands_exist():
         assert name in sub.choices, name
 
 
-def test_search_jobs_are_the_pinned_ones(monkeypatch):
+@pytest.fixture()
+def workloads(monkeypatch):
     # workloads.py imports its sibling modules checks and tracing by name.
     monkeypatch.syspath_prepend(str(BENCH))
     try:
-        workloads = load_bench_module("workloads")
+        return load_bench_module("workloads")
     finally:
         for name in ("checks", "tracing"):
             sys.modules.pop(name, None)
+
+
+def test_search_jobs_are_the_pinned_ones(workloads):
     assert list(workloads.SEARCH_JOBS) == list(SEARCH_PINS)
+
+
+def test_refute_pool_is_the_acceptance_pool(workloads):
+    assert workloads.K4_POOL == K4_POOL
 
 
 def test_cli_import_skips_concurrent_futures():

@@ -6,6 +6,7 @@ failed.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 
@@ -225,14 +226,30 @@ def test_exhaust_refutes_k1_on_forged_game(forged_k1, tmp_path):
     assert reverify(env).ok
 
 
-def test_exhaust_refutes_k2_on_k4_pool_game(tmp_path):
-    # The paper's k = 2 instance: the q = 29 Haight set of kappa 4, bipartified.
-    game = tmp_path / "k4.wl"
-    write_game(bipartify(cayley(29, ResidueSet.from_members(29, [1, 7, 16, 20, 23, 24, 25]))), game)
-    out = tmp_path / "r.json"
-    assert run("exhaust", "--game", str(game), "--k", "2", "--eps", "1/4", "--out", str(out)) == 0
-    assert read_certificate(out).payload["pairs_refuted"] == 435**2
-    assert run("reverify", "--cert", str(out)) == 0
+# sha256 of the certificates `exhaust --k 2` wrote before the scan was
+# reduced to one row support per rotation orbit; a game file named as here,
+# in the working directory, fixes the replay line.
+EXHAUST_GOLDEN = [
+    ("paley7.wl", 7, (1, 2, 4), "1/4",
+     "4d3f3a4461461f3601491b3bd4528e91dc5045774c4d8af9d3b4cce3e62ee40d"),
+    ("paley7.wl", 7, (1, 2, 4), "1/2",
+     "2a2cd018d12d08db05fb6d0448078deca6a093a43cfbc8ad366d5e57756cc712"),
+    ("k4-q29.wl", 29, (1, 7, 16, 20, 23, 24, 25), "1/4",
+     "9424fd16607f6a3853c08e506b554211279a1b50b16d8860da887586d412cc2b"),
+    ("k4-q29.wl", 29, (1, 7, 16, 20, 23, 24, 25), "1/2",
+     "2c8f12ba34b4783cc4933ba6f442e67accb86ed1d6c1bf18314cbe37628f984e"),
+]
+
+
+@pytest.mark.parametrize("name, q, ys, eps, digest", EXHAUST_GOLDEN)
+def test_exhaust_k2_certificates_are_byte_identical(tmp_path, monkeypatch, name, q, ys, eps, digest):
+    # Paley-7 and the paper's k = 2 instance (the q = 29 Haight set of kappa
+    # 4): a nonexistence certificate at eps = 1/4 and a witness at eps = 1/2.
+    monkeypatch.chdir(tmp_path)
+    write_game(bipartify(cayley(q, ResidueSet.from_members(q, ys))), tmp_path / name)
+    assert run("exhaust", "--game", name, "--k", "2", "--eps", eps, "--out", "c.json") == 0
+    assert hashlib.sha256((tmp_path / "c.json").read_bytes()).hexdigest() == digest
+    assert run("reverify", "--cert", "c.json") == 0
 
 
 def test_check_verdicts(forged_k1, tmp_path):

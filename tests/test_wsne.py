@@ -31,6 +31,8 @@ from wsforge import (
     wsne_from_undominated,
 )
 from wsforge.feasibility import feasible_point
+from wsforge.residues import _rot
+from wsforge.wsne import _shift_invariant
 
 F = Fraction
 TRIANGLE = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
@@ -431,6 +433,27 @@ PALEY7 = bipartify(cayley(7, ResidueSet.from_members(7, [1, 2, 4])))
 K4_Q29 = bipartify(cayley(29, ResidueSet.from_members(29, [1, 7, 16, 20, 23, 24, 25])))
 
 
+def _swap_labels_0_1(g):
+    """``g`` with rows 0, 1 and columns 0, 1 swapped: the same game up to
+    relabelling, but no longer invariant under the shift by one, so
+    :func:`exhaustive_search` scans every row support. (Reversing the labels
+    would keep a circulant game circulant.)"""
+
+    def swap_bits(mask):
+        return mask & ~3 | (mask & 1) << 1 | mask >> 1 & 1
+
+    def swap_rows(rows):
+        rows = [swap_bits(r) for r in rows]
+        rows[0], rows[1] = rows[1], rows[0]
+        return tuple(rows)
+
+    return WinLoseGame(g.m, g.n, swap_rows(g.a_rows), swap_rows(g.b_rows))
+
+
+PALEY7_SWAPPED = _swap_labels_0_1(PALEY7)
+K4_Q29_SWAPPED = _swap_labels_0_1(K4_Q29)
+
+
 @pytest.fixture()
 def oracle_counts(monkeypatch):
     """Counts of support systems solved (cache misses of either player's
@@ -455,24 +478,54 @@ def oracle_counts(monkeypatch):
     return counts
 
 
+def test_shift_invariance_detection():
+    assert _shift_invariant(PALEY7) and _shift_invariant(K4_Q29)
+    assert not _shift_invariant(PALEY7_SWAPPED) and not _shift_invariant(K4_Q29_SWAPPED)
+    assert not _shift_invariant(ONES)  # n = 1: no orbit to reduce
+
+
 def test_oracle_solves_each_cached_system_once(oracle_counts):
-    # Pins the support oracle's cache keys: a key that stops matching shows
-    # here as extra solved systems, not only as a slower benchmark.
-    assert exhaustive_search(PALEY7, 2, F(1, 4)) == NoWitness(784)
+    # Pins the support oracle's cache keys on the full scan of a game that is
+    # not shift-invariant: a key that stops matching shows here as extra
+    # solved systems, not only as a slower benchmark.
+    g = PALEY7_SWAPPED
+    assert exhaustive_search(g, 2, F(1, 4)) == NoWitness(784)
     assert oracle_counts == {"systems": 217, "fm": 0, "pairs": 84}
     oracle_counts.update(systems=0, fm=0, pairs=0)
-    p, q = exhaustive_search(PALEY7, 2, F(1, 2))
-    assert check_wsne(PALEY7, p, q, F(1, 2)).valid
-    assert oracle_counts == {"systems": 30, "fm": 0, "pairs": 1}
+    p, q = exhaustive_search(g, 2, F(1, 2))
+    assert check_wsne(g, p, q, F(1, 2)).valid
+    assert oracle_counts == {"systems": 36, "fm": 0, "pairs": 1}
     oracle_counts.update(systems=0, fm=0, pairs=0)
-    assert exhaustive_search(PALEY7, 3, F(1, 4)) == NoWitness(63**2)
+    assert exhaustive_search(g, 3, F(1, 4)) == NoWitness(63**2)
     assert oracle_counts == {"systems": 1540, "fm": 1302, "pairs": 1204}
 
 
+def test_orbit_scan_solves_one_row_support_per_orbit(oracle_counts):
+    # Paley-7 itself is shift-invariant: 4 of its 28 row supports of size
+    # <= 2 are least in their orbit, and a column table is built once per
+    # orbit, for the same verdicts as the full scan above.
+    assert exhaustive_search(PALEY7, 2, F(1, 4)) == NoWitness(784)
+    assert oracle_counts == {"systems": 38, "fm": 0, "pairs": 12}
+    oracle_counts.update(systems=0, fm=0, pairs=0)
+    p, q = exhaustive_search(PALEY7, 2, F(1, 2))
+    assert (p.support, q.support) == ((0, 1), (1, 3))
+    assert check_wsne(PALEY7, p, q, F(1, 2)).valid
+    assert oracle_counts == {"systems": 22, "fm": 0, "pairs": 1}
+    oracle_counts.update(systems=0, fm=0, pairs=0)
+    assert exhaustive_search(PALEY7, 3, F(1, 4)) == NoWitness(63**2)
+    assert oracle_counts == {"systems": 243, "fm": 190, "pairs": 172}
+
+
 def test_k4_pool_game_refutes_k2(oracle_counts):
-    # The paper's k = 2 instance: the q = 29 Haight set of kappa 4, bipartified.
-    assert exhaustive_search(K4_Q29, 2, F(1, 4)) == NoWitness(435**2)
+    # The paper's k = 2 instance: the q = 29 Haight set of kappa 4, bipartified,
+    # first relabelled so that the full scan runs, then as built.
+    assert exhaustive_search(K4_Q29_SWAPPED, 2, F(1, 4)) == NoWitness(435**2)
     assert oracle_counts["pairs"] == 1218  # pairs passing every singleton condition
+    p, q = exhaustive_search(K4_Q29_SWAPPED, 2, F(1, 2))
+    assert check_wsne(K4_Q29_SWAPPED, p, q, F(1, 2)).valid
+    oracle_counts.update(systems=0, fm=0, pairs=0)
+    assert exhaustive_search(K4_Q29, 2, F(1, 4)) == NoWitness(435**2)
+    assert oracle_counts == {"systems": 145, "fm": 0, "pairs": 42}
     p, q = exhaustive_search(K4_Q29, 2, F(1, 2))
     assert check_wsne(K4_Q29, p, q, F(1, 2)).valid
 
@@ -537,6 +590,18 @@ def _lexicographic_scan(g, k, eps):
     return NoWitness(refuted)
 
 
+def _found_as_lexicographic_scan(g, k, eps):
+    """Assert that :func:`exhaustive_search` returns what the reference scan
+    returns; True if that is a witness."""
+    want = _lexicographic_scan(g, k, eps)
+    got = exhaustive_search(g, k, eps)
+    if isinstance(want, NoWitness):
+        assert got == want, (g, k, eps)
+        return False
+    assert (got[0].probs, got[1].probs) == want, (g, k, eps)
+    return True
+
+
 def test_table_scan_matches_lexicographic_scan():
     rng = random.Random(62)
     witnesses = refuted = 0
@@ -551,12 +616,43 @@ def test_table_scan_matches_lexicographic_scan():
             g = WinLoseGame(m, n, g.a_rows, tuple(~a & full ^ f for a, f in zip(g.a_rows, flips)))
         k = rng.randrange(1, min(m, n, 3) + 1)
         for eps in (F(0), F(1, 4), F(1, 2), F(2, 3), F(1)):
-            want = _lexicographic_scan(g, k, eps)
-            got = exhaustive_search(g, k, eps)
-            if isinstance(want, NoWitness):
-                assert got == want
-                refuted += 1
-            else:
-                assert (got[0].probs, got[1].probs) == want
+            if _found_as_lexicographic_scan(g, k, eps):
                 witnesses += 1
+            else:
+                refuted += 1
     assert witnesses > 500 and refuted > 30
+
+
+def _circulant_game(rng, n):
+    """A seeded shift-invariant n x n game: random first rows of A and B
+    rotated, or a bipartified Cayley digraph of a random generator set."""
+    if rng.random() < 0.5:
+        a0, b0 = rng.getrandbits(n), rng.getrandbits(n)
+        rotated = [tuple(_rot(first, i, n) for i in range(n)) for first in (a0, b0)]
+        return WinLoseGame(n, n, *rotated)
+    ys = [y for y in range(1, n) if rng.random() < 0.4]
+    return bipartify(cayley(n, ResidueSet.from_members(n, ys)))
+
+
+def test_orbit_scan_matches_lexicographic_scan():
+    # Shift-invariant games, and copies with one bit of B's last row flipped,
+    # which must take the full scan. Even n gives supports such as (0, n/2)
+    # that a nontrivial rotation fixes. k = 3 stops at n = 6: above it the
+    # reference solves thousands of Fourier-Motzkin systems per refutation.
+    rng = random.Random(71)
+    witnesses = refuted = 0
+    for n in range(2, 10):
+        for _ in range(6):
+            g = _circulant_game(rng, n)
+            b_rows = list(g.b_rows)
+            b_rows[-1] ^= 1 << rng.randrange(n)
+            near = WinLoseGame(n, n, g.a_rows, tuple(b_rows))
+            assert _shift_invariant(g) and not _shift_invariant(near)
+            k = rng.randrange(1, min(n, 3 if n <= 6 else 2) + 1)
+            for game in (g, near):
+                for eps in (F(0), F(1, 4), F(1, 2), F(2, 3), F(1)):
+                    if _found_as_lexicographic_scan(game, k, eps):
+                        witnesses += 1
+                    else:
+                        refuted += 1
+    assert witnesses > 400 and refuted > 40
