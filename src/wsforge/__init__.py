@@ -51,3 +51,4 @@ from .wsne import (
     wsne_from_cycle,
     wsne_from_undominated,
 )
+from .pipeline import Stage, forge

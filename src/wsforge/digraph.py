@@ -332,23 +332,27 @@ def power(d: Digraph, t: int) -> Digraph:
     """Arc v -> w iff v != w and some directed walk of length 1..t joins them.
 
     Length-0 walks are excluded, so the power of a loop-free digraph stays
-    loop-free.
+    loop-free. A breadth-first search from each vertex, one level per walk
+    length, expands each vertex at most once and stops at the first level
+    that adds nothing, so any t costs at most n expansions per vertex.
     """
     if t < 1:
         raise ValueError(f"power exponent must be >= 1, got {t}")
-    acc = list(d.out)
-    for _ in range(t - 1):
-        nxt = []
-        for v in range(d.n):
-            reach = acc[v]
-            m = acc[v]
-            while m:
-                u = (m & -m).bit_length() - 1
-                reach |= d.out[u]
-                m &= m - 1
-            nxt.append(reach)
-        acc = nxt
-    return Digraph(d.n, tuple(acc[v] & ~(1 << v) for v in range(d.n)))
+    rows = []
+    for v in range(d.n):
+        reach = frontier = d.out[v]
+        for _ in range(t - 1):
+            step = 0
+            while frontier:
+                u = (frontier & -frontier).bit_length() - 1
+                step |= d.out[u]
+                frontier &= frontier - 1
+            frontier = step & ~reach
+            if not frontier:
+                break
+            reach |= frontier
+        rows.append(reach & ~(1 << v))
+    return Digraph(d.n, tuple(rows))
 
 
 def min_out_degree(d: Digraph) -> int:

@@ -26,12 +26,7 @@ from pathlib import Path
 from typing import IO, Optional, Union
 
 from . import __version__
-from .digraph import (
-    Digraph,
-    KLCertificate,
-    all_subsets_dominated,
-    shortest_cycle,
-)
+from .digraph import Digraph, KLCertificate, KLFailure, certify_kl
 from .game import WinLoseGame, char_decision, out_degree_offenders
 from .residues import HaightCertificate, ResidueSet, satisfies_haight
 from .wsne import MixedStrategy, NoWitness, check_wsne, exhaustive_search
@@ -390,16 +385,13 @@ def _parse_kl_digraph(payload: dict) -> tuple[Digraph, int, int, Optional[int]]:
 
 
 def _recheck_kl_digraph(d, k, l, girth_found) -> tuple[bool, str]:
-    cyc = shortest_cycle(d)
-    found = None if cyc is None else len(cyc)
-    if found != girth_found:
-        return False, f"recomputed girth {found} != certified {girth_found}"
-    if found is not None and found < k:
-        return False, f"girth {found} below k={k}"
     if l > d.n:
         return False, f"l={l} exceeds n={d.n}"
-    if not all_subsets_dominated(d, l):
-        return False, f"an undominated {l}-set exists"
+    result = certify_kl(d, k, l)
+    if isinstance(result, KLFailure):
+        return False, f"not a ({k}, {l})-digraph: {result}"
+    if result.girth_found != girth_found:
+        return False, f"recomputed girth {result.girth_found} != certified {girth_found}"
     return True, f"girth and domination re-verified for (k, l)=({k}, {l})"
 
 

@@ -21,6 +21,7 @@ from wsforge.formats import (
     read_digraph,
     read_game,
     reverify,
+    write_digraph,
     write_game,
 )
 
@@ -88,6 +89,16 @@ def test_search_usage_errors():
 
 def test_search_workers_option_is_gone():
     assert run("search", "--kappa", "3", "--q-max", "7", "--workers", "2") == 2
+
+
+def test_seed_must_fit_in_64_unsigned_bits(capsys):
+    assert run("search", "--kappa", "2", "--q-max", "3", "--seed", "-1") == 2
+    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+    assert run("search", "--kappa", "2", "--q-max", "3", "--seed", str(1 << 64)) == 2
+    assert f"argument --seed: must be <= {(1 << 64) - 1}, got {1 << 64}" in capsys.readouterr().err
+    top = str((1 << 64) - 1)
+    assert run("search", "--kappa", "2", "--q-max", "3", "--mode", "randomized", "--seed", top) == 0
+    assert run("forge", "--k", "1", "--eps", "1/2", "--seed", str(1 << 64)) == 2
 
 
 def test_moduli_above_max_order_are_usage_errors():
@@ -261,6 +272,27 @@ def test_exhaust_k2_certificates_are_byte_identical(tmp_path, monkeypatch, name,
     assert hashlib.sha256((tmp_path / "c.json").read_bytes()).hexdigest() == digest
     assert run("reverify", "--cert", "c.json") == 0
 
+
+# sha256 of certificates whose replay lines were written out by hand before
+# they were derived from the parser's declared options; as above, inputs and
+# outputs named as here, in the working directory, fix the replay line.
+REPLAY_GOLDEN = [
+    (("search", "--kappa", "3", "--q-max", "7", "--out", "h.json"), "h.json",
+     "2c6c5fd8085ae3064de0f9fe95c3751be57c4bb26c603ced1137a4fb643fdc88"),
+    (("certify", "--in", "paley7.dg", "--k", "3", "--l", "2", "--out", "kl.json"), "kl.json",
+     "3474c821d4011ef1fc5ff940404e505e2102f5c9bf3c1c572a1a9d56fe6dbf37"),
+    (("forge", "--k", "1", "--eps", "99/100"), "forge-k1.cert.json",
+     "a27b1f82d74633e6ded0c4febb72cb46c19f179e5ab23d32274be9d63d4d8a1b"),
+]
+
+
+@pytest.mark.parametrize("argv, out, digest", REPLAY_GOLDEN, ids=["search", "certify", "forge"])
+def test_replay_line_certificates_are_byte_identical(tmp_path, monkeypatch, argv, out, digest):
+    monkeypatch.chdir(tmp_path)
+    write_digraph(cayley(7, ResidueSet.from_members(7, [1, 2, 4])), tmp_path / "paley7.dg")
+    assert run(*argv) == 0
+    assert hashlib.sha256((tmp_path / out).read_bytes()).hexdigest() == digest
+    assert run("reverify", "--cert", out) == 0
 
 def test_check_verdicts(forged_k1, tmp_path):
     game, _ = forged_k1

@@ -7,6 +7,7 @@ minimum vertex; the sumset bridge ties Cayley girth to the residue module.
 from __future__ import annotations
 
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -250,6 +251,18 @@ def test_power_two_of_five_cycle():
 def test_power_single_arc_saturates():
     arc = Digraph.from_arcs(2, [(0, 1)])
     assert power(arc, 3) == arc
+
+
+def test_power_stops_at_its_fixed_point():
+    start = time.perf_counter()
+    assert power(PALEY7, 10**9) == power(PALEY7, 6)
+    # A directed n-cycle closes at exactly t = n - 1, the most any digraph
+    # needs. Expanding every reached vertex again at each walk length took
+    # about 3 s per power of this cycle.
+    cycle = cayley(300, ResidueSet.from_members(300, [1]))
+    assert power(cycle, 298) != power(cycle, 299) == power(cycle, 10**9)
+    assert power(cycle, 299).arc_count() == 300 * 299
+    assert time.perf_counter() - start < 1
 
 
 def test_power_rejects_zero():

@@ -197,6 +197,23 @@ def test_kl_certificate_reverify():
     assert reverify(roundtrip_cert(env)).ok
 
 
+@pytest.mark.parametrize(
+    "d, k, l, girth, ok",
+    [
+        (PALEY7, 3, 2, 3, True),
+        (PALEY7, 3, 2, 4, False),  # girth claimed too long
+        (PALEY7, 2, 2, None, False),  # claimed acyclic
+        (PALEY7, 4, 2, 3, False),  # girth below k
+        (PALEY7, 3, 3, 3, False),  # an undominated 3-set
+        (TRIANGLE, 3, 4, 3, False),  # l > n
+    ],
+)
+def test_kl_certificate_reverify_verdicts(d, k, l, girth, ok):
+    payload = {"n": d.n, "arcs": [[u, v] for u, v in d.arcs()], "k": k, "l": l, "girth": girth}
+    env = CertificateEnvelope("kl_digraph", payload, "wsforge 0.1.0", "x")
+    assert reverify(env).ok is ok
+
+
 def test_kl_certificate_rejects_duplicate_arcs():
     payload = {"n": 3, "arcs": [[0, 1], [0, 1], [1, 2], [2, 0]], "k": 3, "l": 1, "girth": 3}
     with pytest.raises(CertificateError, match=r"payload.arcs\[1\]: duplicate arc \(0, 1\)"):

@@ -1,0 +1,44 @@
+"""The library pipeline: stage records of `forge`, in order, ending at the
+first failure."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+
+from wsforge import NoWitness, ResidueSet, SearchExhausted, bipartify, cayley, forge
+
+SEARCH = {"budget": 2000, "seed": 0, "q_min": 2, "q_max": 20, "mode": "randomized"}
+
+
+def test_forge_k1_passes_every_stage():
+    stages = list(forge(1, Fraction(99, 100), **SEARCH))
+    assert [s.name for s in stages] == ["search", "certify", "bipartify", "char", "exhaust"]
+    assert all(s.ok for s in stages)
+    triangle = cayley(3, ResidueSet.from_members(3, [2]))
+    assert stages[0].product == triangle
+    assert stages[2].product == bipartify(triangle)
+    assert stages[4].product == NoWitness(pairs_refuted=9)
+    assert stages[4].detail == "refuted all 9 support pairs at eps=99/100"
+
+
+def test_forge_k2_stops_at_the_failed_search():
+    stages = list(forge(2, Fraction(3, 4), **SEARCH))
+    assert [(s.name, s.ok) for s in stages] == [("search", True), ("search", False)]
+    assert stages[0].detail == "hunting a kappa=5 set in q range [2, 20]"
+    assert stages[0].product is None
+    assert stages[-1].product == SearchExhausted(candidates_evaluated=2000)
+
+
+def test_forge_announces_the_hunt_before_searching():
+    stages = forge(2, Fraction(3, 4), **{**SEARCH, "q_min": 30})
+    assert next(stages).detail == "hunting a kappa=5 set in q range [30, 20]"
+    with pytest.raises(ValueError, match="q_min <= q_max"):
+        next(stages)
+
+
+@pytest.mark.parametrize("k, eps", [(0, Fraction(1, 2)), (1, Fraction(1)), (1, Fraction(-1, 2))])
+def test_forge_rejects_bad_arguments_when_called(k, eps):
+    with pytest.raises(ValueError):
+        forge(k, eps, **SEARCH)
