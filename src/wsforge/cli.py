@@ -25,6 +25,7 @@ from .formats import (
     read_certificate,
     read_digraph,
     read_game,
+    require_pairs_within_max_work,
     reverify,
     validate_envelope,
     write_certificate,
@@ -195,6 +196,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_exhaust(args: argparse.Namespace) -> int:
     g = read_game(args.game)
+    if args.out:  # a refutation too large to re-check would be scanned for nothing
+        require_pairs_within_max_work(g.m, g.n, args.k, "--k")
     result = exhaustive_search(g, args.k, args.eps)
     if isinstance(result, NoWitness):
         print(

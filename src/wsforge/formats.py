@@ -19,6 +19,7 @@ builder, its parser and its re-check side by side below.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -56,6 +57,7 @@ __all__ = [
     "nonexistence_payload",
     "reverify",
     "parse_rational",
+    "require_pairs_within_max_work",
 ]
 
 SCHEMA_TAG = "wsforge-cert/1"
@@ -106,14 +108,28 @@ class ReverifyResult:
 # ---------------------------------------------------------------------------
 
 
+# Plain ASCII "a/b" or "a", the form every certificate writes.
+_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse "a/b" or a bare integer; anything float-like is rejected."""
+    """Parse "a/b" or a bare integer; anything float-like is rejected.
+
+    Plain ASCII literals skip Fraction's string parser, which all other
+    text still takes, so the strings accepted and the errors raised are
+    those of Fraction(str).
+    """
     if not isinstance(text, str):
         raise FormatError(f"expected a rational string, got {type(text).__name__}")
     s = text.strip()
     if "." in s or "e" in s or "E" in s or not s:
         raise FormatError(f"not an 'a/b' rational literal: {text!r}")
     try:
+        plain = _PLAIN_RATIONAL.fullmatch(s)
+        if plain is not None:
+            num, den = int(plain[1]), int(plain[2] or 1)
+            if den:
+                return Fraction(num, den)
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"not an 'a/b' rational literal: {text!r}") from exc
@@ -440,17 +456,23 @@ def _supports_up_to(count: int, k: int) -> int:
     return total
 
 
+def require_pairs_within_max_work(m: int, n: int, k: int, field: str) -> None:
+    """Raise CertificateError, naming ``field``, if a nonexistence claim on an
+    m x n game at support size k asks for more than MAX_WORK support pairs;
+    reverify refuses such a claim, so exhaust refuses to scan for one."""
+    # The char_none scan tries at most C(m, k) + C(n, k) sets, fewer than the pairs.
+    if _supports_up_to(m, k) * _supports_up_to(n, k) > MAX_WORK:
+        raise CertificateError(
+            f"{field}: the support pairs of size <= {k} of a {m} x {n} game exceed {MAX_WORK}"
+        )
+
+
 def _parse_nonexistence(payload: dict) -> tuple[WinLoseGame, int, Fraction, int, bool]:
     g = _game_from_payload(payload)
     k = _require_int(payload, "k", 1)
     if k > min(g.m, g.n):
         raise CertificateError(f"payload.k: {k} exceeds min(m, n) = {min(g.m, g.n)}")
-    # The char_none scan tries at most C(m, k) + C(n, k) sets, fewer than the pairs.
-    if _supports_up_to(g.m, k) * _supports_up_to(g.n, k) > MAX_WORK:
-        raise CertificateError(
-            f"payload.k: the support pairs of size <= {k} of a {g.m} x {g.n} game"
-            f" exceed {MAX_WORK}"
-        )
+    require_pairs_within_max_work(g.m, g.n, k, "payload.k")
     eps = _require_rational(payload, "eps")
     pairs_refuted = _require_int(payload, "pairs_refuted", 1)
     char_none = payload.get("char_none", False)

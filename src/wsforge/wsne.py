@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .digraph import is_dominated
@@ -69,15 +69,16 @@ class MixedStrategy:
     def __post_init__(self) -> None:
         if not self.probs:
             raise ValueError("strategy over zero pure strategies")
-        total = _ZERO
         for i, p in enumerate(self.probs):
             if not isinstance(p, Fraction):
                 raise TypeError(f"entry {i} is {type(p).__name__}, expected Fraction")
-            if p < 0:
+            if p.numerator < 0:
                 raise ValueError(f"entry {i} is negative: {p}")
-            total += p
-        if total != 1:
-            raise ValueError(f"entries sum to {total}, expected exactly 1")
+        # The sum in integers: numerators over the lcm of the denominators.
+        den = lcm(*[p.denominator for p in self.probs])
+        num = sum(p.numerator * (den // p.denominator) for p in self.probs)
+        if num != den:
+            raise ValueError(f"entries sum to {Fraction(num, den)}, expected exactly 1")
 
     @classmethod
     def from_probs(cls, values: Iterable[Union[int, str, Fraction]]) -> "MixedStrategy":
@@ -399,17 +400,24 @@ class _PlayerSystem:
 
     def singletons(self, support: tuple[int, ...]) -> int:
         """Bitmask of the opponent strategies t for which
-        ``solve(support, (t,))`` is feasible."""
-        pats, _ = self._table(support)
-        feasible: dict[int, bool] = {}
-        mask = 0
-        for t, pat in enumerate(pats):
-            ok = feasible.get(pat)
-            if ok is None:
-                ok = feasible[pat] = self.solve(support, (t,)) is not None
-            if ok:
-                mask |= 1 << t
-        return mask
+        ``solve(support, (t,))`` is feasible.
+
+        Every t that pays 1 against some s in ``support`` is: with all mass
+        on s, t earns 1, the most any strategy earns. The others share the
+        all-zero pattern, so one system decides them all.
+        """
+        support_bits = sum(1 << s for s in support)
+        covered = uncovered = 0
+        for t, mask in enumerate(self.masks):
+            if mask & support_bits:
+                covered |= 1 << t
+            else:
+                uncovered |= 1 << t
+        if uncovered:
+            t = (uncovered & -uncovered).bit_length() - 1
+            if self.solve(support, (t,)) is not None:
+                covered |= uncovered
+        return covered
 
     def full_point(
         self, support: tuple[int, ...], opp_support: tuple[int, ...]

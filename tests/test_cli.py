@@ -385,6 +385,21 @@ def test_reverify_rejects_nonexistence_claim_over_max_work(tmp_path, capsys):
     assert "payload.k" in capsys.readouterr().err
 
 
+def test_exhaust_out_refuses_a_claim_over_max_work_before_the_scan(tmp_path, capsys):
+    # The Paley tournament of Z_151 at k = 2: 11476^2 > MAX_WORK support pairs,
+    # a refutation reverify would refuse, so exhaust --out does not scan for it.
+    residues = sorted({x * x % 151 for x in range(1, 151)})
+    game = tmp_path / "p151.wl"
+    write_game(bipartify(cayley(151, ResidueSet.from_members(151, residues))), game)
+    out = tmp_path / "p151.json"
+    code, seconds = run_timed("exhaust", "--game", str(game), "--k", "2", "--eps", "1/4", "--out", str(out))
+    assert code == 2 and seconds < 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert "refuted" not in captured.out
+    assert "--k: the support pairs of size <= 2 of a 151 x 151 game exceed" in captured.err
+
+
 def test_reverify_rejects_nonexistence_game_over_max_order(tmp_path, capsys):
     payload = {"m": 10**8, "n": 1, "a": [], "b": [], "k": 1, "eps": "1/2", "pairs_refuted": 1}
     cert = write_raw_certificate(tmp_path / "n.json", "nonexistence", payload)

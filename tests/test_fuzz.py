@@ -26,11 +26,13 @@ from wsforge import (
 from wsforge.formats import (
     CERT_KINDS,
     SCHEMA_TAG,
+    FormatError,
     game_payload,
     haight_payload,
     kl_digraph_payload,
     make_envelope,
     nonexistence_payload,
+    parse_rational,
     read_certificate,
     read_digraph,
     read_game,
@@ -94,6 +96,67 @@ def read_and_reverify(text: str) -> None:
         reverify(read_certificate(io.StringIO(text)))
     except ValueError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# rationals
+# ---------------------------------------------------------------------------
+
+
+def parse_rational_by_fraction(text):
+    """The rational parser that sends every literal through Fraction(str)."""
+    if not isinstance(text, str):
+        raise FormatError(f"expected a rational string, got {type(text).__name__}")
+    s = text.strip()
+    if "." in s or "e" in s or "E" in s or not s:
+        raise FormatError(f"not an 'a/b' rational literal: {text!r}")
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise FormatError(f"not an 'a/b' rational literal: {text!r}") from exc
+
+
+def assert_parses_as_fraction_does(text):
+    try:
+        want = parse_rational_by_fraction(text)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as got:
+            parse_rational(text)
+        assert str(got.value) == str(exc)
+        return
+    got = parse_rational(text)
+    assert got == want and type(got) is Fraction
+
+
+# Signed, zero-padded, spaced, underscored and non-ASCII-digit literals, with
+# zero, missing and oversized denominators.
+digits = st.text(alphabet="0123456789", min_size=1, max_size=30) | st.sampled_from(
+    ["0", "00", "1_000", "1__0", "_1", "٣", "５", "²", "1" * 4301]
+)
+rational_literals = st.builds(
+    "".join,
+    st.tuples(
+        st.sampled_from(["", " ", "\t", "\u3000"]),
+        st.sampled_from(["", "-", "+", "--", "- "]),
+        digits,
+        st.just("") | digits.map("/".__add__) | st.sampled_from(["/", "/0", "/-1", "/ 2"]),
+        st.sampled_from(["", " ", "\n"]),
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1/2", "-3/4", "-0/7", "007/010", "+3", " 1/2 ", "1/0", "0/0", "-1/00", "1_0/3", "٣/٤", "", "-"],
+)
+def test_parse_rational_edge_literals_match_fraction(text):
+    assert_parses_as_fraction_does(text)
+
+
+@settings(FUZZ, max_examples=400)
+@given(st.text(max_size=12) | rational_literals)
+def test_parse_rational_matches_fraction(text):
+    assert_parses_as_fraction_does(text)
 
 
 # ---------------------------------------------------------------------------

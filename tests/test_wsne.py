@@ -5,6 +5,7 @@ cross-check."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -55,6 +56,69 @@ def test_strategy_simplex_enforced():
         MixedStrategy.from_probs([0.5, 0.5])
     with pytest.raises(ValueError):
         MixedStrategy(())
+    with pytest.raises(ValueError, match=r"^entries sum to 2, expected exactly 1$"):
+        MixedStrategy((F(1), F(1)))
+
+
+def _simplex_error_by_fraction_sum(probs):
+    """The exception type and message of the simplex check that sums the
+    entries as Fractions; None if the vector passes."""
+    if not probs:
+        return ValueError, "strategy over zero pure strategies"
+    total = F(0)
+    for i, p in enumerate(probs):
+        if not isinstance(p, Fraction):
+            return TypeError, f"entry {i} is {type(p).__name__}, expected Fraction"
+        if p < 0:
+            return ValueError, f"entry {i} is negative: {p}"
+        total += p
+    if total != 1:
+        return ValueError, f"entries sum to {total}, expected exactly 1"
+    return None
+
+
+def _assert_simplex_check_matches_fraction_sum(probs):
+    want = _simplex_error_by_fraction_sum(probs)
+    if want is None:
+        assert MixedStrategy(probs).probs == probs
+        return
+    with pytest.raises(want[0]) as exc:
+        MixedStrategy(probs)
+    assert (type(exc.value), str(exc.value)) == want
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [
+        (),
+        (F(1, 2), 1),
+        (F(1, 2), 0.5),
+        (F(3, 2), F(-1, 2)),
+        (F(-1, 2), "x"),
+        (F(0), F(0)),
+        (F(1), F(1)),
+        (F(2, 3), F(4, 3)),
+        (F(1), F(1, 10**30)),
+        (F(1, 2), F(1, 2), F(-1, 10**30)),
+        (F(1, 3), F(1, 6), F(1, 2)),
+        (F(0), F(1), F(0)),
+    ],
+)
+def test_strategy_errors_match_fraction_sum(probs):
+    _assert_simplex_check_matches_fraction_sum(probs)
+
+
+def test_strategy_errors_match_fraction_sum_seeded():
+    rng = random.Random(31)
+    rejected = 0
+    for _ in range(2000):
+        dens = [rng.choice([1, 2, 3, 6, 7, 10**30 + 1]) for _ in range(rng.randrange(1, 6))]
+        probs = [F(rng.randrange(-1, 3), den) for den in dens]
+        if rng.random() < 0.5:  # repair the last entry so that the sum is 1
+            probs[-1] = 1 - sum(probs[:-1], F(0))
+        _assert_simplex_check_matches_fraction_sum(tuple(probs))
+        rejected += _simplex_error_by_fraction_sum(tuple(probs)) is not None
+    assert 300 < rejected < 1900
 
 
 def test_strategy_support():
@@ -490,14 +554,14 @@ def test_oracle_solves_each_cached_system_once(oracle_counts):
     # solved systems, not only as a slower benchmark.
     g = PALEY7_SWAPPED
     assert exhaustive_search(g, 2, F(1, 4)) == NoWitness(784)
-    assert oracle_counts == {"systems": 217, "fm": 0, "pairs": 84}
+    assert oracle_counts == {"systems": 77, "fm": 0, "pairs": 84}
     oracle_counts.update(systems=0, fm=0, pairs=0)
     p, q = exhaustive_search(g, 2, F(1, 2))
     assert check_wsne(g, p, q, F(1, 2)).valid
-    assert oracle_counts == {"systems": 36, "fm": 0, "pairs": 1}
+    assert oracle_counts == {"systems": 13, "fm": 0, "pairs": 1}
     oracle_counts.update(systems=0, fm=0, pairs=0)
     assert exhaustive_search(g, 3, F(1, 4)) == NoWitness(63**2)
-    assert oracle_counts == {"systems": 1540, "fm": 1302, "pairs": 1204}
+    assert oracle_counts == {"systems": 987, "fm": 889, "pairs": 1204}
 
 
 def test_orbit_scan_solves_one_row_support_per_orbit(oracle_counts):
@@ -505,15 +569,15 @@ def test_orbit_scan_solves_one_row_support_per_orbit(oracle_counts):
     # <= 2 are least in their orbit, and a column table is built once per
     # orbit, for the same verdicts as the full scan above.
     assert exhaustive_search(PALEY7, 2, F(1, 4)) == NoWitness(784)
-    assert oracle_counts == {"systems": 38, "fm": 0, "pairs": 12}
+    assert oracle_counts == {"systems": 18, "fm": 0, "pairs": 12}
     oracle_counts.update(systems=0, fm=0, pairs=0)
     p, q = exhaustive_search(PALEY7, 2, F(1, 2))
     assert (p.support, q.support) == ((0, 1), (1, 3))
     assert check_wsne(PALEY7, p, q, F(1, 2)).valid
-    assert oracle_counts == {"systems": 22, "fm": 0, "pairs": 1}
+    assert oracle_counts == {"systems": 8, "fm": 0, "pairs": 1}
     oracle_counts.update(systems=0, fm=0, pairs=0)
     assert exhaustive_search(PALEY7, 3, F(1, 4)) == NoWitness(63**2)
-    assert oracle_counts == {"systems": 243, "fm": 190, "pairs": 172}
+    assert oracle_counts == {"systems": 164, "fm": 131, "pairs": 172}
 
 
 def test_k4_pool_game_refutes_k2(oracle_counts):
@@ -525,9 +589,48 @@ def test_k4_pool_game_refutes_k2(oracle_counts):
     assert check_wsne(K4_Q29_SWAPPED, p, q, F(1, 2)).valid
     oracle_counts.update(systems=0, fm=0, pairs=0)
     assert exhaustive_search(K4_Q29, 2, F(1, 4)) == NoWitness(435**2)
-    assert oracle_counts == {"systems": 145, "fm": 0, "pairs": 42}
+    assert oracle_counts == {"systems": 59, "fm": 0, "pairs": 42}
     p, q = exhaustive_search(K4_Q29, 2, F(1, 2))
     assert check_wsne(K4_Q29, p, q, F(1, 2)).valid
+
+
+def _singletons_one_system_per_pattern(system, support):
+    """The singleton table with one solved system per distinct opponent
+    pattern, the rule the payoff-coverage shortcut replaces."""
+    pats, _ = system._table(support)
+    verdicts = {}
+    mask = 0
+    for t, pat in enumerate(pats):
+        if pat not in verdicts:
+            verdicts[pat] = system.solve(support, (t,)) is not None
+        if verdicts[pat]:
+            mask |= 1 << t
+    return mask
+
+
+def test_singletons_match_one_system_per_pattern():
+    from wsforge.wsne import _PlayerSystem, _SupportOracle, _supports
+
+    rng = random.Random(93)
+    decided = Counter()
+    for _ in range(16):
+        m, n = rng.randrange(2, 8), rng.randrange(2, 8)
+        g = random_game(rng, m, n, p=rng.choice([0.2, 0.35, 0.5]), ensure_out_degree=False)
+        for eps in (F(0), F(1, 4), F(1, 2), F(2, 3), F(1)):
+            oracle = _SupportOracle(g, eps)
+            for system in (oracle.p_system, oracle.q_system):
+                reference = _PlayerSystem(system.masks, system.size, eps)
+                for support in _supports(range(system.size), 3):
+                    got = system.singletons(support)
+                    assert got == _singletons_one_system_per_pattern(reference, support), (
+                        g, eps, support
+                    )
+                    bits = sum(1 << s for s in support)
+                    uncovered = [t for t, mask in enumerate(system.masks) if not mask & bits]
+                    if uncovered:
+                        decided[all(got >> t & 1 for t in uncovered)] += 1
+    # the one system per support decides both ways
+    assert decided[True] > 1000 and decided[False] > 500
 
 
 def _fm_system(dim, support_pats, maximal, eps):
