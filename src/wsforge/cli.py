@@ -13,7 +13,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .digraph import KLFailure, cayley, certify_kl, power
+from . import digraph, game, pipeline, residues, wsne
 from .formats import (
     MAX_ORDER,
     FormatError,
@@ -33,10 +33,6 @@ from .formats import (
     write_game,
     wsne_witness_payload,
 )
-from .game import bipartify
-from .pipeline import forge
-from .residues import HaightCertificate, ResidueSet, SearchSpec, search_haight_set
-from .wsne import NoWitness, check_wsne, exhaustive_search
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -113,9 +109,9 @@ def _write_certificate(args: argparse.Namespace, kind: str, payload: dict, out: 
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    spec = SearchSpec(args.kappa, args.q_min, args.q_max, args.budget, args.seed, args.mode)
-    result = search_haight_set(spec)
-    if isinstance(result, HaightCertificate):
+    spec = residues.SearchSpec(args.kappa, args.q_min, args.q_max, args.budget, args.seed, args.mode)
+    result = residues.search_haight_set(spec)
+    if isinstance(result, residues.HaightCertificate):
         print(
             f"found q={result.modulus} Y={{{', '.join(map(str, result.y.members()))}}}"
             f" kappa={result.kappa} (evaluated {result.candidates_evaluated} candidates)"
@@ -139,27 +135,27 @@ def cmd_cayley(args: argparse.Namespace) -> int:
             return EXIT_USAGE
         q = args.q
         members = args.y
-    d = cayley(q, ResidueSet.from_members(q, members))
+    d = digraph.cayley(q, residues.ResidueSet.from_members(q, members))
     write_digraph(d, args.out or sys.stdout)
     return EXIT_OK
 
 
 def cmd_power(args: argparse.Namespace) -> int:
     d = read_digraph(args.infile)
-    write_digraph(power(d, args.t), args.out or sys.stdout)
+    write_digraph(digraph.power(d, args.t), args.out or sys.stdout)
     return EXIT_OK
 
 
 def cmd_bipartify(args: argparse.Namespace) -> int:
     d = read_digraph(args.infile)
-    write_game(bipartify(d), args.out or sys.stdout)
+    write_game(game.bipartify(d), args.out or sys.stdout)
     return EXIT_OK
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
     d = read_digraph(args.infile)
-    result = certify_kl(d, args.k, args.l)
-    if isinstance(result, KLFailure):
+    result = digraph.certify_kl(d, args.k, args.l)
+    if isinstance(result, digraph.KLFailure):
         if result.short_cycle is not None:
             print(
                 f"FAILED: cycle of length {len(result.short_cycle)} < k={args.k}: "
@@ -181,7 +177,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     g = read_game(args.game)
     _, p, q, _ = _certificate_values(args.strategy, "wsne_witness")
-    verdict = check_wsne(g, p, q, args.eps)
+    verdict = wsne.check_wsne(g, p, q, args.eps)
     if verdict.valid:
         print(
             f"valid at eps={verdict.epsilon}"
@@ -198,8 +194,8 @@ def cmd_exhaust(args: argparse.Namespace) -> int:
     g = read_game(args.game)
     if args.out:  # a refutation too large to re-check would be scanned for nothing
         require_pairs_within_max_work(g.m, g.n, args.k, "--k")
-    result = exhaustive_search(g, args.k, args.eps)
-    if isinstance(result, NoWitness):
+    result = wsne.exhaustive_search(g, args.k, args.eps)
+    if isinstance(result, wsne.NoWitness):
         print(
             f"no eps-WSNE with supports of cardinality <= {args.k} at eps={args.eps}:"
             f" refuted {result.pairs_refuted} support pairs"
@@ -229,7 +225,7 @@ def cmd_reverify(args: argparse.Namespace) -> int:
 
 def cmd_forge(args: argparse.Namespace) -> int:
     products = {}
-    stages = forge(
+    stages = pipeline.forge(
         args.k, args.eps, budget=args.budget, seed=args.seed,
         q_min=args.q_min, q_max=args.q_max, mode=args.mode,
     )

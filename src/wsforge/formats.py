@@ -26,11 +26,7 @@ from math import comb
 from pathlib import Path
 from typing import IO, Optional, Union
 
-from . import __version__
-from .digraph import Digraph, KLCertificate, KLFailure, certify_kl
-from .game import WinLoseGame, char_decision, out_degree_offenders
-from .residues import HaightCertificate, ResidueSet, satisfies_haight
-from .wsne import MixedStrategy, NoWitness, check_wsne, exhaustive_search
+from . import __version__, digraph, game, residues, wsne
 
 __all__ = [
     "FormatError",
@@ -158,7 +154,7 @@ def _write_text(dest: Source, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _digraph_from_arcs(n: int, arcs: list[tuple[str, int, int]], error: type) -> Digraph:
+def _digraph_from_arcs(n: int, arcs: list[tuple[str, int, int]], error: type) -> digraph.Digraph:
     """The digraph on n vertices with the given (where, u, v) arcs. An arc
     outside [0, n) or given twice raises ``error`` naming its ``where``."""
     rows = [0] * n
@@ -168,16 +164,16 @@ def _digraph_from_arcs(n: int, arcs: list[tuple[str, int, int]], error: type) ->
         if rows[u] >> v & 1:
             raise error(f"{where}: duplicate arc ({u}, {v})")
         rows[u] |= 1 << v
-    return Digraph(n, tuple(rows))
+    return digraph.Digraph(n, tuple(rows))
 
 
-def write_digraph(d: Digraph, dest: Source) -> None:
+def write_digraph(d: digraph.Digraph, dest: Source) -> None:
     lines = [f"{d.n} {d.arc_count()}"]
     lines.extend(f"{u} {v}" for u, v in d.arcs())
     _write_text(dest, "\n".join(lines) + "\n")
 
 
-def read_digraph(src: Source) -> Digraph:
+def read_digraph(src: Source) -> digraph.Digraph:
     data = [
         (no, line.strip())
         for no, line in enumerate(_read_text(src).splitlines(), start=1)
@@ -227,12 +223,12 @@ def _parse_payoff_row(line: str, n: int) -> int:
     return mask
 
 
-def write_game(g: WinLoseGame, dest: Source) -> None:
+def write_game(g: game.WinLoseGame, dest: Source) -> None:
     lines = [f"{g.m} {g.n}", *_payoff_rows(g.a_rows, g.n), "", *_payoff_rows(g.b_rows, g.n)]
     _write_text(dest, "\n".join(lines) + "\n")
 
 
-def read_game(src: Source) -> WinLoseGame:
+def read_game(src: Source) -> game.WinLoseGame:
     lines = _read_text(src).splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
@@ -242,6 +238,8 @@ def read_game(src: Source) -> WinLoseGame:
     if len(parts) != 2 or not all(p.isdecimal() for p in parts):
         raise FormatError(f"line 1: expected header 'm n', got {lines[0]!r}")
     m, n = int(parts[0]), int(parts[1])
+    if max(m, n) > MAX_ORDER:
+        raise FormatError(f"line 1: a {m} x {n} game exceeds {MAX_ORDER} rows or columns")
     if len(lines) != 2 * m + 2:
         raise FormatError(f"expected {2 * m + 2} lines (header, A, blank, B), found {len(lines)}")
     if lines[m + 1].strip():
@@ -252,7 +250,7 @@ def read_game(src: Source) -> WinLoseGame:
             rows.append(_parse_payoff_row(lines[no - 1], n))
         except FormatError as exc:
             raise FormatError(f"line {no}: {exc}") from exc
-    return WinLoseGame(m, n, tuple(rows[:m]), tuple(rows[m:]))
+    return game.WinLoseGame(m, n, tuple(rows[:m]), tuple(rows[m:]))
 
 
 # ---------------------------------------------------------------------------
@@ -324,19 +322,19 @@ def _require_rows(payload: dict, field: str, m: int, n: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def game_payload(g: WinLoseGame) -> dict:
+def game_payload(g: game.WinLoseGame) -> dict:
     return {"m": g.m, "n": g.n, "a": _payoff_rows(g.a_rows, g.n), "b": _payoff_rows(g.b_rows, g.n)}
 
 
-def _game_from_payload(payload: dict) -> WinLoseGame:
+def _game_from_payload(payload: dict) -> game.WinLoseGame:
     m = _require_order(payload, "m")
     n = _require_order(payload, "n")
     a_rows = _require_rows(payload, "a", m, n)
     b_rows = _require_rows(payload, "b", m, n)
-    return WinLoseGame(m, n, a_rows, b_rows)
+    return game.WinLoseGame(m, n, a_rows, b_rows)
 
 
-def _strategy_from_payload(payload: dict, field: str, length: int) -> MixedStrategy:
+def _strategy_from_payload(payload: dict, field: str, length: int) -> wsne.MixedStrategy:
     value = _require(payload, field, list)
     if len(value) != length:
         raise CertificateError(f"payload.{field}: expected {length} entries, got {len(value)}")
@@ -347,7 +345,7 @@ def _strategy_from_payload(payload: dict, field: str, length: int) -> MixedStrat
         except FormatError as exc:
             raise CertificateError(f"payload.{field}[{pos}]: {exc}") from exc
     try:
-        return MixedStrategy(tuple(probs))
+        return wsne.MixedStrategy(tuple(probs))
     except ValueError as exc:
         raise CertificateError(f"payload.{field}: {exc}") from exc
 
@@ -358,7 +356,7 @@ def _strategy_from_payload(payload: dict, field: str, length: int) -> MixedStrat
 # ---------------------------------------------------------------------------
 
 
-def haight_payload(cert: HaightCertificate) -> dict:
+def haight_payload(cert: residues.HaightCertificate) -> dict:
     return {"q": cert.modulus, "y": list(cert.y.members()), "kappa": cert.kappa,
             "candidates_evaluated": cert.candidates_evaluated}
 
@@ -369,18 +367,18 @@ def _parse_haight(payload: dict) -> tuple[int, list[int], int]:
 
 
 def _recheck_haight(q, members, kappa) -> tuple[bool, str]:
-    y = ResidueSet.from_members(q, members)
-    if not satisfies_haight(y, kappa):
+    y = residues.ResidueSet.from_members(q, members)
+    if not residues.satisfies_haight(y, kappa):
         return False, "stored set fails the certified conditions"
     return True, f"q={q} set of size {len(y)} re-verified at kappa={kappa}"
 
 
-def kl_digraph_payload(d: Digraph, cert: KLCertificate) -> dict:
+def kl_digraph_payload(d: digraph.Digraph, cert: digraph.KLCertificate) -> dict:
     return {"n": d.n, "arcs": [[u, v] for u, v in d.arcs()], "k": cert.k, "l": cert.l,
             "girth": cert.girth_found}
 
 
-def _parse_kl_digraph(payload: dict) -> tuple[Digraph, int, int, Optional[int]]:
+def _parse_kl_digraph(payload: dict) -> tuple[digraph.Digraph, int, int, Optional[int]]:
     n = _require_order(payload, "n")
     arcs = []
     for pos, arc in enumerate(_require(payload, "arcs", list)):
@@ -403,8 +401,8 @@ def _parse_kl_digraph(payload: dict) -> tuple[Digraph, int, int, Optional[int]]:
 def _recheck_kl_digraph(d, k, l, girth_found) -> tuple[bool, str]:
     if l > d.n:
         return False, f"l={l} exceeds n={d.n}"
-    result = certify_kl(d, k, l)
-    if isinstance(result, KLFailure):
+    result = digraph.certify_kl(d, k, l)
+    if isinstance(result, digraph.KLFailure):
         return False, f"not a ({k}, {l})-digraph: {result}"
     if result.girth_found != girth_found:
         return False, f"recomputed girth {result.girth_found} != certified {girth_found}"
@@ -412,7 +410,7 @@ def _recheck_kl_digraph(d, k, l, girth_found) -> tuple[bool, str]:
 
 
 def wsne_witness_payload(
-    g: WinLoseGame, p: MixedStrategy, q: MixedStrategy, eps: Fraction
+    g: game.WinLoseGame, p: wsne.MixedStrategy, q: wsne.MixedStrategy, eps: Fraction
 ) -> dict:
     return {**game_payload(g), "p": [str(x) for x in p.probs], "q": [str(x) for x in q.probs],
             "eps": str(eps)}
@@ -420,7 +418,7 @@ def wsne_witness_payload(
 
 def _parse_wsne_witness(
     payload: dict,
-) -> tuple[WinLoseGame, MixedStrategy, MixedStrategy, Fraction]:
+) -> tuple[game.WinLoseGame, wsne.MixedStrategy, wsne.MixedStrategy, Fraction]:
     g = _game_from_payload(payload)
     p = _strategy_from_payload(payload, "p", g.m)
     q = _strategy_from_payload(payload, "q", g.n)
@@ -428,7 +426,7 @@ def _parse_wsne_witness(
 
 
 def _recheck_wsne_witness(g, p, q, eps) -> tuple[bool, str]:
-    verdict = check_wsne(g, p, q, eps)
+    verdict = wsne.check_wsne(g, p, q, eps)
     if not verdict.valid:
         worst = verdict.violations[0]
         return False, f"{worst.player} {worst.index} pays {worst.payoff}, short by {worst.shortfall}"
@@ -436,7 +434,7 @@ def _recheck_wsne_witness(g, p, q, eps) -> tuple[bool, str]:
 
 
 def nonexistence_payload(
-    g: WinLoseGame, k: int, eps: Fraction, result: NoWitness, char_none: bool = False
+    g: game.WinLoseGame, k: int, eps: Fraction, result: wsne.NoWitness, char_none: bool = False
 ) -> dict:
     """``char_none`` (written only when true) claims char_decision finds nothing either."""
     payload = {**game_payload(g), "k": k, "eps": str(eps), "pairs_refuted": result.pairs_refuted}
@@ -467,7 +465,7 @@ def require_pairs_within_max_work(m: int, n: int, k: int, field: str) -> None:
         )
 
 
-def _parse_nonexistence(payload: dict) -> tuple[WinLoseGame, int, Fraction, int, bool]:
+def _parse_nonexistence(payload: dict) -> tuple[game.WinLoseGame, int, Fraction, int, bool]:
     g = _game_from_payload(payload)
     k = _require_int(payload, "k", 1)
     if k > min(g.m, g.n):
@@ -483,14 +481,14 @@ def _parse_nonexistence(payload: dict) -> tuple[WinLoseGame, int, Fraction, int,
 
 def _recheck_nonexistence(g, k, eps, pairs_refuted, char_none) -> tuple[bool, str]:
     if char_none:
-        offenders = out_degree_offenders(g)
+        offenders = game.out_degree_offenders(g)
         if offenders:
             return False, "characterization needs out-degree >= 1: " + ", ".join(offenders)
-        witness = char_decision(g, k)
+        witness = game.char_decision(g, k)
         if witness is not None:
             return False, f"characterization found {witness}"
-    result = exhaustive_search(g, k, eps)
-    if not isinstance(result, NoWitness):
+    result = wsne.exhaustive_search(g, k, eps)
+    if not isinstance(result, wsne.NoWitness):
         return False, "enumeration found a witness after all"
     if result.pairs_refuted != pairs_refuted:
         return False, f"refuted {result.pairs_refuted} pairs, certificate claims {pairs_refuted}"

@@ -8,10 +8,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Iterator, NamedTuple
 
-from .digraph import KLFailure, cayley, certify_kl, power
-from .game import bipartify, char_decision
-from .residues import HaightCertificate, ResidueSet, SearchSpec, search_haight_set
-from .wsne import NoWitness, exhaustive_search
+from . import digraph, game, residues, wsne
 
 
 class Stage(NamedTuple):
@@ -54,13 +51,14 @@ def forge(
 def _stages(k, eps, budget, seed, q_min, q_max, mode) -> Iterator[Stage]:
     if k == 1:
         # Girth-3 triangle with every singleton dominated; no search needed.
-        base = cayley(3, ResidueSet.from_members(3, [2]))
+        base = digraph.cayley(3, residues.ResidueSet.from_members(3, [2]))
         yield Stage("search", True, "k=1 uses the built-in directed triangle", base)
     else:
         kappa = 2 * k * (k - 1) + 1
         yield Stage("search", True, f"hunting a kappa={kappa} set in q range [{q_min}, {q_max}]")
-        found = search_haight_set(SearchSpec(kappa, q_min, q_max, budget, seed, mode))
-        if not isinstance(found, HaightCertificate):
+        spec = residues.SearchSpec(kappa, q_min, q_max, budget, seed, mode)
+        found = residues.search_haight_set(spec)
+        if not isinstance(found, residues.HaightCertificate):
             yield Stage(
                 "search", False,
                 f"budget exhausted after {found.candidates_evaluated} candidates;"
@@ -74,33 +72,33 @@ def _stages(k, eps, budget, seed, q_min, q_max, mode) -> Iterator[Stage]:
             f"found q={found.modulus} Y={{{members}}} ({found.candidates_evaluated} candidates)",
             found,
         )
-        base = cayley(found.modulus, found.y)
+        base = digraph.cayley(found.modulus, found.y)
         # At k = 2 the power below is the base itself (a Haight set has no 0, so
         # the base has no loops to strip) under the same (5,2) claim.
         if k >= 3:
-            base_cert = certify_kl(base, kappa, 2)
-            if isinstance(base_cert, KLFailure):
+            base_cert = digraph.certify_kl(base, kappa, 2)
+            if isinstance(base_cert, digraph.KLFailure):
                 yield Stage("certify", False, f"base digraph failed: {base_cert}", base_cert)
                 return
             yield Stage("certify", True, f"base is a ({kappa},2)-digraph on {base.n} vertices", base_cert)
 
-    target = power(base, k - 1) if k >= 2 else base
-    target_cert = certify_kl(target, 2 * k + 1, k)
-    if isinstance(target_cert, KLFailure):
+    target = digraph.power(base, k - 1) if k >= 2 else base
+    target_cert = digraph.certify_kl(target, 2 * k + 1, k)
+    if isinstance(target_cert, digraph.KLFailure):
         yield Stage("certify", False, f"power digraph failed: {target_cert}", target_cert)
         return
     yield Stage("certify", True, f"power is a ({2 * k + 1},{k})-digraph", target_cert)
 
-    g = bipartify(target)
+    g = game.bipartify(target)
     yield Stage("bipartify", True, f"game is {g.m} x {g.n}", g)
-    witness = char_decision(g, k)
+    witness = game.char_decision(g, k)
     if witness is not None:
         yield Stage("char", False, f"unexpected structure found: {witness}", witness)
         return
     yield Stage("char", True, f"no cycle of length <= {2 * k} and no one-sided undominated {k}-set")
 
-    result = exhaustive_search(g, k, eps)
-    if not isinstance(result, NoWitness):
+    result = wsne.exhaustive_search(g, k, eps)
+    if not isinstance(result, wsne.NoWitness):
         p, q = result
         detail = f"unexpected witness: row support {list(p.support)}, col support {list(q.support)}"
         yield Stage("exhaust", False, detail, result)

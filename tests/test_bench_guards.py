@@ -1,14 +1,17 @@
 """Cheap guards for the traced benchmark, whose own tests run outside the
 default test paths: every function and subcommand it wraps must still
 exist, its search jobs must be the ones whose trajectories are pinned, its
-refutation games must come from the pool the acceptance suite checks, and
-importing the CLI must stay free of process-pool machinery."""
+refutation games must come from the pool the acceptance suite checks,
+importing the CLI must stay free of process-pool machinery, and its traced
+CLI child must find every module it wraps although the CLI loads only the
+modules a subcommand uses."""
 
 from __future__ import annotations
 
 import argparse
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -19,7 +22,7 @@ import pytest
 import wsforge
 from conftest import SEARCH_PINS
 from test_acceptance import K4_POOL
-from wsforge.cli import build_parser
+from wsforge.cli import build_parser, main
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -71,3 +74,26 @@ def test_cli_import_skips_concurrent_futures():
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_traced_cli_child_records_reverify(tmp_path):
+    cert = tmp_path / "haight.json"
+    assert main(["search", "--kappa", "3", "--q-max", "7", "--out", str(cert)]) == 0
+    trace = tmp_path / "trace.json"
+    src = str(Path(wsforge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, WSFORGE_BENCH_TRACE=str(trace))
+    code = (
+        "import importlib.util\n"
+        f"spec = importlib.util.spec_from_file_location('bench_tracing', {str(BENCH / 'tracing.py')!r})\n"
+        "tracing = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(tracing)\n"
+        "tracing.child_main()\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, "reverify", "--cert", str(cert)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("OK [haight]")
+    names = {span[0] for span in json.loads(trace.read_text(encoding="utf-8"))}
+    assert {"cli.main", "formats.reverify"} <= names

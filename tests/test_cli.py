@@ -110,6 +110,17 @@ def test_moduli_above_max_order_are_usage_errors():
     assert run("search", "--kappa", "3", "--q-min", "7", "--q-max", str(MAX_ORDER)) == 0
 
 
+@pytest.mark.parametrize("m, n", [(1, MAX_ORDER + 1), (MAX_ORDER + 1, 1)])
+def test_game_file_over_max_order_is_a_usage_error(tmp_path, capsys, m, n):
+    wl = tmp_path / "big.wl"
+    rows = ["0" * n] * m
+    wl.write_text("\n".join([f"{m} {n}", *rows, "", *rows]) + "\n")
+    assert run("exhaust", "--game", str(wl), "--k", "1", "--eps", "1/2") == 2
+    assert f"error: line 1: a {m} x {n} game exceeds {MAX_ORDER}" in capsys.readouterr().err
+    wl.write_text("\n".join([f"{MAX_ORDER} 1", *["0"] * MAX_ORDER, "", *["1"] * MAX_ORDER]) + "\n")
+    assert read_game(wl).m == MAX_ORDER
+
+
 # ---------------------------------------------------------------------------
 # cayley / power / bipartify plumbing
 # ---------------------------------------------------------------------------
