@@ -127,14 +127,14 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_cayley(args: argparse.Namespace) -> int:
-    if args.cert:
+    from_cert = args.cert is not None
+    if from_cert == (args.q is not None) or from_cert == (args.y is not None):
+        print("error: need --cert or both --q and --y, not both", file=sys.stderr)
+        return EXIT_USAGE
+    if from_cert:
         q, members, _ = _certificate_values(args.cert, "haight")
     else:
-        if args.q is None or args.y is None:
-            print("error: need --cert or both --q and --y", file=sys.stderr)
-            return EXIT_USAGE
-        q = args.q
-        members = args.y
+        q, members = args.q, args.y
     d = digraph.cayley(q, residues.ResidueSet.from_members(q, members))
     write_digraph(d, args.out or sys.stdout)
     return EXIT_OK

@@ -1,7 +1,7 @@
 """Directed graphs on {0..n-1} with bitset adjacency rows: Cayley
-construction from a residue set, girth by shortest return paths,
-domination checks, bounded-walk powers, and girth/domination
-certification.
+construction from a residue set, girth by a backward search for shortest
+return paths whose layers also give the shortest cycle, domination checks,
+bounded-walk powers, and girth/domination certification.
 
 Digraph values are immutable by convention; every operation returns a new
 value or a plain result.
@@ -139,41 +139,46 @@ def cayley(q: int, y: ResidueSet) -> Digraph:
 # ---------------------------------------------------------------------------
 
 
-def _shortest_return(d: Digraph, v: int, bound: int, alive: int) -> Optional[int]:
-    """Length of the shortest closed walk through v inside the vertex mask
-    ``alive``, or None if none has length < bound (bound >= 2). A shortest
-    closed walk is always a simple cycle."""
-    target = 1 << v
-    frontier = d.out[v] & alive
-    steps = 1
+def _image(masks: Sequence[int], frontier: int) -> int:
+    """Union of ``masks[u]`` over the members u of the bitmask ``frontier``."""
+    out = 0
     while frontier:
-        if frontier & target:
-            return steps
-        steps += 1
-        if steps == bound:
+        out |= masks[(frontier & -frontier).bit_length() - 1]
+        frontier &= frontier - 1
+    return out
+
+
+def _shortest_return(d: Digraph, v: int, bound: int, alive: int) -> Optional[list[int]]:
+    """Backward search from v inside the vertex mask ``alive``: its frontier
+    layers up to the shortest closed walk through v, or None if none has
+    length < bound (bound >= 2). Layer s - 1 holds the vertices whose
+    shortest path to v is s arcs long; the last layer holds v, so the walk
+    has one arc per layer. A shortest closed walk is always a simple cycle."""
+    layers = []
+    frontier = d.in_masks[v] & alive
+    while frontier:
+        layers.append(frontier)
+        if frontier >> v & 1:
+            return layers
+        if len(layers) + 1 == bound:
             return None
         alive &= ~frontier
-        nxt = 0
-        m = frontier
-        while m:
-            u = (m & -m).bit_length() - 1
-            nxt |= d.out[u]
-            m &= m - 1
-        frontier = nxt & alive
+        frontier = _image(d.in_masks, frontier) & alive
     return None
 
 
-def _girth_and_start(d: Digraph) -> Optional[tuple[int, int]]:
-    best: Optional[tuple[int, int]] = None
+def _girth_and_start(d: Digraph) -> Optional[tuple[int, int, list[int]]]:
+    """(girth, start, layers): the start vertex that ``shortest_cycle`` uses
+    and the layers of its backward search, or None if acyclic."""
+    best: Optional[tuple[int, int, list[int]]] = None
     alive = (1 << d.n) - 1
     for v in range(d.n):
         if not alive >> v & 1:
             continue
-        bound = best[0] if best is not None else d.n + 1
-        r = _shortest_return(d, v, bound, alive)
-        if r is not None:
-            best = (r, v)
-            if r == 1:
+        layers = _shortest_return(d, v, d.n + 1 if best is None else best[0], alive)
+        if layers is not None:
+            best = (len(layers), v, layers)
+            if best[0] == 1:
                 break
         if best is not None and best[0] == 2:
             continue  # each later search stops after its first step
@@ -197,9 +202,9 @@ def girth(d: Digraph) -> Optional[int]:
     """Length of the shortest directed cycle (self-loop = 1), or None if
     the digraph is acyclic.
 
-    Searches for the shortest return path from each vertex v in turn, inside
-    the vertices not yet dropped, and only up to the girth found so far.
-    After v's search, v is dropped, and so is every vertex left with no
+    Searches backward for the shortest return path to each vertex v in turn,
+    inside the vertices not yet dropped, and only up to the girth found so
+    far. After v's search, v is dropped, and so is every vertex left with no
     out-arc or no in-arc among the rest (a worklist peels them). Every
     shortest cycle through the least vertex on any shortest cycle avoids
     smaller vertices, so the girth and the start vertex that
@@ -212,58 +217,24 @@ def girth(d: Digraph) -> Optional[int]:
     return None if found is None else found[0]
 
 
-def _distances_to(d: Digraph, v: int) -> list[Optional[int]]:
-    dist: list[Optional[int]] = [None] * d.n
-    dist[v] = 0
-    visited = 1 << v
-    frontier = d.in_masks[v] & ~visited
-    steps = 1
-    while frontier:
-        m = frontier
-        while m:
-            u = (m & -m).bit_length() - 1
-            dist[u] = steps
-            m &= m - 1
-        visited |= frontier
-        nxt = 0
-        m = frontier
-        while m:
-            u = (m & -m).bit_length() - 1
-            nxt |= d.in_masks[u]
-            m &= m - 1
-        frontier = nxt & ~visited
-        steps += 1
-    return dist
-
-
 def shortest_cycle(d: Digraph) -> Optional[list[int]]:
     """A shortest directed cycle as a vertex list, or None if acyclic.
 
-    Deterministic: starts at the smallest vertex achieving the girth and
-    greedily takes the smallest next vertex that stays on a shortest route.
+    Deterministic: starts at the smallest vertex achieving the girth g and
+    greedily takes the smallest next vertex that stays on a shortest route:
+    after t arcs, a vertex of the girth search's layer g - t - 1. Those
+    layers skip the vertices dropped before that search, which no shortest
+    cycle through the start visits, so the cycle is the one a search over
+    all vertices would give.
     """
     found = _girth_and_start(d)
     if found is None:
         return None
-    g, v = found
-    dist_to = _distances_to(d, v)
+    g, v, layers = found
     cycle = [v]
-    cur = v
     for t in range(1, g):
-        m = d.out[cur]
-        nxt = None
-        while m:
-            u = (m & -m).bit_length() - 1
-            if dist_to[u] == g - t:
-                nxt = u
-                break
-            m &= m - 1
-        if nxt is None:
-            raise AssertionError("shortest-cycle reconstruction lost the trail")
-        cycle.append(nxt)
-        cur = nxt
-    if not d.has_arc(cur, v):
-        raise AssertionError("shortest-cycle reconstruction did not close")
+        m = d.out[cycle[-1]] & layers[g - t - 1]
+        cycle.append((m & -m).bit_length() - 1)
     return cycle
 
 
@@ -342,12 +313,7 @@ def power(d: Digraph, t: int) -> Digraph:
     for v in range(d.n):
         reach = frontier = d.out[v]
         for _ in range(t - 1):
-            step = 0
-            while frontier:
-                u = (frontier & -frontier).bit_length() - 1
-                step |= d.out[u]
-                frontier &= frontier - 1
-            frontier = step & ~reach
+            frontier = _image(d.out, frontier) & ~reach
             if not frontier:
                 break
             reach |= frontier

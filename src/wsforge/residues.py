@@ -128,24 +128,19 @@ def _rot(bits: int, shift: int, q: int) -> int:
     return ((bits << shift) | (bits >> (q - shift))) & mask
 
 
+def _sumset_step(acc: int, bits: int, q: int, sign: int = 1) -> int:
+    """acc (+) sign * bits: every a + sign * r for a in acc and r in bits."""
+    out = 0
+    b = bits
+    while b:
+        r = (b & -b).bit_length() - 1
+        out |= _rot(acc, sign * r, q)
+        b &= b - 1
+    return out
+
+
 def _diff_bits(bits: int, q: int) -> int:
-    out = 0
-    b = bits
-    while b:
-        r = (b & -b).bit_length() - 1
-        out |= _rot(bits, q - r, q)
-        b &= b - 1
-    return out
-
-
-def _sumset_step(acc: int, bits: int, q: int) -> int:
-    out = 0
-    b = bits
-    while b:
-        r = (b & -b).bit_length() - 1
-        out |= _rot(acc, r, q)
-        b &= b - 1
-    return out
+    return _sumset_step(bits, bits, q, -1)
 
 
 def difference_set(y: ResidueSet) -> ResidueSet:

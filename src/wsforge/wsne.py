@@ -56,6 +56,13 @@ def as_exact(value: Union[int, str, Fraction]) -> Fraction:
     return Fraction(value)
 
 
+def _exact_eps(eps: Union[int, str, Fraction]) -> Fraction:
+    eps = as_exact(eps)
+    if eps < 0:
+        raise ValueError(f"eps must be >= 0, got {eps}")
+    return eps
+
+
 @dataclass(frozen=True)
 class MixedStrategy:
     """Probability vector with exact entries; sums to exactly 1.
@@ -206,9 +213,7 @@ def check_wsne(
 ) -> WsneVerdict:
     """Exact verdict: every supported pure strategy must earn within eps of
     the best pure response. Boundary cases (payoff == best - eps) pass."""
-    eps = as_exact(eps)
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
+    eps = _exact_eps(eps)
     row_pay, col_pay = payoffs(g, p, q)
     row_best = max(row_pay)
     col_best = max(col_pay)
@@ -462,9 +467,7 @@ def feasible_on_supports(
     support is a strict subset is still a valid eps-WSNE, so the extra
     constraints only shrink the feasible region. Returns exact witnesses.
     """
-    eps = as_exact(eps)
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
+    eps = _exact_eps(eps)
     if pair.rows[-1] >= g.m or pair.cols[-1] >= g.n:
         raise ValueError("support pair exceeds game dimensions")
     oracle = _SupportOracle(g, eps)
@@ -528,9 +531,7 @@ def exhaustive_search(
     """
     if not 1 <= k <= min(g.m, g.n):
         raise ValueError(f"need 1 <= k <= min(m, n) = {min(g.m, g.n)}, got {k}")
-    eps = as_exact(eps)
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
+    eps = _exact_eps(eps)
     oracle = _SupportOracle(g, eps)
     n = g.n
     symmetric = _shift_invariant(g)

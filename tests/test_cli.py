@@ -151,6 +151,17 @@ def test_cayley_requires_inputs():
     assert run("cayley") == 2
 
 
+@pytest.mark.parametrize("extra", [("--q", "7", "--y", "1"), ("--q", "7"), ("--y", "1")])
+def test_cayley_rejects_certificate_with_q_or_y(tmp_path, capsys, extra):
+    cert = tmp_path / "h.json"
+    dg = tmp_path / "d.dg"
+    assert run("search", "--kappa", "3", "--q-max", "7", "--out", str(cert)) == 0
+    capsys.readouterr()
+    assert run("cayley", "--cert", str(cert), *extra, "--out", str(dg)) == 2
+    assert "need --cert or both --q and --y, not both" in capsys.readouterr().err
+    assert not dg.exists()
+
+
 # ---------------------------------------------------------------------------
 # certify
 # ---------------------------------------------------------------------------

@@ -36,31 +36,29 @@ FIVE_CYCLE = Digraph.from_arcs(5, [(i, (i + 1) % 5) for i in range(5)])
 PALEY7 = cayley(7, ResidueSet.from_members(7, [1, 2, 4]))
 
 
-def brute_girth(d: Digraph) -> tuple[int, int] | None:
-    """(girth, start) over all simple cycles, each rooted at its least vertex:
-    start is the least vertex that lies on a shortest cycle."""
-    best: int | None = None
-    start_of_best = -1
+def brute_girth(d: Digraph) -> list[int] | None:
+    """A shortest cycle over all simple cycles, each rooted at its least
+    vertex: it starts at the least vertex that lies on a shortest cycle, and
+    is the lexicographically least shortest cycle from there."""
+    best: list[int] | None = None
 
-    def dfs(start: int, current: int, visited: set[int], length: int) -> None:
-        nonlocal best, start_of_best
-        if best is not None and length + 1 >= best + 1 and length >= best:
+    def dfs(path: list[int]) -> None:
+        nonlocal best
+        if best is not None and len(path) >= len(best):
             return
         for w in range(d.n):
-            if not d.has_arc(current, w):
+            if not d.has_arc(path[-1], w):
                 continue
-            if w == start:
-                if best is None or length + 1 < best:
-                    best = length + 1
-                    start_of_best = start
-            elif w > start and w not in visited:
-                visited.add(w)
-                dfs(start, w, visited, length + 1)
-                visited.remove(w)
+            if w == path[0]:
+                # Paths are tried in lexicographic order, so the first cycle
+                # of each length is the least one.
+                best = list(path)
+            elif w > path[0] and w not in path:
+                dfs(path + [w])
 
     for start in range(d.n):
-        dfs(start, start, {start}, 0)
-    return None if best is None else (best, start_of_best)
+        dfs([start])
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +133,8 @@ def test_girth_matches_brute_force():
 
 def assert_girth_and_start(d: Digraph) -> None:
     expected = brute_girth(d)
-    cyc = shortest_cycle(d)
-    assert girth(d) == (None if expected is None else expected[0])
-    assert (None if cyc is None else (len(cyc), cyc[0])) == expected
+    assert girth(d) == (None if expected is None else len(expected))
+    assert shortest_cycle(d) == expected
 
 
 def test_girth_with_self_loops():
@@ -149,6 +146,17 @@ def test_girth_with_self_loops():
         looped = Digraph(n, tuple(m | (1 << v) if u == v else m for u, m in enumerate(d.out)))
         assert girth(looped) == 1
         assert shortest_cycle(looped) == [v]
+
+
+def test_long_girth_cycles_are_fast():
+    # One 4096-cycle, and a 512-vertex Cayley digraph of girth 256 with a
+    # shortest cycle through every vertex.
+    start = time.perf_counter()
+    ring = cayley(4096, ResidueSet.from_members(4096, [1]))
+    assert shortest_cycle(ring) == [0, *range(4095, 0, -1)]
+    twisted = cayley(512, ResidueSet.from_members(512, [1, 257]))
+    assert shortest_cycle(twisted) == [0, *range(255, 0, -1)]
+    assert time.perf_counter() - start < 2
 
 
 def test_cayley_sumset_bridge_small():
