@@ -17,6 +17,7 @@ from . import digraph, game, pipeline, residues, wsne
 from .formats import (
     MAX_ORDER,
     FormatError,
+    _require_subsets_within_max_work,
     haight_payload,
     kl_digraph_payload,
     make_envelope,
@@ -154,6 +155,8 @@ def cmd_bipartify(args: argparse.Namespace) -> int:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     d = read_digraph(args.infile)
+    if args.out:  # a certificate too large to re-check would be scanned for nothing
+        _require_subsets_within_max_work(d.n, args.l, "--l")
     result = digraph.certify_kl(d, args.k, args.l)
     if isinstance(result, digraph.KLFailure):
         if result.short_cycle is not None:
@@ -335,3 +338,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -102,8 +102,6 @@ class KLCertificate:
     k: int
     l: int
     girth_found: Optional[int]
-    domination_exhaustive: bool
-    verified: bool
 
 
 @dataclass(frozen=True)
@@ -282,9 +280,7 @@ def all_subsets_dominated(d: Digraph, l: int) -> bool:
     Covers "at most l" as well: a smaller set extends to an l-set whose
     dominator also dominates it (hence the l <= n precondition).
     """
-    if not 1 <= l <= d.n:
-        raise ValueError(f"need 1 <= l <= {d.n}, got {l}")
-    return _first_undominated(d.in_masks, range(d.n), l) is None
+    return find_undominated_set(d, l) is None
 
 
 def find_undominated_set(d: Digraph, l: int) -> Optional[tuple[int, ...]]:
@@ -340,10 +336,4 @@ def certify_kl(d: Digraph, k: int, l: int) -> Union[KLCertificate, KLFailure]:
     witness = find_undominated_set(d, l)
     if witness is not None:
         return KLFailure(k, l, undominated=witness)
-    return KLCertificate(
-        k=k,
-        l=l,
-        girth_found=None if cyc is None else len(cyc),
-        domination_exhaustive=True,
-        verified=True,
-    )
+    return KLCertificate(k, l, None if cyc is None else len(cyc))

@@ -388,8 +388,7 @@ def _parse_kl_digraph(payload: dict) -> tuple[digraph.Digraph, int, int, Optiona
     d = _digraph_from_arcs(n, arcs, CertificateError)
     k = _require_int(payload, "k", 1)
     l = _require_int(payload, "l", 1)
-    if comb(n, l) > MAX_WORK:
-        raise CertificateError(f"payload.l: the {l}-subsets of {n} vertices exceed {MAX_WORK}")
+    _require_subsets_within_max_work(n, l, "payload.l")
     if "girth" not in payload:
         raise CertificateError("payload.girth: missing required field (null means acyclic)")
     girth_found = payload["girth"]
@@ -463,6 +462,14 @@ def require_pairs_within_max_work(m: int, n: int, k: int, field: str) -> None:
         raise CertificateError(
             f"{field}: the support pairs of size <= {k} of a {m} x {n} game exceed {MAX_WORK}"
         )
+
+
+def _require_subsets_within_max_work(n: int, l: int, field: str) -> None:
+    """Raise CertificateError, naming ``field``, if a kl_digraph claim on n
+    vertices asks for more than MAX_WORK l-subsets; reverify refuses such a
+    claim, so certify refuses to scan for one."""
+    if comb(n, l) > MAX_WORK:
+        raise CertificateError(f"{field}: the {l}-subsets of {n} vertices exceed {MAX_WORK}")
 
 
 def _parse_nonexistence(payload: dict) -> tuple[game.WinLoseGame, int, Fraction, int, bool]:

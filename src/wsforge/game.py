@@ -10,6 +10,7 @@ each arc across the bipartition, and adding the diagonal arcs r_i -> c_i.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
 
 from .digraph import Digraph, _first_undominated, _transpose, shortest_cycle
@@ -82,6 +83,7 @@ class WinLoseGame:
     def b_matrix(self) -> list[list[int]]:
         return [[self.b(i, j) for j in range(self.n)] for i in range(self.m)]
 
+    @cached_property
     def b_col_masks(self) -> tuple[int, ...]:
         """Bitmask over rows per column: bit i of entry j is B[i][j]."""
         return _transpose(self.b_rows, self.n)
@@ -108,7 +110,7 @@ def to_bipartite_digraph(g: WinLoseGame) -> Digraph:
     """Digraph on m + n vertices, rows first: r_i -> c_j iff A[i][j] = 1 and
     c_j -> r_i iff B[i][j] = 1."""
     rows = [mask << g.m for mask in g.a_rows]
-    rows.extend(g.b_col_masks())
+    rows.extend(g.b_col_masks)
     return Digraph(g.m + g.n, tuple(rows))
 
 
@@ -127,7 +129,7 @@ def out_degree_offenders(g: WinLoseGame) -> list[str]:
     """Labels of bipartite vertices with out-degree zero (empty A rows and
     empty B columns)."""
     offenders = [f"r{i}" for i in range(g.m) if g.a_rows[i] == 0]
-    offenders.extend(f"c{j}" for j, mask in enumerate(g.b_col_masks()) if mask == 0)
+    offenders.extend(f"c{j}" for j, mask in enumerate(g.b_col_masks) if mask == 0)
     return offenders
 
 
@@ -158,8 +160,6 @@ def char_decision(
     if cyc is not None and len(cyc) <= 2 * k:
         return CycleWitness(tuple(cyc))
     for side, count, offset in (("row", g.m, 0), ("col", g.n, g.m)):
-        if k > count:
-            continue
         combo = _first_undominated(h.in_masks, range(offset, offset + count), k)
         if combo is not None:
             return UndominatedWitness(side, tuple(x - offset for x in combo))

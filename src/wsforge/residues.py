@@ -74,14 +74,13 @@ class ResidueSet:
 class HaightCertificate:
     """A set Y in Z_q with Y-Y = Z_q and 0 not in (s)Y for 1 <= s < kappa.
 
-    ``verified`` is set only after both conditions have been re-checked from
-    scratch on the stored member list.
+    The search returns one only after both conditions have been re-checked
+    from scratch on the stored member list.
     """
 
     modulus: int
     y: ResidueSet
     kappa: int
-    verified: bool = False
     candidates_evaluated: int = 0
 
 
@@ -174,7 +173,7 @@ def satisfies_haight(y: ResidueSet, kappa: int) -> bool:
     """
     if kappa < 2:
         raise ValueError(f"kappa must be >= 2, got {kappa}")
-    return _passes(y.modulus, y.bits, kappa)
+    return _objective(y.modulus, y.bits, kappa, 1) == 0
 
 
 def shift_set(x: ResidueSet, y: int) -> ResidueSet:
@@ -184,15 +183,20 @@ def shift_set(x: ResidueSet, y: int) -> ResidueSet:
     return ResidueSet(x.modulus, _rot(x.bits, x.modulus - y, x.modulus))
 
 
-def _passes(q: int, bits: int, kappa: int) -> bool:
-    if _diff_bits(bits, q) != (1 << q) - 1:
-        return False
-    acc = bits
-    for _ in range(kappa - 1):
-        if acc & 1:
-            return False
-        acc = _sumset_step(acc, bits, q)
-    return True
+def _objective(q: int, bits: int, kappa: int, bar: int) -> int:
+    """Missing differences plus violated sumset levels, zero iff Y qualifies,
+    when that is below ``bar``; otherwise some value >= ``bar``: the levels
+    are built only while the count stays below it. ``bar = 1`` decides the
+    Haight conditions, and ``bar = q + kappa`` gives the exact value."""
+    total = q - _diff_bits(bits, q).bit_count()
+    acc = bits  # (s)Y at level s
+    for s in range(1, kappa):
+        if total >= bar:
+            break
+        if s > 1:
+            acc = _sumset_step(acc, bits, q)
+        total += acc & 1
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -241,18 +245,6 @@ def _canonical_evens(q: int) -> Iterator[int]:
                 yield bits
 
 
-def _objective(q: int, bits: int, kappa: int) -> int:
-    """Missing differences plus violated sumset levels; zero iff Y qualifies."""
-    missing = q - _diff_bits(bits, q).bit_count()
-    violated = 0
-    acc = bits
-    for _ in range(kappa - 1):
-        if acc & 1:
-            violated += 1
-        acc = _sumset_step(acc, bits, q)
-    return missing + violated
-
-
 def _min_size(q: int) -> int:
     # Need |Y| * (|Y| - 1) + 1 >= q for the differences to have a chance.
     k = (1 + isqrt(4 * q - 3)) // 2
@@ -265,7 +257,7 @@ def _verified_certificate(q: int, bits: int, kappa: int, evaluated: int) -> Haig
     fresh = ResidueSet.from_members(q, [r for r in range(q) if bits >> r & 1])
     if not satisfies_haight(fresh, kappa):
         raise AssertionError("search produced a candidate that fails re-verification")
-    return HaightCertificate(q, fresh, kappa, verified=True, candidates_evaluated=evaluated)
+    return HaightCertificate(q, fresh, kappa, candidates_evaluated=evaluated)
 
 
 def _search_exhaustive(spec: SearchSpec) -> Union[HaightCertificate, SearchExhausted]:
@@ -277,7 +269,7 @@ def _search_exhaustive(spec: SearchSpec) -> Union[HaightCertificate, SearchExhau
                 if evaluated >= spec.budget:
                     return SearchExhausted(evaluated)
                 evaluated += 1
-                if bits.bit_count() >= min_size and _passes(q, bits, spec.kappa):
+                if bits.bit_count() >= min_size and not _objective(q, bits, spec.kappa, 1):
                     return _verified_certificate(q, bits, spec.kappa, evaluated)
             # bits + 1 holds residue 0, so it fails the s = 1 level.
             if evaluated >= spec.budget:
@@ -289,14 +281,15 @@ def _search_exhaustive(spec: SearchSpec) -> Union[HaightCertificate, SearchExhau
 def _swap_scorer(q: int, kappa: int, ya: int) -> Callable[[int, int], int]:
     """Scorer for the sets Y' = Ya + {b}, b not in Ya, built once from Ya.
 
-    ``score(b, bar)`` is ``_objective(q, Y', kappa)`` when that is below
-    ``bar``, and some value >= ``bar`` otherwise. The tables are D_a =
-    (Ya - Ya) + {0}, Ya and -Ya doubled to 2q bits (so a rotation is one
-    shift and a mask), and the levels L_0 = {0}, L_1 = Ya, ...,
-    L_{kappa-1} = (kappa-1)Ya. Then Y' - Y' = D_a + (b - Ya) + (Ya - b), and
-    0 is in sY' iff -j*b is in L_{s-j} for some j in 0..s. So a swap costs
-    one popcount and at most kappa*(kappa-1)/2 bit tests, where
-    ``_objective`` takes |Y'| rotations per level.
+    ``score(b, bar)`` keeps the contract of ``_objective(q, Y', kappa, bar)``:
+    the exact value when that is below ``bar``, and some value >= ``bar``
+    otherwise. The tables are D_a = (Ya - Ya) + {0}, Ya and -Ya doubled to
+    2q bits (so a rotation is one shift and a mask), and the levels
+    L_0 = {0}, L_1 = Ya, ..., L_{kappa-1} = (kappa-1)Ya. Then
+    Y' - Y' = D_a + (b - Ya) + (Ya - b), and 0 is in sY' iff -j*b is in
+    L_{s-j} for some j in 0..s. So a swap costs one popcount and at most
+    kappa*(kappa-1)/2 bit tests, where ``_objective`` takes |Y'| rotations
+    per level.
     """
     mask = (1 << q) - 1
     d_a = _diff_bits(ya, q) | 1
@@ -340,16 +333,15 @@ def _hill_climb(q: int, kappa: int, rng: random.Random, budget_left: int) -> tup
     score for a swap that cannot win.
     """
     size = min(q - 1, _min_size(q) + rng.randrange(3))
-    members = set(rng.sample(range(1, q), size))
-    bits = 0
-    for r in members:
-        bits |= 1 << r
+    bits = sum(1 << r for r in rng.sample(range(1, q), size))
     spent = 1
-    score = _objective(q, bits, kappa)
+    score = _objective(q, bits, kappa, q + kappa)
     while score > 0:
-        best = None
+        best = 0
         bar = score  # a swap is taken only if it scores below this
-        for a in sorted(members):
+        for a in range(1, q):
+            if not bits >> a & 1:
+                continue
             ya = bits ^ (1 << a)
             swap_score = _swap_scorer(q, kappa, ya)
             for b in range(1, q):
@@ -361,17 +353,17 @@ def _hill_climb(q: int, kappa: int, rng: random.Random, budget_left: int) -> tup
                 cand_score = swap_score(b, bar)
                 if cand_score < bar:
                     bar = cand_score
-                    best = (cand_score, a, b, ya | 1 << b)
-        if best is None:
+                    best = ya | 1 << b
+        if not best:
             return 0, spent  # local minimum
-        score, a, b, bits = best
-        members.remove(a)
-        members.add(b)
+        score, bits = bar, best
     return bits, spent
 
 
 def _search_randomized(spec: SearchSpec) -> Union[HaightCertificate, SearchExhausted]:
-    qs = [q for q in range(max(spec.q_min, 2), spec.q_max + 1) if _min_size(q) <= q - 1]
+    # No Haight set lives in Z_q for q < kappa: each y in Y has order at most
+    # q, and 0 = ord(y) * y lies in ord(y)Y.
+    qs = [q for q in range(max(spec.q_min, spec.kappa), spec.q_max + 1) if _min_size(q) <= q - 1]
     if not qs:
         return SearchExhausted(0)
     rngs = {q: random.Random((spec.seed + 1) * 0x9E3779B97F4A7C15 + q) for q in qs}

@@ -259,7 +259,7 @@ def wsne_from_undominated(
     k = len(chosen)
     eps = _ONE - Fraction(1, k)
     # least-index out-neighbor on the other side of each member of U
-    masks = g.a_rows if side == "row" else g.b_col_masks()
+    masks = g.a_rows if side == "row" else g.b_col_masks
     image = sorted({(masks[i] & -masks[i]).bit_length() - 1 for i in chosen})
     own = MixedStrategy.uniform_on(chosen, count)
     reply = MixedStrategy.uniform_on(image, other)
@@ -332,7 +332,7 @@ class _PlayerSystem:
         self.size = size
         self.eps = eps
         self._tables: dict[tuple[int, ...], tuple[list[int], tuple[int, ...]]] = {}
-        self._solved: dict[tuple, Optional[tuple[Fraction, ...]]] = {}
+        self._solved: dict[tuple, Optional[MixedStrategy]] = {}
 
     def _table(self, support: tuple[int, ...]):
         hit = self._tables.get(support)
@@ -342,19 +342,26 @@ class _PlayerSystem:
             self._tables[support] = hit
         return hit
 
-    def solve(
+    def strategy(
         self, support: tuple[int, ...], opp_support: tuple[int, ...]
-    ) -> Optional[tuple[Fraction, ...]]:
-        """A distribution over ``support`` making every opponent strategy in
-        ``opp_support`` an eps-best response; None if infeasible."""
+    ) -> Optional[MixedStrategy]:
+        """A strategy over all of this player's strategies, supported inside
+        ``support``, that makes every opponent strategy in ``opp_support`` an
+        eps-best response; None if infeasible. Cached per system."""
         pats, maximal = self._table(support)
         support_pats = frozenset(pats[t] for t in opp_support)
         key = (support, support_pats)
         if key in self._solved:
             return self._solved[key]
         point = self._solve_system(len(support), support_pats, maximal)
-        self._solved[key] = point
-        return point
+        found = None
+        if point is not None:
+            probs = [_ZERO] * self.size
+            for s, x in zip(support, point):
+                probs[s] = x
+            found = MixedStrategy(tuple(probs))
+        self._solved[key] = found
+        return found
 
     def _solve_system(
         self, dim: int, support_pats: frozenset[int], maximal: tuple[int, ...]
@@ -405,7 +412,7 @@ class _PlayerSystem:
 
     def singletons(self, support: tuple[int, ...]) -> int:
         """Bitmask of the opponent strategies t for which
-        ``solve(support, (t,))`` is feasible.
+        ``strategy(support, (t,))`` is feasible.
 
         Every t that pays 1 against some s in ``support`` is: with all mass
         on s, t earns 1, the most any strategy earns. The others share the
@@ -420,21 +427,9 @@ class _PlayerSystem:
                 uncovered |= 1 << t
         if uncovered:
             t = (uncovered & -uncovered).bit_length() - 1
-            if self.solve(support, (t,)) is not None:
+            if self.strategy(support, (t,)) is not None:
                 covered |= uncovered
         return covered
-
-    def full_point(
-        self, support: tuple[int, ...], opp_support: tuple[int, ...]
-    ) -> Optional[tuple[Fraction, ...]]:
-        """:meth:`solve` as a vector over all of this player's strategies."""
-        point = self.solve(support, opp_support)
-        if point is None:
-            return None
-        full = [_ZERO] * self.size
-        for idx, s in enumerate(support):
-            full[s] = point[idx]
-        return tuple(full)
 
 
 class _SupportOracle:
@@ -444,18 +439,18 @@ class _SupportOracle:
 
     def __init__(self, g: WinLoseGame, eps: Fraction):
         self.q_system = _PlayerSystem(g.a_rows, g.n, eps)
-        self.p_system = _PlayerSystem(g.b_col_masks(), g.m, eps)
+        self.p_system = _PlayerSystem(g.b_col_masks, g.m, eps)
 
-    def pair_feasible(
+    def witness(
         self, rows: tuple[int, ...], cols: tuple[int, ...]
-    ) -> Optional[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]]:
-        q_point = self.q_system.full_point(cols, rows)
-        if q_point is None:
+    ) -> Optional[tuple[MixedStrategy, MixedStrategy]]:
+        """Strategies (p, q) on ``rows`` and ``cols`` that form an eps-WSNE,
+        or None if the pair is infeasible."""
+        q = self.q_system.strategy(cols, rows)
+        if q is None:
             return None
-        p_point = self.p_system.full_point(rows, cols)
-        if p_point is None:
-            return None
-        return p_point, q_point
+        p = self.p_system.strategy(rows, cols)
+        return None if p is None else (p, q)
 
 
 def feasible_on_supports(
@@ -470,12 +465,7 @@ def feasible_on_supports(
     eps = _exact_eps(eps)
     if pair.rows[-1] >= g.m or pair.cols[-1] >= g.n:
         raise ValueError("support pair exceeds game dimensions")
-    oracle = _SupportOracle(g, eps)
-    found = oracle.pair_feasible(pair.rows, pair.cols)
-    if found is None:
-        return None
-    p_point, q_point = found
-    return MixedStrategy(p_point), MixedStrategy(q_point)
+    return _SupportOracle(g, eps).witness(pair.rows, pair.cols)
 
 
 def _supports(indices: Sequence[int], k: int) -> list[tuple[int, ...]]:
@@ -556,10 +546,9 @@ def exhaustive_search(
                 ok_rows = ok_rows_of[cols] = _rot(base, shift, n)
             if row_mask & ~ok_rows:
                 continue
-            found = oracle.pair_feasible(rows, cols)
+            found = oracle.witness(rows, cols)
             if found is not None:
-                p_point, q_point = found
-                return MixedStrategy(p_point), MixedStrategy(q_point)
+                return found
     col_count = sum(comb(n, size) for size in range(1, k + 1))
     return NoWitness(len(row_supports) * col_count)
 

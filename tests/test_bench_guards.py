@@ -2,9 +2,10 @@
 default test paths: every function and subcommand it wraps must still
 exist, its search jobs must be the ones whose trajectories are pinned, its
 refutation games must come from the pool the acceptance suite checks,
-importing the CLI must stay free of process-pool machinery, and its traced
+importing the CLI must stay free of process-pool machinery, its traced
 CLI child must find every module it wraps although the CLI loads only the
-modules a subcommand uses."""
+modules a subcommand uses, and a quick round of each in-process workload
+must check out correct."""
 
 from __future__ import annotations
 
@@ -97,3 +98,17 @@ def test_traced_cli_child_records_reverify(tmp_path):
     assert done.stdout.startswith("OK [haight]")
     names = {span[0] for span in json.loads(trace.read_text(encoding="utf-8"))}
     assert {"cli.main", "formats.reverify"} <= names
+
+
+@pytest.mark.parametrize("workload", ["refute", "crosscheck", "search"])
+def test_quick_workload_round_is_correct(workload):
+    # The benchmark reads wsforge's result types; one toy-sized round checks
+    # every output it produces against its independent computations.
+    done = subprocess.run(
+        [sys.executable, str(BENCH / "run.py"), "--workload", workload, "--seed", "1",
+         "--seconds", "1", "--quick"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report["correct"] is True and report["failed"] == 0, report

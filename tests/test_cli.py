@@ -8,11 +8,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from wsforge import ResidueSet, bipartify, cayley, power
+import wsforge
+from wsforge import Digraph, ResidueSet, bipartify, cayley, power
 from wsforge.cli import main
 from wsforge.formats import (
     MAX_ORDER,
@@ -66,6 +71,16 @@ def test_search_kappa2(tmp_path):
 
 def test_search_exhaustion_exits_3():
     assert run("search", "--kappa", "3", "--q-max", "4") == 3
+
+
+def test_randomized_search_skips_moduli_below_kappa(capsys):
+    # Z_7 holds no Haight set at kappa > 7, so no sumset level is built.
+    code, seconds = run_timed(
+        "search", "--kappa", "100000", "--q-min", "7", "--q-max", "7",
+        "--mode", "randomized", "--budget", "50",
+    )
+    assert code == 3 and seconds < 1
+    assert "evaluated 0 candidates" in capsys.readouterr().err
 
 
 def test_search_deterministic_bytes(tmp_path):
@@ -422,6 +437,21 @@ def test_exhaust_out_refuses_a_claim_over_max_work_before_the_scan(tmp_path, cap
     assert "--k: the support pairs of size <= 2 of a 151 x 151 game exceed" in captured.err
 
 
+def test_certify_out_refuses_a_claim_over_max_work_before_the_scan(tmp_path, capsys):
+    # The complete digraph on 30 vertices at l = 15: C(30, 15) > MAX_WORK
+    # subsets, a certificate reverify would refuse, so certify --out does not
+    # scan for it.
+    dg = tmp_path / "k30.dg"
+    write_digraph(Digraph(30, tuple(((1 << 30) - 1) & ~(1 << v) for v in range(30))), dg)
+    out = tmp_path / "k30.json"
+    code, seconds = run_timed("certify", "--in", str(dg), "--k", "1", "--l", "15", "--out", str(out))
+    assert code == 2 and seconds < 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert "verified" not in captured.out
+    assert "--l: the 15-subsets of 30 vertices exceed" in captured.err
+
+
 def test_reverify_rejects_nonexistence_game_over_max_order(tmp_path, capsys):
     payload = {"m": 10**8, "n": 1, "a": [], "b": [], "k": 1, "eps": "1/2", "pairs_refuted": 1}
     cert = write_raw_certificate(tmp_path / "n.json", "nonexistence", payload)
@@ -457,3 +487,16 @@ def test_certify_and_reverify_long_directed_cycle_are_fast(tmp_path):
     code, seconds = run_timed("reverify", "--cert", str(cert))
     assert code == 0 and seconds < 3
     assert read_certificate(cert).payload["girth"] == MAX_ORDER
+
+
+@pytest.mark.parametrize("module", ["wsforge", "wsforge.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    # Importing the package registers wsforge.cli first, so runpy may warn
+    # about running it as __main__; the warning goes to stderr beside the error.
+    src = str(Path(wsforge.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", module, "cayley", "--q", "7"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert "need --cert or both --q and --y" in done.stderr

@@ -266,7 +266,7 @@ def test_haight_payload_parses_back(q_bits, kappa, candidates):
 )
 def test_kl_digraph_payload_parses_back(rows, k, l, girth):
     d = Digraph(len(rows), tuple(rows))
-    cert = KLCertificate(k, l, girth, domination_exhaustive=True, verified=True)
+    cert = KLCertificate(k, l, girth)
     assert parse_back("kl_digraph", kl_digraph_payload(d, cert)) == (d, k, l, girth)
 
 

@@ -205,7 +205,6 @@ def test_search_kappa2_finds_q3():
     assert isinstance(result, HaightCertificate)
     assert result.modulus == 3
     assert result.y.members() == (1, 2)
-    assert result.verified
 
 
 def test_search_kappa3_finds_q7():
@@ -262,7 +261,7 @@ def test_search_trajectory_pinned(job):
     result = search_haight_set(spec)
     q, members, evaluated = SEARCH_PINS[job]
     assert result == HaightCertificate(
-        q, ResidueSet.from_members(q, members), kappa, verified=True, candidates_evaluated=evaluated
+        q, ResidueSet.from_members(q, members), kappa, candidates_evaluated=evaluated
     )
 
 
@@ -289,8 +288,27 @@ def test_swap_scorer_equals_objective():
                     for b in range(q):
                         if ya >> b & 1:
                             continue
-                        want = _objective(q, ya | 1 << b, kappa)
+                        want = _objective(q, ya | 1 << b, kappa, q + kappa)
                         assert score(b, q + kappa) == want, (q, kappa, ya, b)
                         bar = rng.randrange(q + kappa)
-                        got = score(b, bar)
-                        assert got == want if want < bar else got >= bar, (q, kappa, ya, b, bar)
+                        for got in (score(b, bar), _objective(q, ya | 1 << b, kappa, bar)):
+                            assert got == want if want < bar else got >= bar, (q, kappa, ya, b, bar)
+
+
+def test_satisfies_haight_matches_definition():
+    # Every subset of Z_q against Y - Y = Z_q and 0 not in (s)Y for s < kappa,
+    # both read off the brute-force sets.
+    passed = 0
+    for q in range(2, 12):
+        for bits in range(1 << q):
+            members = tuple(r for r in range(q) if bits >> r & 1)
+            y = ResidueSet(q, bits)
+            complete = len(brute_difference(q, members)) == q
+            first_zero = 1
+            while first_zero < 6 and 0 not in brute_sumset(q, members, first_zero):
+                first_zero += 1
+            for kappa in range(2, 7):
+                want = complete and kappa <= first_zero
+                assert satisfies_haight(y, kappa) == want, (q, members, kappa)
+                passed += want
+    assert passed > 0
