@@ -17,7 +17,6 @@ from . import digraph, game, pipeline, residues, wsne
 from .formats import (
     MAX_ORDER,
     FormatError,
-    _require_subsets_within_max_work,
     haight_payload,
     kl_digraph_payload,
     make_envelope,
@@ -27,6 +26,7 @@ from .formats import (
     read_digraph,
     read_game,
     require_pairs_within_max_work,
+    require_subsets_within_max_work,
     reverify,
     validate_envelope,
     write_certificate,
@@ -155,8 +155,7 @@ def cmd_bipartify(args: argparse.Namespace) -> int:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     d = read_digraph(args.infile)
-    if args.out:  # a certificate too large to re-check would be scanned for nothing
-        _require_subsets_within_max_work(d.n, args.l, "--l")
+    require_subsets_within_max_work(d.n, args.l, "--l")
     result = digraph.certify_kl(d, args.k, args.l)
     if isinstance(result, digraph.KLFailure):
         if result.short_cycle is not None:

@@ -9,10 +9,9 @@ value or a plain result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .residues import ResidueSet, _rot, _scale_bits
 
@@ -32,22 +31,32 @@ __all__ = [
 ]
 
 
-@dataclass(eq=True)
 class Digraph:
-    """``out[v]`` is the bitmask of v's out-neighbors; self-loops permitted."""
+    """``out[v]`` is the bitmask of v's out-neighbors; self-loops permitted.
 
-    n: int
-    out: tuple[int, ...]
+    Equal by ``n`` and ``out``, and unhashable."""
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, n: int, out: tuple[int, ...]) -> None:
+        if n < 0:
             raise ValueError("vertex count must be >= 0")
-        if len(self.out) != self.n:
-            raise ValueError(f"expected {self.n} adjacency rows, got {len(self.out)}")
-        limit = 1 << self.n
-        for v, mask in enumerate(self.out):
+        if len(out) != n:
+            raise ValueError(f"expected {n} adjacency rows, got {len(out)}")
+        limit = 1 << n
+        for v, mask in enumerate(out):
             if mask < 0 or mask >= limit:
                 raise ValueError(f"adjacency row of vertex {v} has out-of-range neighbors")
+        self.n = n
+        self.out = out
+
+    def __repr__(self) -> str:
+        return f"Digraph(n={self.n!r}, out={self.out!r})"
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.out) == (other.n, other.out)
+
+    __hash__ = None
 
     @classmethod
     def from_arcs(cls, n: int, arcs: Iterable[tuple[int, int]]) -> "Digraph":
@@ -93,8 +102,7 @@ def _transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
     return tuple(cols)
 
 
-@dataclass(frozen=True)
-class KLCertificate:
+class KLCertificate(NamedTuple):
     """Witnessed claim that every cycle has length >= k (``girth_found`` is
     None when the digraph is acyclic) and that every l-subset of vertices
     was exhaustively confirmed dominated."""
@@ -104,8 +112,7 @@ class KLCertificate:
     girth_found: Optional[int]
 
 
-@dataclass(frozen=True)
-class KLFailure:
+class KLFailure(NamedTuple):
     """Concrete refutation: a directed cycle shorter than k, or an
     undominated vertex set of cardinality l."""
 

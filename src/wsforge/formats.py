@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from pathlib import Path
-from typing import IO, Optional, Union
+from typing import IO, NamedTuple, Optional, Union
 
 from . import __version__, digraph, game, residues, wsne
 
@@ -54,6 +53,7 @@ __all__ = [
     "reverify",
     "parse_rational",
     "require_pairs_within_max_work",
+    "require_subsets_within_max_work",
 ]
 
 SCHEMA_TAG = "wsforge-cert/1"
@@ -84,16 +84,14 @@ def toolchain_version() -> str:
     return f"wsforge {__version__}"
 
 
-@dataclass(frozen=True)
-class CertificateEnvelope:
+class CertificateEnvelope(NamedTuple):
     kind: str
     payload: dict
     toolchain: str
     replay: str
 
 
-@dataclass(frozen=True)
-class ReverifyResult:
+class ReverifyResult(NamedTuple):
     ok: bool
     kind: str
     detail: str
@@ -388,7 +386,7 @@ def _parse_kl_digraph(payload: dict) -> tuple[digraph.Digraph, int, int, Optiona
     d = _digraph_from_arcs(n, arcs, CertificateError)
     k = _require_int(payload, "k", 1)
     l = _require_int(payload, "l", 1)
-    _require_subsets_within_max_work(n, l, "payload.l")
+    require_subsets_within_max_work(n, l, "payload.l")
     if "girth" not in payload:
         raise CertificateError("payload.girth: missing required field (null means acyclic)")
     girth_found = payload["girth"]
@@ -464,7 +462,7 @@ def require_pairs_within_max_work(m: int, n: int, k: int, field: str) -> None:
         )
 
 
-def _require_subsets_within_max_work(n: int, l: int, field: str) -> None:
+def require_subsets_within_max_work(n: int, l: int, field: str) -> None:
     """Raise CertificateError, naming ``field``, if a kl_digraph claim on n
     vertices asks for more than MAX_WORK l-subsets; reverify refuses such a
     claim, so certify refuses to scan for one."""

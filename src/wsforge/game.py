@@ -9,9 +9,8 @@ each arc across the bipartition, and adding the diagonal arcs r_i -> c_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .digraph import Digraph, _first_undominated, _transpose, shortest_cycle
 
@@ -26,27 +25,35 @@ __all__ = [
 ]
 
 
-@dataclass(eq=True)
 class WinLoseGame:
     """0-1 payoff matrices stored as row bitmasks: bit j of ``a_rows[i]`` is
     the row player's payoff A[i][j], likewise ``b_rows`` for the column
-    player."""
+    player. Equal by ``m``, ``n``, ``a_rows`` and ``b_rows``, and unhashable."""
 
-    m: int
-    n: int
-    a_rows: tuple[int, ...]
-    b_rows: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.m < 0 or self.n < 0:
+    def __init__(self, m: int, n: int, a_rows: tuple[int, ...], b_rows: tuple[int, ...]) -> None:
+        if m < 0 or n < 0:
             raise ValueError("matrix dimensions must be >= 0")
-        if len(self.a_rows) != self.m or len(self.b_rows) != self.m:
+        if len(a_rows) != m or len(b_rows) != m:
             raise ValueError("payoff matrices must have m rows each")
-        limit = 1 << self.n
-        for name, rows in (("A", self.a_rows), ("B", self.b_rows)):
+        limit = 1 << n
+        for name, rows in (("A", a_rows), ("B", b_rows)):
             for i, mask in enumerate(rows):
                 if mask < 0 or mask >= limit:
                     raise ValueError(f"{name} row {i} has entries outside column range")
+        self.m = m
+        self.n = n
+        self.a_rows = a_rows
+        self.b_rows = b_rows
+
+    def __repr__(self) -> str:
+        return f"WinLoseGame(m={self.m!r}, n={self.n!r}, a_rows={self.a_rows!r}, b_rows={self.b_rows!r})"
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.m, self.n, self.a_rows, self.b_rows) == (other.m, other.n, other.a_rows, other.b_rows)
+
+    __hash__ = None
 
     @classmethod
     def from_matrices(
@@ -89,16 +96,14 @@ class WinLoseGame:
         return _transpose(self.b_rows, self.n)
 
 
-@dataclass(frozen=True)
-class CycleWitness:
+class CycleWitness(NamedTuple):
     """Directed cycle in the bipartite digraph, as vertex ids (rows are
     0..m-1, columns m..m+n-1); consecutive arcs exist and the length is even."""
 
     vertices: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class UndominatedWitness:
+class UndominatedWitness(NamedTuple):
     """One-sided undominated set: ``side`` is "row" or "col" and ``indices``
     are matrix indices on that side."""
 

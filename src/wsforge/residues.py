@@ -17,9 +17,8 @@ tests canonicity under unit scaling once for each pair of bit-vectors 2m and
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 __all__ = [
     "ResidueSet",
@@ -35,18 +34,53 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ResidueSet:
+class _Frozen:
+    """Base of wsforge's validated immutable values, whose fields are their
+    ``__slots__``: equal (same class) and hashed by field values, shown as
+    ``Name(field=value, ...)``. Assigning or deleting a field raises
+    AttributeError; ``__init__`` validates its arguments, then stores each
+    with ``object.__setattr__``. It lives in this bottom layer so that no
+    module loads only for it."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class ResidueSet(_Frozen):
     """Subset of Z_q; bit r of ``bits`` is set iff residue r is a member."""
 
-    modulus: int
-    bits: int = 0
+    __slots__ = ("modulus", "bits")
 
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.modulus}")
-        if self.bits < 0 or self.bits >> self.modulus != 0:
+    def __init__(self, modulus: int, bits: int = 0) -> None:
+        if modulus < 1:
+            raise ValueError(f"modulus must be >= 1, got {modulus}")
+        if bits < 0 or bits >> modulus != 0:
             raise ValueError("bit-vector has members outside [0, modulus)")
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "bits", bits)
 
     @classmethod
     def from_members(cls, modulus: int, members: Iterable[int]) -> "ResidueSet":
@@ -70,8 +104,7 @@ class ResidueSet:
         return iter(self.members())
 
 
-@dataclass(frozen=True)
-class HaightCertificate:
+class HaightCertificate(NamedTuple):
     """A set Y in Z_q with Y-Y = Z_q and 0 not in (s)Y for 1 <= s < kappa.
 
     The search returns one only after both conditions have been re-checked
@@ -84,30 +117,32 @@ class HaightCertificate:
     candidates_evaluated: int = 0
 
 
-@dataclass(frozen=True)
-class SearchSpec:
+class SearchSpec(_Frozen):
     """Parameters for :func:`search_haight_set`."""
 
-    kappa: int
-    q_min: int
-    q_max: int
-    budget: int = 1_000_000
-    seed: int = 0
-    mode: str = "exhaustive"
+    __slots__ = ("kappa", "q_min", "q_max", "budget", "seed", "mode")
 
-    def __post_init__(self) -> None:
-        if self.kappa < 2:
-            raise ValueError(f"kappa must be >= 2, got {self.kappa}")
-        if not 1 <= self.q_min <= self.q_max:
-            raise ValueError(f"need 1 <= q_min <= q_max, got [{self.q_min}, {self.q_max}]")
-        if self.budget < 1:
+    def __init__(
+        self, kappa: int, q_min: int, q_max: int, budget: int = 1_000_000, seed: int = 0,
+        mode: str = "exhaustive",
+    ) -> None:
+        if kappa < 2:
+            raise ValueError(f"kappa must be >= 2, got {kappa}")
+        if not 1 <= q_min <= q_max:
+            raise ValueError(f"need 1 <= q_min <= q_max, got [{q_min}, {q_max}]")
+        if budget < 1:
             raise ValueError("budget must be >= 1")
-        if self.mode not in ("exhaustive", "randomized"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        if mode not in ("exhaustive", "randomized"):
+            raise ValueError(f"unknown mode {mode!r}")
+        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "q_min", q_min)
+        object.__setattr__(self, "q_max", q_max)
+        object.__setattr__(self, "budget", budget)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "mode", mode)
 
 
-@dataclass(frozen=True)
-class SearchExhausted:
+class SearchExhausted(NamedTuple):
     """No candidate passed within the budget; says nothing about existence."""
 
     candidates_evaluated: int

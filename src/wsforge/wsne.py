@@ -9,11 +9,10 @@ response minus epsilon) are accepted. No floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .digraph import is_dominated
 from .feasibility import Constraint, feasible_point
@@ -25,7 +24,7 @@ from .game import (
     char_decision,
     to_bipartite_digraph,
 )
-from .residues import _rot
+from .residues import _Frozen, _rot
 
 __all__ = [
     "MixedStrategy",
@@ -63,29 +62,29 @@ def _exact_eps(eps: Union[int, str, Fraction]) -> Fraction:
     return eps
 
 
-@dataclass(frozen=True)
-class MixedStrategy:
+class MixedStrategy(_Frozen):
     """Probability vector with exact entries; sums to exactly 1.
 
     Vectors that fail the simplex invariants are rejected at construction,
     never normalized.
     """
 
-    probs: tuple[Fraction, ...]
+    __slots__ = ("probs",)
 
-    def __post_init__(self) -> None:
-        if not self.probs:
+    def __init__(self, probs: tuple[Fraction, ...]) -> None:
+        if not probs:
             raise ValueError("strategy over zero pure strategies")
-        for i, p in enumerate(self.probs):
+        for i, p in enumerate(probs):
             if not isinstance(p, Fraction):
                 raise TypeError(f"entry {i} is {type(p).__name__}, expected Fraction")
             if p.numerator < 0:
                 raise ValueError(f"entry {i} is negative: {p}")
         # The sum in integers: numerators over the lcm of the denominators.
-        den = lcm(*[p.denominator for p in self.probs])
-        num = sum(p.numerator * (den // p.denominator) for p in self.probs)
+        den = lcm(*[p.denominator for p in probs])
+        num = sum(p.numerator * (den // p.denominator) for p in probs)
         if num != den:
             raise ValueError(f"entries sum to {Fraction(num, den)}, expected exactly 1")
+        object.__setattr__(self, "probs", probs)
 
     @classmethod
     def from_probs(cls, values: Iterable[Union[int, str, Fraction]]) -> "MixedStrategy":
@@ -113,16 +112,14 @@ class MixedStrategy:
         return tuple(i for i, p in enumerate(self.probs) if p > 0)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     player: str
     index: int
     payoff: Fraction
     shortfall: Fraction
 
 
-@dataclass(frozen=True)
-class WsneVerdict:
+class WsneVerdict(NamedTuple):
     valid: bool
     epsilon: Fraction
     row_best: Fraction
@@ -130,40 +127,43 @@ class WsneVerdict:
     violations: tuple[Violation, ...]
 
 
-@dataclass(frozen=True)
-class SupportPair:
+class SupportPair(_Frozen):
     """Candidate supports: row indices and column indices, both nonempty."""
 
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
+    __slots__ = ("rows", "cols")
 
-    def __post_init__(self) -> None:
-        for name, idx in (("rows", self.rows), ("cols", self.cols)):
+    def __init__(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> None:
+        for name, idx in (("rows", rows), ("cols", cols)):
             if not idx:
                 raise ValueError(f"{name} must be nonempty")
             if list(idx) != sorted(set(idx)):
                 raise ValueError(f"{name} must be strictly increasing")
             if idx[0] < 0:
                 raise ValueError(f"{name} contains a negative index")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
 
 
-@dataclass(frozen=True)
-class NoWitness:
-    """Exhaustive refutation: every enumerated support pair is infeasible."""
+class NoWitness(_Frozen):
+    """Exhaustive refutation: every enumerated support pair is infeasible.
 
-    pairs_refuted: int
+    Not a tuple, so that a witness pair of strategies tells itself apart
+    from a refutation by ``isinstance(result, tuple)``."""
+
+    __slots__ = ("pairs_refuted",)
+
+    def __init__(self, pairs_refuted: int) -> None:
+        object.__setattr__(self, "pairs_refuted", pairs_refuted)
 
 
-@dataclass(frozen=True)
-class CrosscheckPoint:
+class CrosscheckPoint(NamedTuple):
     eps: Fraction
     char_witness: Union[CycleWitness, UndominatedWitness, None]
     search_result: Union[tuple[MixedStrategy, MixedStrategy], NoWitness]
     agree: bool
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
+class CrosscheckReport(NamedTuple):
     k: int
     agree: bool
     points: tuple[CrosscheckPoint, ...]

@@ -452,6 +452,18 @@ def test_certify_out_refuses_a_claim_over_max_work_before_the_scan(tmp_path, cap
     assert "--l: the 15-subsets of 30 vertices exceed" in captured.err
 
 
+def test_certify_without_out_refuses_a_scan_over_max_work(tmp_path, capsys):
+    # Vertex 0 has an arc to every vertex, itself included, so it dominates
+    # every set: an unbounded certify would scan all C(4096, 2000) subsets.
+    dg = tmp_path / "star.dg"
+    write_digraph(Digraph(MAX_ORDER, ((1 << MAX_ORDER) - 1,) + (0,) * (MAX_ORDER - 1)), dg)
+    code, seconds = run_timed("certify", "--in", str(dg), "--k", "1", "--l", "2000")
+    assert code == 2 and seconds < 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--l: the 2000-subsets of {MAX_ORDER} vertices exceed" in captured.err
+
+
 def test_reverify_rejects_nonexistence_game_over_max_order(tmp_path, capsys):
     payload = {"m": 10**8, "n": 1, "a": [], "b": [], "k": 1, "eps": "1/2", "pairs_refuted": 1}
     cert = write_raw_certificate(tmp_path / "n.json", "nonexistence", payload)

@@ -1,17 +1,34 @@
-"""The package's public names, and the submodules it loads only on first use."""
+"""The package's public names, the submodules it loads only on first use,
+and the value semantics of its record and value types."""
 
 from __future__ import annotations
 
+import copy
 import importlib
 import json
 import os
+import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import wsforge
+from wsforge.digraph import Digraph, KLCertificate, KLFailure
+from wsforge.formats import CertificateEnvelope, ReverifyResult
+from wsforge.game import CycleWitness, UndominatedWitness, WinLoseGame
+from wsforge.residues import HaightCertificate, ResidueSet, SearchExhausted, SearchSpec
+from wsforge.wsne import (
+    CrosscheckPoint,
+    CrosscheckReport,
+    MixedStrategy,
+    NoWitness,
+    SupportPair,
+    Violation,
+    WsneVerdict,
+)
 
 # Every name the package re-exports, by the module that defines it.
 EXPORTS = {
@@ -65,18 +82,23 @@ def loaded_after(tmp_path: Path, *argvs: list[str]) -> set[str]:
     """The wsforge submodules whose code has run after ``cli.main`` ran on
     each of ``argvs`` in turn, in a fresh interpreter; every run must exit 0.
     A submodule registered but never used is still a lazy stub, whose type
-    is a subclass of ModuleType, not ModuleType itself."""
+    is a subclass of ModuleType, not ModuleType itself.
+
+    The runs must also leave ``dataclasses`` unloaded: its import and its
+    class synthesis cost every CLI process milliseconds. The interpreter
+    starts with -S, so that no site hook loads it on its own."""
     code = (
         "import json, sys, types\n"
         "from wsforge import cli\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    assert cli.main(argv) == 0, argv\n"
+        "assert 'dataclasses' not in sys.modules, 'dataclasses was imported'\n"
         f"print(json.dumps([n for n in {SUBMODULES!r}"
         " if type(sys.modules.get('wsforge.' + n)) is types.ModuleType]))\n"
     )
     src = str(Path(wsforge.__file__).resolve().parents[1])
     done = subprocess.run(
-        [sys.executable, "-c", code, json.dumps(argvs)],
+        [sys.executable, "-S", "-c", code, json.dumps(argvs)],
         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, timeout=60,
     )
@@ -104,3 +126,137 @@ def test_digraph_subcommands_skip_the_equilibrium_layers(tmp_path):
     assert {"cli", "formats", "residues", "digraph"} <= loaded
     assert not loaded & {"wsne", "feasibility", "pipeline"}
 
+
+
+def test_readme_chain_loads_every_layer_but_not_dataclasses(tmp_path):
+    loaded = loaded_after(
+        tmp_path,
+        ["search", "--kappa", "3", "--q-max", "7", "--out", "haight.json"],
+        ["cayley", "--cert", "haight.json", "--out", "paley7.dg"],
+        ["certify", "--in", "paley7.dg", "--k", "3", "--l", "2", "--out", "kl.json"],
+        ["power", "--in", "paley7.dg", "--t", "2", "--out", "squared.dg"],
+        ["bipartify", "--in", "paley7.dg", "--out", "game.wl"],
+        ["exhaust", "--game", "game.wl", "--k", "1", "--eps", "99/100", "--out", "refutation.json"],
+        ["exhaust", "--game", "game.wl", "--k", "2", "--eps", "1/2", "--out", "witness.json"],
+        ["check", "--game", "game.wl", "--strategy", "witness.json", "--eps", "1/2"],
+        *(["reverify", "--cert", cert] for cert in ("haight.json", "kl.json", "refutation.json", "witness.json")),
+        ["forge", "--k", "1", "--eps", "99/100"],
+    )
+    assert loaded == set(SUBMODULES)
+
+
+# ---------------------------------------------------------------------------
+# Records and values: NamedTuple records, validated plain-class values
+# ---------------------------------------------------------------------------
+
+HALF = Fraction(1, 2)
+
+# Plain records are NamedTuples; each with its repr.
+RECORDS = [
+    (HaightCertificate(7, ResidueSet(7, 0b10110), 3, 5),
+     "HaightCertificate(modulus=7, y=ResidueSet(modulus=7, bits=22), kappa=3, candidates_evaluated=5)"),
+    (SearchExhausted(10), "SearchExhausted(candidates_evaluated=10)"),
+    (KLCertificate(3, 2, 3), "KLCertificate(k=3, l=2, girth_found=3)"),
+    (KLFailure(3, 2, short_cycle=(0, 1)), "KLFailure(k=3, l=2, short_cycle=(0, 1), undominated=None)"),
+    (CycleWitness((0, 3, 1, 2)), "CycleWitness(vertices=(0, 3, 1, 2))"),
+    (UndominatedWitness("row", (0, 1)), "UndominatedWitness(side='row', indices=(0, 1))"),
+    (CertificateEnvelope("haight", {"q": 7}, "wsforge 0.1.0", "wsforge search"),
+     "CertificateEnvelope(kind='haight', payload={'q': 7}, toolchain='wsforge 0.1.0', replay='wsforge search')"),
+    (ReverifyResult(True, "haight", "q=7"), "ReverifyResult(ok=True, kind='haight', detail='q=7')"),
+    (Violation("row", 1, HALF, HALF),
+     "Violation(player='row', index=1, payoff=Fraction(1, 2), shortfall=Fraction(1, 2))"),
+    (WsneVerdict(True, HALF, HALF, HALF, ()),
+     "WsneVerdict(valid=True, epsilon=Fraction(1, 2), row_best=Fraction(1, 2), col_best=Fraction(1, 2),"
+     " violations=())"),
+    (CrosscheckPoint(HALF, None, NoWitness(4), True),
+     "CrosscheckPoint(eps=Fraction(1, 2), char_witness=None, search_result=NoWitness(pairs_refuted=4),"
+     " agree=True)"),
+    (CrosscheckReport(1, True, ()), "CrosscheckReport(k=1, agree=True, points=())"),
+]
+
+# Values that validate, or must not be tuples: frozen plain classes. Each
+# with its repr and a value that differs from it in one field.
+VALUES = [
+    (ResidueSet(5, 3), "ResidueSet(modulus=5, bits=3)", ResidueSet(5, 1)),
+    (SearchSpec(3, 7, 9),
+     "SearchSpec(kappa=3, q_min=7, q_max=9, budget=1000000, seed=0, mode='exhaustive')",
+     SearchSpec(3, 7, 9, mode="randomized")),
+    (MixedStrategy((HALF, HALF)), "MixedStrategy(probs=(Fraction(1, 2), Fraction(1, 2)))",
+     MixedStrategy((Fraction(1), Fraction(0)))),
+    (SupportPair((0,), (1, 2)), "SupportPair(rows=(0,), cols=(1, 2))", SupportPair((0,), (1,))),
+    (NoWitness(3), "NoWitness(pairs_refuted=3)", NoWitness(4)),
+]
+
+
+def rebuilt(value):
+    """An equal value built anew from the same field values."""
+    fields = value._fields if isinstance(value, tuple) else value.__slots__
+    return type(value)(*(getattr(value, name) for name in fields))
+
+
+@pytest.mark.parametrize("record, text", RECORDS, ids=[type(r).__name__ for r, _ in RECORDS])
+def test_records_are_named_tuples_with_field_reprs(record, text):
+    assert isinstance(record, tuple)
+    assert repr(record) == text
+    other = rebuilt(record)
+    assert other == record and other is not record
+    if not isinstance(record, CertificateEnvelope):  # its payload is a dict
+        assert hash(other) == hash(record)
+    name = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+
+
+@pytest.mark.parametrize("value, text, differing", VALUES, ids=[type(v).__name__ for v, _, _ in VALUES])
+def test_values_are_frozen_and_compare_by_fields(value, text, differing):
+    assert not isinstance(value, tuple)
+    assert repr(value) == text
+    other = rebuilt(value)
+    assert other == value and hash(other) == hash(value) and not other != value
+    assert differing != value and value != differing
+    assert value != tuple(getattr(value, name) for name in value.__slots__)
+    assert copy.copy(value) == value and pickle.loads(pickle.dumps(value)) == value
+    for name in value.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert rebuilt(value) == value  # unchanged
+
+
+def test_no_witness_and_residue_set_are_not_tuples():
+    # callers tell a witness pair from a refutation by isinstance(result, tuple)
+    assert not isinstance(NoWitness(3), tuple)
+    assert not isinstance(ResidueSet(5, 3), tuple)
+    assert len(ResidueSet(5, 3)) == 2 and list(ResidueSet(5, 3)) == [0, 1]
+
+
+def test_values_keep_their_validation_messages():
+    with pytest.raises(ValueError, match="modulus must be >= 1, got 0"):
+        ResidueSet(0)
+    with pytest.raises(ValueError, match=r"need 1 <= q_min <= q_max, got \[9, 7\]"):
+        SearchSpec(3, 9, 7)
+    with pytest.raises(ValueError, match="unknown mode 'greedy'"):
+        SearchSpec(3, 7, 9, mode="greedy")
+    with pytest.raises(TypeError, match="entry 0 is int, expected Fraction"):
+        MixedStrategy((1,))
+    with pytest.raises(ValueError, match="cols must be strictly increasing"):
+        SupportPair((0,), (2, 1))
+
+
+@pytest.mark.parametrize("make, text, cached", [
+    (lambda: Digraph(2, (0b10, 0b01)), "Digraph(n=2, out=(2, 1))", "in_masks"),
+    (lambda: WinLoseGame(1, 2, (0b01,), (0b10,)), "WinLoseGame(m=1, n=2, a_rows=(1,), b_rows=(2,))", "b_col_masks"),
+], ids=["Digraph", "WinLoseGame"])
+def test_digraph_and_game_are_equal_by_fields_and_unhashable(make, text, cached):
+    value = make()
+    assert value != tuple(vars(value).values())
+    getattr(value, cached)  # a cached property is not a field
+    assert repr(value) == text
+    assert value == make() and not value != make()
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(value)
