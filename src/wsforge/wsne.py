@@ -14,8 +14,8 @@ from itertools import combinations
 from math import comb, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
+from . import feasibility
 from .digraph import is_dominated
-from .feasibility import Constraint, feasible_point
 from .game import (
     CycleWitness,
     UndominatedWitness,
@@ -371,7 +371,7 @@ class _PlayerSystem:
         rows = [(mp & ~sp, sp & ~mp) for sp in support_pats for mp in maximal if mp & ~sp]
         if dim <= 2:
             return self._solve_interval(dim, rows)
-        cons: list[Constraint] = []
+        cons: list[feasibility.Constraint] = []
         ones = tuple(_ONE for _ in range(dim))
         neg_ones = tuple(-_ONE for _ in range(dim))
         cons.append((ones, _ONE))
@@ -385,7 +385,7 @@ class _PlayerSystem:
                 for i in range(dim)
             )
             cons.append((coeffs, self.eps))
-        return feasible_point(cons, dim)
+        return feasibility.feasible_point(cons, dim)
 
     def _solve_interval(
         self, dim: int, rows: list[tuple[int, int]]

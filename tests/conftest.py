@@ -1,10 +1,27 @@
-"""Seeded generators and pinned search results shared across the suite."""
+"""Seeded generators, pinned search results and a fresh-interpreter runner
+shared across the suite."""
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import wsforge
 from wsforge import Digraph, WinLoseGame, girth
+
+SRC = str(Path(wsforge.__file__).resolve().parents[1])
+
+
+def run_python(*args: str, cwd=None) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on ``args``, with this wsforge on its path;
+    stdout and stderr are captured as text."""
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True, text=True, timeout=60,
+    )
 
 # Haight searches with budget 10**6, keyed by (kappa, q_min, q_max, mode,
 # seed), and their results (q, Y, candidates_evaluated). They are the jobs of

@@ -6,17 +6,15 @@ failed.
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import io
 import json
-import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import pytest
 
-import wsforge
+from conftest import run_python
 from wsforge import Digraph, ResidueSet, bipartify, cayley, power
 from wsforge.cli import main
 from wsforge.formats import (
@@ -505,10 +503,49 @@ def test_certify_and_reverify_long_directed_cycle_are_fast(tmp_path):
 def test_python_dash_m_runs_the_cli(module):
     # Importing the package registers wsforge.cli first, so runpy may warn
     # about running it as __main__; the warning goes to stderr beside the error.
-    src = str(Path(wsforge.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-m", module, "cayley", "--q", "7"],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
-    )
+    done = run_python("-m", module, "cayley", "--q", "7")
     assert done.returncode == 2
     assert "need --cert or both --q and --y" in done.stderr
+
+
+def test_main_leaves_the_collector_alone(tmp_path):
+    # Only the process entry point freezes the collector before exit.
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert run("cayley", "--q", "7", "--y", "1,2,4", "--out", str(tmp_path / "d.dg")) == 0
+    assert run("cayley", "--q", "7") == 2
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def cayley_text(q: int, members: list[int]) -> str:
+    buf = io.StringIO()
+    write_digraph(cayley(q, ResidueSet.from_members(q, members)), buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    # about 77 KB of stdout, more than a pipe holds, so the child blocks on it
+    (["cayley", "--q", str(MAX_ORDER), "--y", "1,2"], 0, cayley_text(MAX_ORDER, [1, 2]), ""),
+    (["cayley", "--q", "7"], 2, "", "need --cert or both --q and --y"),
+    (["search", "--kappa", "3", "--q-max", "4"], 3, "", "not found within budget"),
+    (["certify", "--in", "loop.dg", "--k", "2", "--l", "1"], 4, "FAILED: cycle of length 1 < k=2: 0\n", ""),
+], ids=["ok", "usage", "not-found", "failed"])
+def test_process_exit_codes_and_complete_stdout(tmp_path, argv, code, out, err):
+    # The entry point freezes the collector before exit; the process must
+    # still flush all of stdout and exit with main's status.
+    (tmp_path / "loop.dg").write_text("1 1\n0 0\n")
+    done = run_python("-m", "wsforge", *argv, cwd=tmp_path)
+    assert done.returncode == code
+    assert done.stdout == out
+    assert err in done.stderr
+
+
+def test_entry_freezes_the_collector_and_keeps_exit_handlers(tmp_path):
+    code = (
+        "import atexit, gc\n"
+        "atexit.register(lambda: print('frozen' if gc.get_freeze_count() else 'not frozen'))\n"
+        "from wsforge.cli import entry\n"
+        "entry()\n"
+    )
+    done = run_python("-c", code, "search", "--kappa", "3", "--q-max", "7", cwd=tmp_path)
+    assert done.returncode == 0
+    assert done.stdout.splitlines()[-1] == "frozen"

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_digraph, random_game
+from conftest import random_digraph, random_game, run_python
 from wsforge import Digraph, ResidueSet, bipartify, cayley
 from wsforge.formats import (
     CertificateEnvelope,
@@ -62,6 +62,36 @@ def test_rational_parsing():
     for bad in ("0.5", "1e-3", "", "a/b", "1/0"):
         with pytest.raises(FormatError):
             parse_rational(bad)
+
+
+def test_rational_parsing_binds_fraction_on_first_use():
+    # formats imports fractions only when it first parses a rational; the
+    # values it returns must still be fractions.Fraction itself, which
+    # MixedStrategy requires, and the errors must read as before.
+    code = (
+        "import sys\n"
+        "from wsforge import formats\n"
+        "formats.read_certificate\n"
+        "assert 'fractions' not in sys.modules and 'decimal' not in sys.modules\n"
+        "plain, fallback = formats.parse_rational('3/4'), formats.parse_rational(' +1_0/40 ')\n"
+        "import fractions\n"
+        "assert type(plain) is type(fallback) is fractions.Fraction\n"
+        "assert (plain, fallback) == (fractions.Fraction(3, 4), fractions.Fraction(1, 4))\n"
+        "from wsforge.wsne import MixedStrategy\n"
+        "assert MixedStrategy((plain, fallback)).probs == (plain, fallback)\n"
+        "for bad in ('1/0', '0.5', 7):\n"
+        "    try:\n"
+        "        formats.parse_rational(bad)\n"
+        "    except formats.FormatError as exc:\n"
+        "        print(exc)\n"
+    )
+    done = run_python("-S", "-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "not an 'a/b' rational literal: '1/0'",
+        "not an 'a/b' rational literal: '0.5'",
+        "expected a rational string, got int",
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,14 @@ from __future__ import annotations
 import copy
 import importlib
 import json
-import os
 import pickle
-import subprocess
-import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import wsforge
+from conftest import run_python
 from wsforge.digraph import Digraph, KLCertificate, KLFailure
 from wsforge.formats import CertificateEnvelope, ReverifyResult
 from wsforge.game import CycleWitness, UndominatedWitness, WinLoseGame
@@ -78,15 +76,21 @@ def test_unknown_attribute_raises_attribute_error():
         wsforge.no_such_name  # noqa: B018
 
 
+# Standard-library modules that a CLI run should import only when it parses
+# or computes a rational: together they cost each process about 4 ms.
+RATIONALS = ("fractions", "decimal")
+
+
 def loaded_after(tmp_path: Path, *argvs: list[str]) -> set[str]:
     """The wsforge submodules whose code has run after ``cli.main`` ran on
-    each of ``argvs`` in turn, in a fresh interpreter; every run must exit 0.
-    A submodule registered but never used is still a lazy stub, whose type
-    is a subclass of ModuleType, not ModuleType itself.
+    each of ``argvs`` in turn, in a fresh interpreter, together with those
+    of ``RATIONALS`` that the runs imported; every run must exit 0. A
+    submodule registered but never used is still a lazy stub, whose type is
+    a subclass of ModuleType, not ModuleType itself.
 
     The runs must also leave ``dataclasses`` unloaded: its import and its
     class synthesis cost every CLI process milliseconds. The interpreter
-    starts with -S, so that no site hook loads it on its own."""
+    starts with -S, so that no site hook loads a module on its own."""
     code = (
         "import json, sys, types\n"
         "from wsforge import cli\n"
@@ -94,14 +98,10 @@ def loaded_after(tmp_path: Path, *argvs: list[str]) -> set[str]:
         "    assert cli.main(argv) == 0, argv\n"
         "assert 'dataclasses' not in sys.modules, 'dataclasses was imported'\n"
         f"print(json.dumps([n for n in {SUBMODULES!r}"
-        " if type(sys.modules.get('wsforge.' + n)) is types.ModuleType]))\n"
+        " if type(sys.modules.get('wsforge.' + n)) is types.ModuleType]"
+        f" + [n for n in {RATIONALS!r} if n in sys.modules]))\n"
     )
-    src = str(Path(wsforge.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", code, json.dumps(argvs)],
-        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True, text=True, timeout=60,
-    )
+    done = run_python("-S", "-c", code, json.dumps(argvs), cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     return set(json.loads(done.stdout.splitlines()[-1]))
 
@@ -112,7 +112,7 @@ def test_search_and_haight_reverify_load_only_cli_formats_residues(tmp_path):
         ["search", "--kappa", "3", "--q-max", "7", "--out", "h.json"],
         ["reverify", "--cert", "h.json"],
     )
-    assert loaded == {"cli", "formats", "residues"}
+    assert loaded == {"cli", "formats", "residues"}  # and neither of RATIONALS
 
 
 def test_digraph_subcommands_skip_the_equilibrium_layers(tmp_path):
@@ -121,11 +121,11 @@ def test_digraph_subcommands_skip_the_equilibrium_layers(tmp_path):
         ["cayley", "--q", "7", "--y", "1,2,4", "--out", "d.dg"],
         ["power", "--in", "d.dg", "--t", "2", "--out", "d2.dg"],
         ["certify", "--in", "d.dg", "--k", "3", "--l", "2", "--out", "kl.json"],
+        ["bipartify", "--in", "d.dg", "--out", "g.wl"],
         ["reverify", "--cert", "kl.json"],
     )
-    assert {"cli", "formats", "residues", "digraph"} <= loaded
-    assert not loaded & {"wsne", "feasibility", "pipeline"}
-
+    assert {"cli", "formats", "residues", "digraph", "game"} <= loaded
+    assert not loaded & {"wsne", "feasibility", "pipeline", *RATIONALS}
 
 
 def test_readme_chain_loads_every_layer_but_not_dataclasses(tmp_path):
@@ -142,7 +142,9 @@ def test_readme_chain_loads_every_layer_but_not_dataclasses(tmp_path):
         *(["reverify", "--cert", cert] for cert in ("haight.json", "kl.json", "refutation.json", "witness.json")),
         ["forge", "--k", "1", "--eps", "99/100"],
     )
-    assert loaded == set(SUBMODULES)
+    # Supports of size <= 2 are solved in closed form, so the chain never
+    # runs the Fourier-Motzkin solver and never loads its module.
+    assert loaded == {*SUBMODULES, *RATIONALS} - {"feasibility"}
 
 
 # ---------------------------------------------------------------------------

@@ -537,7 +537,7 @@ def oracle_counts(monkeypatch):
         monkeypatch.setattr(holder, attr, counted)
 
     count(wsne._PlayerSystem, "_solve_system", "systems")
-    count(wsne, "feasible_point", "fm")
+    count(wsne.feasibility, "feasible_point", "fm")
     count(wsne._SupportOracle, "witness", "pairs")
     return counts
 
