@@ -198,8 +198,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_exhaust(args: argparse.Namespace) -> int:
     g = read_game(args.game)
-    if args.out:  # a refutation too large to re-check would be scanned for nothing
-        require_pairs_within_max_work(g.m, g.n, args.k, "--k")
+    require_pairs_within_max_work(g.m, g.n, args.k, "--k")
     result = wsne.exhaustive_search(g, args.k, args.eps)
     if isinstance(result, wsne.NoWitness):
         print(

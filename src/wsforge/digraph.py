@@ -13,7 +13,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-from .residues import ResidueSet, _rot, _scale_bits
+from . import residues
 
 __all__ = [
     "Digraph",
@@ -127,7 +127,7 @@ class KLFailure(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def cayley(q: int, y: ResidueSet) -> Digraph:
+def cayley(q: int, y: residues.ResidueSet) -> Digraph:
     """Digraph on Z_q with an arc z1 -> z2 iff (z1 - z2) mod q is in Y.
 
     Every vertex has out-degree and in-degree |Y|.
@@ -135,8 +135,8 @@ def cayley(q: int, y: ResidueSet) -> Digraph:
     if y.modulus != q:
         raise ValueError(f"generator set has modulus {y.modulus}, expected {q}")
     # Row z is -Y rotated by z: the arcs z -> z - r for r in Y.
-    neg = _scale_bits(y.bits, q - 1, q)
-    return Digraph(q, tuple(_rot(neg, z, q) for z in range(q)))
+    neg = residues._scale_bits(y.bits, q - 1, q)
+    return Digraph(q, tuple(residues._rot(neg, z, q) for z in range(q)))
 
 
 # ---------------------------------------------------------------------------

@@ -462,7 +462,8 @@ def _supports_up_to(count: int, k: int) -> int:
 def require_pairs_within_max_work(m: int, n: int, k: int, field: str) -> None:
     """Raise CertificateError, naming ``field``, if a nonexistence claim on an
     m x n game at support size k asks for more than MAX_WORK support pairs;
-    reverify refuses such a claim, so exhaust refuses to scan for one."""
+    reverify refuses such a claim, so exhaust refuses to scan for one, with
+    or without --out."""
     # The char_none scan tries at most C(m, k) + C(n, k) sets, fewer than the pairs.
     if _supports_up_to(m, k) * _supports_up_to(n, k) > MAX_WORK:
         raise CertificateError(

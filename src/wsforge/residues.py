@@ -4,14 +4,18 @@ every small sumset avoids zero.
 
 A subset of Z_q is stored as a characteristic bit-vector packed into one
 Python int, so difference sets and sumsets reduce to shift-and-or
-convolutions: O(q^2 / wordsize) per sumset level.
+convolutions: O(q^2 / wordsize) per sumset level. A sumset step doubles its
+accumulator to 2q bits once, so each member costs one shift and one OR.
 
 The search scores its candidates without redoing those convolutions for each
 one. The hill climb builds tables once per removed member a, from the
-differences and the sumset levels of Y minus a, and then scores each swap
-of a for some b with one popcount and O(kappa^2) bit tests. Exhaustive mode
-tests canonicity under unit scaling once for each pair of bit-vectors 2m and
-2m + 1, from per-unit lookup tables.
+differences and the sumset levels of Y minus a. One bit-parallel count over
+the missing differences then gives every b whose swap can still beat the
+best score, and only those are scored, each with one popcount and
+O(kappa^2) bit tests. Exhaustive mode tests canonicity under unit scaling
+once for each pair of bit-vectors 2m and 2m + 1, from per-unit lookup
+tables, and in each block of vectors asks only the units that can map one
+of them lower.
 """
 
 from __future__ import annotations
@@ -163,14 +167,19 @@ def _rot(bits: int, shift: int, q: int) -> int:
 
 
 def _sumset_step(acc: int, bits: int, q: int, sign: int = 1) -> int:
-    """acc (+) sign * bits: every a + sign * r for a in acc and r in bits."""
+    """acc (+) sign * bits: every a + sign * r for a in acc and r in bits.
+
+    acc is doubled to 2q bits once, so each member r costs one shift, by
+    q - r for sign +1 and by r for sign -1, and the sum is masked once."""
+    acc2 = acc | acc << q
+    base = q if sign > 0 else 0
     out = 0
     b = bits
     while b:
         r = (b & -b).bit_length() - 1
-        out |= _rot(acc, sign * r, q)
+        out |= acc2 >> (base - sign * r)
         b &= b - 1
-    return out
+    return out & ((1 << q) - 1)
 
 
 def _diff_bits(bits: int, q: int) -> int:
@@ -261,7 +270,9 @@ def _canonical_evens(q: int) -> Iterator[int]:
     here. It fixes residue 0, so 2m + 1 is canonical iff 2m is. Each image uY
     is split at bit w: the high part is scaled once per block of 2^w vectors
     and the low part is looked up in a per-unit table. w is at most 8 and
-    keeps the tables to about 2^13 entries.
+    keeps the tables to about 2^13 entries. An image high | t[lo] is at
+    least high, so a unit whose high part lies above the block's own maps
+    every vector of the block higher, and the block does not ask it.
     """
     scalings = _units(q)[1:]
     w = min(8, q, (8192 // max(len(scalings), 1)).bit_length() - 1)
@@ -273,7 +284,10 @@ def _canonical_evens(q: int) -> Iterator[int]:
             t += [x | image for x in t]
         lows.append(t)
     for base in range(0, 1 << q, 1 << w):
-        parts = [(_scale_bits(base, u, q), t) for u, t in zip(scalings, lows)]
+        top = base >> w
+        parts = [
+            (high, t) for u, t in zip(scalings, lows) if (high := _scale_bits(base, u, q)) >> w <= top
+        ]
         for bits in range(base, base + (1 << w), 2):
             lo = bits - base
             if all(high | t[lo] >= bits for high, t in parts):
@@ -313,8 +327,10 @@ def _search_exhaustive(spec: SearchSpec) -> Union[HaightCertificate, SearchExhau
     return SearchExhausted(evaluated)
 
 
-def _swap_scorer(q: int, kappa: int, ya: int) -> Callable[[int, int], int]:
-    """Scorer for the sets Y' = Ya + {b}, b not in Ya, built once from Ya.
+def _swap_scorer(
+    q: int, kappa: int, ya: int
+) -> tuple[Callable[[int, int], int], Callable[[int], int]]:
+    """Scorers for the sets Y' = Ya + {b}, b not in Ya, built once from Ya.
 
     ``score(b, bar)`` keeps the contract of ``_objective(q, Y', kappa, bar)``:
     the exact value when that is below ``bar``, and some value >= ``bar``
@@ -325,6 +341,14 @@ def _swap_scorer(q: int, kappa: int, ya: int) -> Callable[[int, int], int]:
     L_{s-j} for some j in 0..s. So a swap costs one popcount and at most
     kappa*(kappa-1)/2 bit tests, where ``_objective`` takes |Y'| rotations
     per level.
+
+    ``contenders(bar)`` is the bit-vector of the b whose missing differences
+    plus the levels of Ya that already hold 0 stay below ``bar``: a superset
+    of the b that ``score`` puts below it. A difference m missing from D_a
+    is covered by exactly the b in C_m = (Ya + m) | (Ya - m), so one
+    bit-sliced count over the C_m serves every b at once: within[j] is the
+    set of b with at most j of them uncovered. Lower bars, as the climb
+    improves, index the same count.
     """
     mask = (1 << q) - 1
     d_a = _diff_bits(ya, q) | 1
@@ -340,6 +364,8 @@ def _swap_scorer(q: int, kappa: int, ya: int) -> Callable[[int, int], int]:
     open_levels = [
         [(levels[s - j], j) for j in range(1, s + 1)] for s in range(1, kappa) if not levels[s] & 1
     ]
+    missing = q - d_a.bit_count()
+    within: list[int] = []
 
     def score(b: int, bar: int) -> int:
         total = q - ((d_a | neg2 >> (q - b) | ya2 >> b) & mask).bit_count() + fixed
@@ -352,7 +378,25 @@ def _swap_scorer(q: int, kappa: int, ya: int) -> Callable[[int, int], int]:
                     break
         return total
 
-    return score
+    def contenders(bar: int) -> int:
+        nonlocal within
+        limit = bar - fixed - 1
+        if limit < 0:
+            return 0
+        if limit >= missing:
+            return mask
+        if len(within) <= limit:
+            within = [mask] * (limit + 1)
+            for m in range(1, q):
+                if d_a >> m & 1:
+                    continue
+                cover = ya2 >> (q - m) | ya2 >> m
+                for j in range(limit, 0, -1):
+                    within[j] = within[j - 1] | within[j] & cover
+                within[0] &= cover
+        return within[limit]
+
+    return score, contenders
 
 
 def _hill_climb(q: int, kappa: int, rng: random.Random, budget_left: int) -> tuple[int, int]:
@@ -361,34 +405,43 @@ def _hill_climb(q: int, kappa: int, rng: random.Random, budget_left: int) -> tup
     Returns (bits or 0, evaluations spent). 0 residues are never used as
     members: they fail the s = 1 level outright.
 
-    ``_objective`` scores the start set. Each step then builds the tables of
-    ``_swap_scorer`` once per removed member a (the differences and the
-    sumset levels of Y minus a) and scores every swap of a for b from them,
-    against the best score so far: the steepest descent needs no exact
-    score for a swap that cannot win.
+    ``_objective`` scores the start set. Each step then builds the scorers
+    of ``_swap_scorer`` once per removed member a (the differences and the
+    sumset levels of Y minus a), and scores the swaps of a for b against the
+    best score so far: the steepest descent needs no exact score for a swap
+    that cannot win. Only the contenders are scored, in increasing b, and
+    each improvement narrows them to the contenders of the new bar. Every
+    swap counts as one evaluation, scored or not; when the swaps of a member
+    would run past the budget, the climb spends the rest of it and returns
+    0, as a swap-by-swap count would.
     """
     size = min(q - 1, _min_size(q) + rng.randrange(3))
     bits = sum(1 << r for r in rng.sample(range(1, q), size))
     spent = 1
     score = _objective(q, bits, kappa, q + kappa)
+    # Swaps keep |Y|, so every removed member has the same number of partners.
+    free_count = q - 1 - size
     while score > 0:
         best = 0
         bar = score  # a swap is taken only if it scores below this
+        free = ((1 << q) - 2) & ~bits
         for a in range(1, q):
             if not bits >> a & 1:
                 continue
+            if spent + free_count > budget_left:
+                return 0, budget_left
+            spent += free_count
             ya = bits ^ (1 << a)
-            swap_score = _swap_scorer(q, kappa, ya)
-            for b in range(1, q):
-                if bits >> b & 1:
-                    continue
-                if spent >= budget_left:
-                    return 0, spent
-                spent += 1
-                cand_score = swap_score(b, bar)
+            swap_score, contenders = _swap_scorer(q, kappa, ya)
+            left = free & contenders(bar)
+            while left:
+                low = left & -left
+                left ^= low
+                cand_score = swap_score(low.bit_length() - 1, bar)
                 if cand_score < bar:
                     bar = cand_score
-                    best = ya | 1 << b
+                    best = ya | low
+                    left &= contenders(bar)
         if not best:
             return 0, spent  # local minimum
         score, bits = bar, best

@@ -435,6 +435,20 @@ def test_exhaust_out_refuses_a_claim_over_max_work_before_the_scan(tmp_path, cap
     assert "--k: the support pairs of size <= 2 of a 151 x 151 game exceed" in captured.err
 
 
+def test_exhaust_without_out_refuses_a_scan_over_max_work(tmp_path, capsys):
+    # The Paley tournament of Z_151 at k = 3: without the bound, exhaust would
+    # scan the orbit representatives of its C(151, <= 3)^2 support pairs for
+    # minutes, writing nothing.
+    residues = sorted({x * x % 151 for x in range(1, 151)})
+    game = tmp_path / "p151.wl"
+    write_game(bipartify(cayley(151, ResidueSet.from_members(151, residues))), game)
+    code, seconds = run_timed("exhaust", "--game", str(game), "--k", "3", "--eps", "1/4")
+    assert code == 2 and seconds < 1
+    captured = capsys.readouterr()
+    assert "refuted" not in captured.out
+    assert "--k: the support pairs of size <= 3 of a 151 x 151 game exceed" in captured.err
+
+
 def test_certify_out_refuses_a_claim_over_max_work_before_the_scan(tmp_path, capsys):
     # The complete digraph on 30 vertices at l = 15: C(30, 15) > MAX_WORK
     # subsets, a certificate reverify would refuse, so certify --out does not

@@ -128,6 +128,20 @@ def test_digraph_subcommands_skip_the_equilibrium_layers(tmp_path):
     assert not loaded & {"wsne", "feasibility", "pipeline", *RATIONALS}
 
 
+def test_digraph_subcommands_without_cayley_skip_residues(tmp_path):
+    # The Paley-7 tournament, 0 -> z - r for r in {1, 2, 4}, written by hand.
+    arcs = [(z, (z - r) % 7) for z in range(7) for r in (1, 2, 4)]
+    (tmp_path / "d.dg").write_text(f"7 {len(arcs)}\n" + "".join(f"{u} {v}\n" for u, v in sorted(arcs)))
+    loaded = loaded_after(
+        tmp_path,
+        ["power", "--in", "d.dg", "--t", "2", "--out", "d2.dg"],
+        ["certify", "--in", "d.dg", "--k", "3", "--l", "2", "--out", "kl.json"],
+        ["bipartify", "--in", "d.dg", "--out", "g.wl"],
+        ["reverify", "--cert", "kl.json"],
+    )
+    assert loaded == {"cli", "formats", "digraph", "game"}
+
+
 def test_readme_chain_loads_every_layer_but_not_dataclasses(tmp_path):
     loaded = loaded_after(
         tmp_path,

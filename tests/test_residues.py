@@ -25,7 +25,14 @@ from wsforge import (
     search_haight_set,
     shift_set,
 )
-from wsforge.residues import _objective, _swap_scorer
+from wsforge.residues import (
+    _canonical_evens,
+    _hill_climb,
+    _min_size,
+    _objective,
+    _sumset_step,
+    _swap_scorer,
+)
 
 
 def brute_difference(q: int, members: tuple[int, ...]) -> set[int]:
@@ -34,6 +41,10 @@ def brute_difference(q: int, members: tuple[int, ...]) -> set[int]:
 
 def brute_sumset(q: int, members: tuple[int, ...], s: int) -> set[int]:
     return {sum(t) % q for t in product(members, repeat=s)}
+
+
+def members_of(q: int, bits: int) -> tuple[int, ...]:
+    return tuple(r for r in range(q) if bits >> r & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +124,25 @@ def test_sumset_pairs_example():
 def test_sumset_triples_hit_zero():
     y = ResidueSet.from_members(7, [1, 2, 4])
     assert 0 in iterated_sumset(y, 3)  # 1 + 2 + 4 = 7
+
+
+def test_sumset_step_matches_brute_force_at_both_signs():
+    rng = random.Random(19)
+    for q in range(1, 41):
+        full = (1 << q) - 1
+        for acc, bits in [(0, 0), (0, full), (full, 0), (full, full), (1, full)] + [
+            (rng.getrandbits(q), rng.getrandbits(q)) for _ in range(6)
+        ]:
+            a, b = members_of(q, acc), members_of(q, bits)
+            for sign in (1, -1):
+                want = {(x + sign * r) % q for x in a for r in b}
+                assert set(members_of(q, _sumset_step(acc, bits, q, sign))) == want, (q, acc, bits, sign)
+    # And every subset of Z_q, q <= 12, against the brute-force sumset and differences.
+    for q in range(1, 13):
+        for bits in range(1 << q):
+            members = members_of(q, bits)
+            assert set(members_of(q, _sumset_step(bits, bits, q))) == brute_sumset(q, members, 2)
+            assert set(members_of(q, _sumset_step(bits, bits, q, -1))) == brute_difference(q, members)
 
 
 def test_sumset_rejects_zero_order():
@@ -274,6 +304,15 @@ def test_search_budget_edge_at_q24():
     assert found.y.members() == (1, 2, 3, 4, 5, 6, 7, 13)
 
 
+def test_randomized_search_budget_edge():
+    kappa, q_min, q_max, mode, seed = job = (4, 28, 40, "randomized", 0)
+    q, members, evaluated = SEARCH_PINS[job]
+    short = search_haight_set(SearchSpec(kappa, q_min, q_max, evaluated - 1, seed, mode))
+    assert short == SearchExhausted(evaluated - 1)
+    found = search_haight_set(SearchSpec(kappa, q_min, q_max, evaluated, seed, mode))
+    assert found == HaightCertificate(q, ResidueSet.from_members(q, members), kappa, evaluated)
+
+
 def test_swap_scorer_equals_objective():
     rng = random.Random(17)
     for q in range(2, 49):
@@ -284,7 +323,7 @@ def test_swap_scorer_equals_objective():
                     if not bits >> a & 1:
                         continue
                     ya = bits ^ (1 << a)
-                    score = _swap_scorer(q, kappa, ya)
+                    score, _ = _swap_scorer(q, kappa, ya)
                     for b in range(q):
                         if ya >> b & 1:
                             continue
@@ -293,6 +332,86 @@ def test_swap_scorer_equals_objective():
                         bar = rng.randrange(q + kappa)
                         for got in (score(b, bar), _objective(q, ya | 1 << b, kappa, bar)):
                             assert got == want if want < bar else got >= bar, (q, kappa, ya, b, bar)
+
+
+def test_swap_contenders_are_the_swaps_below_the_bar():
+    # contenders(bar) against the b whose missing differences of Ya + {b},
+    # plus the levels of Ya already holding 0, stay below bar: read off sets
+    # built member by member, for bars in decreasing order as the climb asks.
+    rng = random.Random(18)
+    for q in range(2, 41):
+        for size in {1, rng.randrange(1, q), rng.randrange(1, min(q, 8))}:
+            ya = sum(1 << r for r in rng.sample(range(q), size))
+            missing = [q - len(brute_difference(q, members_of(q, ya | 1 << b))) for b in range(q)]
+            for kappa in range(2, 7):
+                level, fixed = {0}, 0
+                for _ in range(1, kappa):
+                    level = {(x + r) % q for x in level for r in members_of(q, ya)}
+                    fixed += 0 in level
+                _, contenders = _swap_scorer(q, kappa, ya)
+                for bar in sorted({rng.randrange(q + kappa) for _ in range(4)}, reverse=True):
+                    want = tuple(b for b in range(q) if missing[b] + fixed < bar)
+                    assert members_of(q, contenders(bar)) == want, (q, kappa, ya, bar)
+
+
+def test_canonical_evens_are_the_least_of_their_unit_orbits():
+    # Walk the even vectors upward; the first of each orbit {uY} is its least.
+    for q in range(1, 19):
+        units = [u for u in range(1, q) if gcd(u, q) == 1]
+        seen = bytearray(1 << q)
+        want = []
+        for bits in range(0, 1 << q, 2):
+            if not seen[bits]:
+                want.append(bits)
+                for u in units:
+                    seen[sum(1 << (r * u % q) for r in members_of(q, bits))] = 1
+        assert list(_canonical_evens(q)) == want, q
+
+
+def climb_per_swap(q, kappa, rng, budget_left):
+    """The hill climb scoring every swap in turn, one evaluation each, with
+    ``_objective`` for its scorer: the reference for ``_hill_climb``."""
+    size = min(q - 1, _min_size(q) + rng.randrange(3))
+    bits = sum(1 << r for r in rng.sample(range(1, q), size))
+    spent = 1
+    score = _objective(q, bits, kappa, q + kappa)
+    while score > 0:
+        best = 0
+        bar = score
+        for a in range(1, q):
+            if not bits >> a & 1:
+                continue
+            ya = bits ^ (1 << a)
+            for b in range(1, q):
+                if bits >> b & 1:
+                    continue
+                if spent >= budget_left:
+                    return 0, spent
+                spent += 1
+                cand_score = _objective(q, ya | 1 << b, kappa, bar)
+                if cand_score < bar:
+                    bar = cand_score
+                    best = ya | 1 << b
+        if not best:
+            return 0, spent
+        score, bits = bar, best
+    return bits, spent
+
+
+def test_hill_climb_matches_the_per_swap_climb():
+    rng = random.Random(20)
+    found = ended_inside = 0
+    for _ in range(60):
+        q, kappa, seed = rng.randrange(5, 46), rng.randrange(3, 6), rng.randrange(10**6)
+        whole = climb_per_swap(q, kappa, random.Random(seed), 10**9)
+        found += whole[0] != 0
+        # The whole climb, budgets that end it one swap short, inside a step,
+        # and at the first step.
+        for budget in {10**9, whole[1], max(1, whole[1] - 1), rng.randrange(1, whole[1] + 1), 1, 2}:
+            want = climb_per_swap(q, kappa, random.Random(seed), budget)
+            assert _hill_climb(q, kappa, random.Random(seed), budget) == want, (q, kappa, seed, budget)
+            ended_inside += want == (0, budget) and budget < whole[1]
+    assert found and ended_inside
 
 
 def test_satisfies_haight_matches_definition():
