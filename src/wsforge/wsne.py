@@ -15,7 +15,7 @@ from math import comb, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from . import feasibility
-from .digraph import is_dominated
+from .digraph import _first_undominated, is_dominated
 from .game import (
     CycleWitness,
     UndominatedWitness,
@@ -46,6 +46,7 @@ __all__ = [
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_HALF = Fraction(1, 2)
 
 
 def as_exact(value: Union[int, str, Fraction]) -> Fraction:
@@ -145,7 +146,8 @@ class SupportPair(_Frozen):
 
 
 class NoWitness(_Frozen):
-    """Exhaustive refutation: every enumerated support pair is infeasible.
+    """Exhaustive refutation: every support pair, by the lemma or by the
+    scan, is infeasible.
 
     Not a tuple, so that a witness pair of strategies tells itself apart
     from a refutation by ``isinstance(result, tuple)``."""
@@ -500,11 +502,58 @@ def _least_rotation(support: tuple[int, ...], n: int) -> tuple[tuple[int, ...], 
     return min((tuple(sorted((s - x) % n for s in support)), x) for x in support)
 
 
+def _require_k(g: WinLoseGame, k: int) -> None:
+    if not 1 <= k <= min(g.m, g.n):
+        raise ValueError(f"need 1 <= k <= min(m, n) = {min(g.m, g.n)}, got {k}")
+
+
+def _pair_count(g: WinLoseGame, k: int) -> int:
+    """Support pairs with both sides of size <= k."""
+    return sum(comb(g.m, s) for s in range(1, k + 1)) * sum(
+        comb(g.n, s) for s in range(1, k + 1)
+    )
+
+
+def _below_half(g: WinLoseGame, k: int) -> bool:
+    """The constant-sum lemma's premise: A & B = 0, and every set of <= k
+    rows and every set of <= k columns has a common in-neighbour in the
+    bipartite digraph. Then no eps-WSNE with supports <= k exists for any
+    eps < 1/2. Proof: let (p, q) be one, with supports R and C. A row
+    dominating C earns 1 against q, so every row of R earns >= 1 - eps and
+    p.Aq > 1/2; likewise a column dominating R gives p.Bq > 1/2. But
+    A + B <= 1 in every cell, so p.Aq + p.Bq <= 1, a contradiction.
+    (Testing the k-sets suffices: a subset of a dominated set is dominated.)
+    """
+    if any(a & b for a, b in zip(g.a_rows, g.b_rows)):
+        return False
+    in_masks = to_bipartite_digraph(g).in_masks
+    return all(
+        _first_undominated(in_masks, range(offset, offset + count), k) is None
+        for offset, count in ((0, g.m), (g.m, g.n))
+    )
+
+
 def exhaustive_search(
     g: WinLoseGame, k: int, eps: Union[int, str, Fraction]
 ) -> Union[tuple[MixedStrategy, MixedStrategy], NoWitness]:
     """First feasible eps-WSNE over all support pairs with sizes <= k, in
-    lexicographic pair order, or the count of pairs exhaustively refuted.
+    lexicographic pair order, or the count of pairs refuted: every support
+    pair, by the lemma or by the scan. Below eps = 1/2 the constant-sum
+    lemma (:func:`_below_half`) refutes all pairs at once when it applies;
+    otherwise :func:`_scan` decides each pair.
+    """
+    _require_k(g, k)
+    eps = _exact_eps(eps)
+    if eps < _HALF and _below_half(g, k):
+        return NoWitness(_pair_count(g, k))
+    return _scan(g, k, eps)
+
+
+def _scan(
+    g: WinLoseGame, k: int, eps: Union[int, str, Fraction]
+) -> Union[tuple[MixedStrategy, MixedStrategy], NoWitness]:
+    """:func:`exhaustive_search` by the support oracle alone, without the
+    constant-sum lemma.
 
     A pair (R, C) reaches the full systems only if every column of C is an
     eps-best response to some distribution on R, and every row of R to some
@@ -519,8 +568,7 @@ def exhaustive_search(
     orbit. The first feasible pair in lexicographic order has such an R, so
     the witness is the same; ``pairs_refuted`` still counts every pair.
     """
-    if not 1 <= k <= min(g.m, g.n):
-        raise ValueError(f"need 1 <= k <= min(m, n) = {min(g.m, g.n)}, got {k}")
+    _require_k(g, k)
     eps = _exact_eps(eps)
     oracle = _SupportOracle(g, eps)
     n = g.n
@@ -549,16 +597,16 @@ def exhaustive_search(
             found = oracle.witness(rows, cols)
             if found is not None:
                 return found
-    col_count = sum(comb(n, size) for size in range(1, k + 1))
-    return NoWitness(len(row_supports) * col_count)
+    return NoWitness(_pair_count(g, k))
 
 
 def crosscheck_characterization(g: WinLoseGame, k: int) -> CrosscheckReport:
     """Cross-check the graph characterization against the enumeration oracle.
 
-    Runs :func:`char_decision` once and :func:`exhaustive_search` at
-    eps = 1 - 1/k and eps = 1 - 1/(2k); agreement means a witness exists
-    exactly when the characterization finds a structure, at both points.
+    Runs :func:`char_decision` once and :func:`_scan` at eps = 1 - 1/k and
+    eps = 1 - 1/(2k); agreement means a witness exists exactly when the
+    characterization finds a structure, at both points. The scan, not the
+    lemma, which shares the characterization's domination scan.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -566,7 +614,7 @@ def crosscheck_characterization(g: WinLoseGame, k: int) -> CrosscheckReport:
     points = []
     agree = True
     for eps in (_ONE - Fraction(1, k), _ONE - Fraction(1, 2 * k)):
-        result = exhaustive_search(g, k, eps)
+        result = _scan(g, k, eps)
         ok = isinstance(result, NoWitness) == (witness is None)
         points.append(CrosscheckPoint(eps, witness, result, ok))
         agree = agree and ok

@@ -308,6 +308,21 @@ def test_exhaust_k2_certificates_are_byte_identical(tmp_path, monkeypatch, name,
     assert run("reverify", "--cert", "c.json") == 0
 
 
+@pytest.mark.parametrize("field, value", [("eps", "1/2"), ("pairs_refuted", 783)])
+def test_reverify_rejects_false_paley7_refutations(tmp_path, field, value):
+    # Below 1/2 reverify refutes Paley-7 by the constant-sum lemma; a claim
+    # at 1/2, where a witness exists, or with a wrong count still fails.
+    game = tmp_path / "paley7.wl"
+    write_game(bipartify(cayley(7, ResidueSet.from_members(7, [1, 2, 4]))), game)
+    out = tmp_path / "r.json"
+    assert run("exhaust", "--game", str(game), "--k", "2", "--eps", "1/4", "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert doc["payload"]["pairs_refuted"] == 784
+    doc["payload"][field] = value
+    tampered = write_raw_certificate(tmp_path / "t.json", "nonexistence", doc["payload"])
+    assert run("reverify", "--cert", str(tampered)) == 4
+
+
 # sha256 of certificates whose replay lines were written out by hand before
 # they were derived from the parser's declared options; as above, inputs and
 # outputs named as here, in the working directory, fix the replay line.

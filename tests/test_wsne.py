@@ -33,7 +33,7 @@ from wsforge import (
 )
 from wsforge.feasibility import feasible_point
 from wsforge.residues import _rot
-from wsforge.wsne import _shift_invariant
+from wsforge.wsne import _below_half, _scan, _shift_invariant
 
 F = Fraction
 TRIANGLE = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
@@ -551,16 +551,17 @@ def test_shift_invariance_detection():
 def test_oracle_solves_each_cached_system_once(oracle_counts):
     # Pins the support oracle's cache keys on the full scan of a game that is
     # not shift-invariant: a key that stops matching shows here as extra
-    # solved systems, not only as a slower benchmark.
+    # solved systems, not only as a slower benchmark. The scan itself, since
+    # exhaustive_search refutes these games by the constant-sum lemma below 1/2.
     g = PALEY7_SWAPPED
-    assert exhaustive_search(g, 2, F(1, 4)) == NoWitness(784)
+    assert _scan(g, 2, F(1, 4)) == NoWitness(784)
     assert oracle_counts == {"systems": 77, "fm": 0, "pairs": 84}
     oracle_counts.update(systems=0, fm=0, pairs=0)
-    p, q = exhaustive_search(g, 2, F(1, 2))
+    p, q = _scan(g, 2, F(1, 2))
     assert check_wsne(g, p, q, F(1, 2)).valid
     assert oracle_counts == {"systems": 13, "fm": 0, "pairs": 1}
     oracle_counts.update(systems=0, fm=0, pairs=0)
-    assert exhaustive_search(g, 3, F(1, 4)) == NoWitness(63**2)
+    assert _scan(g, 3, F(1, 4)) == NoWitness(63**2)
     assert oracle_counts == {"systems": 987, "fm": 889, "pairs": 1204}
 
 
@@ -568,30 +569,107 @@ def test_orbit_scan_solves_one_row_support_per_orbit(oracle_counts):
     # Paley-7 itself is shift-invariant: 4 of its 28 row supports of size
     # <= 2 are least in their orbit, and a column table is built once per
     # orbit, for the same verdicts as the full scan above.
-    assert exhaustive_search(PALEY7, 2, F(1, 4)) == NoWitness(784)
+    assert _scan(PALEY7, 2, F(1, 4)) == NoWitness(784)
     assert oracle_counts == {"systems": 18, "fm": 0, "pairs": 12}
     oracle_counts.update(systems=0, fm=0, pairs=0)
-    p, q = exhaustive_search(PALEY7, 2, F(1, 2))
+    p, q = _scan(PALEY7, 2, F(1, 2))
     assert (p.support, q.support) == ((0, 1), (1, 3))
     assert check_wsne(PALEY7, p, q, F(1, 2)).valid
     assert oracle_counts == {"systems": 8, "fm": 0, "pairs": 1}
     oracle_counts.update(systems=0, fm=0, pairs=0)
-    assert exhaustive_search(PALEY7, 3, F(1, 4)) == NoWitness(63**2)
+    assert _scan(PALEY7, 3, F(1, 4)) == NoWitness(63**2)
     assert oracle_counts == {"systems": 164, "fm": 131, "pairs": 172}
 
 
 def test_k4_pool_game_refutes_k2(oracle_counts):
     # The paper's k = 2 instance: the q = 29 Haight set of kappa 4, bipartified,
     # first relabelled so that the full scan runs, then as built.
-    assert exhaustive_search(K4_Q29_SWAPPED, 2, F(1, 4)) == NoWitness(435**2)
+    assert _scan(K4_Q29_SWAPPED, 2, F(1, 4)) == NoWitness(435**2)
     assert oracle_counts["pairs"] == 1218  # pairs passing every singleton condition
-    p, q = exhaustive_search(K4_Q29_SWAPPED, 2, F(1, 2))
+    p, q = _scan(K4_Q29_SWAPPED, 2, F(1, 2))
     assert check_wsne(K4_Q29_SWAPPED, p, q, F(1, 2)).valid
     oracle_counts.update(systems=0, fm=0, pairs=0)
-    assert exhaustive_search(K4_Q29, 2, F(1, 4)) == NoWitness(435**2)
+    assert _scan(K4_Q29, 2, F(1, 4)) == NoWitness(435**2)
     assert oracle_counts == {"systems": 59, "fm": 0, "pairs": 42}
-    p, q = exhaustive_search(K4_Q29, 2, F(1, 2))
+    p, q = _scan(K4_Q29, 2, F(1, 2))
     assert check_wsne(K4_Q29, p, q, F(1, 2)).valid
+
+
+@pytest.mark.parametrize(
+    "g, refuted",
+    [(PALEY7, 784), (PALEY7_SWAPPED, 784), (K4_Q29, 435**2), (K4_Q29_SWAPPED, 435**2)],
+    ids=["paley7", "paley7-swapped", "k4-q29", "k4-q29-swapped"],
+)
+def test_lemma_refutes_without_the_oracle(oracle_counts, g, refuted):
+    # A & B = 0 and every pair of rows or columns is dominated, so below 1/2
+    # the constant-sum lemma answers what the scan answers, solving nothing.
+    assert _below_half(g, 2)
+    assert _scan(g, 2, F(1, 4)) == NoWitness(refuted)
+    oracle_counts.update(systems=0, fm=0, pairs=0)
+    assert exhaustive_search(g, 2, F(1, 4)) == NoWitness(refuted)
+    assert oracle_counts == {"systems": 0, "fm": 0, "pairs": 0}
+
+
+def test_lemma_is_never_taken_at_one_half(oracle_counts):
+    # At eps = 1/2 the lemma proves nothing: Paley-7's bipartite 4-cycle
+    # gives a 1/2-WSNE, found by the scan.
+    p, q = exhaustive_search(PALEY7, 2, F(1, 2))
+    assert (p.support, q.support) == ((0, 1), (1, 3))
+    assert check_wsne(PALEY7, p, q, F(1, 2)).valid
+    assert oracle_counts["systems"] > 0
+
+
+def test_crosscheck_solves_systems_where_the_lemma_holds(oracle_counts):
+    # The characterization is checked against the exact systems, never
+    # against the domination scan the lemma shares with it.
+    assert _below_half(PALEY7, 1)
+    report = crosscheck_characterization(PALEY7, 1)
+    assert report.agree
+    assert oracle_counts["systems"] > 0
+
+
+def _random_tournament_game(rng, n):
+    arcs = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in combinations(range(n), 2)]
+    return bipartify(Digraph.from_arcs(n, arcs))
+
+
+def _with_overlap(g, rng):
+    """``g`` with one cell set in both A and B, so that A & B != 0."""
+    i, j = rng.randrange(g.m), rng.randrange(g.n)
+    a_rows, b_rows = list(g.a_rows), list(g.b_rows)
+    a_rows[i] |= 1 << j
+    b_rows[i] |= 1 << j
+    return WinLoseGame(g.m, g.n, tuple(a_rows), tuple(b_rows))
+
+
+# Paley-7 with an eighth row, A on columns 3..6 and B on columns 0..2, so
+# A & B = 0 still. The in-neighbour sets of Paley-7's rows are the lines of
+# a Fano plane; {0, 1, 2}, not a line, misses one of them (row 2's), so the
+# row pair (2, 7) is undominated and the lemma does not apply at k = 2.
+PALEY7_PLUS_ROW = WinLoseGame(8, 7, PALEY7.a_rows + (0b1111000,), PALEY7.b_rows + (0b0000111,))
+
+
+def test_exhaustive_search_matches_the_scan():
+    rng = random.Random(160)
+    games = [PALEY7, bipartify(cayley(11, ResidueSet.from_members(11, [1, 3, 4, 5, 9]))), K4_Q29]
+    games += [_random_tournament_game(rng, rng.randrange(3, 8)) for _ in range(150)]
+    games += [
+        _with_overlap(random_game(rng, m, m, ensure_out_degree=False), rng)
+        for m in (rng.randrange(3, 7) for _ in range(20))
+    ]
+    games.append(PALEY7_PLUS_ROW)
+    assert not _below_half(PALEY7_PLUS_ROW, 2) and _below_half(PALEY7_PLUS_ROW, 1)
+    cases = Counter()
+    for g in games:
+        for k in (1, 2):
+            lemma = _below_half(g, k)
+            for eps in (F(0), F(1, 4), F(49, 100), F(1, 2)):
+                got = exhaustive_search(g, k, eps)
+                assert got == _scan(g, k, eps), (g, k, eps)
+                cases[isinstance(got, NoWitness), lemma and eps < F(1, 2)] += 1
+    # every lemma refutation is a refutation, and both routes are exercised
+    assert cases[False, True] == 0
+    assert cases[True, True] > 100 and cases[True, False] > 50 and cases[False, False] > 100
 
 
 def _singletons_one_system_per_pattern(system, support):
