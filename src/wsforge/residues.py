@@ -7,22 +7,31 @@ Python int, so difference sets and sumsets reduce to shift-and-or
 convolutions: O(q^2 / wordsize) per sumset level. A sumset step doubles its
 accumulator to 2q bits once, so each member costs one shift and one OR.
 
-The search scores its candidates without redoing those convolutions for each
-one. The hill climb builds tables once per removed member a, from the
+The randomized climb builds its tables once per removed member a, from the
 differences and the sumset levels of Y minus a. One bit-parallel count over
-the missing differences then gives every b whose swap can still beat the
-best score, and only those are scored, each with one popcount and
-O(kappa^2) bit tests. Exhaustive mode tests canonicity under unit scaling
-once for each pair of bit-vectors 2m and 2m + 1, from per-unit lookup
-tables, and in each block of vectors asks only the units that can map one
-of them lower.
+the missing differences gives every b whose swap can still beat the best
+score, and each of those costs one popcount and O(kappa^2) bit tests.
+
+Exhaustive mode is a depth-first search that adds members in increasing
+order and updates Y, -Y, Y - Y and the levels (s)Y, at O(kappa q / 64) word
+operations per member tried. Its rules are proven, so it finds a set
+exactly when one exists. Both modes skip the q that the size bounds rule out.
+- Members have order >= kappa: y of order s puts s*y = 0 in (s)Y.
+- A member that puts 0 in a level ends its branch: (s)Y grows with Y, and
+  0 enters (s)Y' = (s)Y | ((s-1)Y' + y) iff -y is in (s-1)Y'.
+- |Y| >= _min_size(q): the |Y|(|Y| - 1) nonzero differences cover q - 1.
+- |Y| <= m = (q - 1) // (kappa - 1): Cay(Z_q, Y) has out-degree |Y| and
+  girth >= kappa, and Hamidoune proved Caccetta-Haggkvist for such
+  vertex-transitive digraphs: they have a cycle of length <= ceil(q / |Y|).
+- c members and more than r(2c + r - 1) missing differences, r = m - c, end
+  a branch: r more members form only 2rc + r(r - 1) new ordered pairs.
 """
 
 from __future__ import annotations
 
 import random
 from math import gcd, isqrt
-from typing import Callable, Iterable, Iterator, NamedTuple, Union
+from typing import Callable, Iterable, NamedTuple, Union
 
 __all__ = [
     "ResidueSet",
@@ -248,10 +257,6 @@ def _objective(q: int, bits: int, kappa: int, bar: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _units(q: int) -> list[int]:
-    return [u for u in range(1, q) if gcd(u, q) == 1]
-
-
 def _scale_bits(bits: int, u: int, q: int) -> int:
     out = 0
     b = bits
@@ -260,38 +265,6 @@ def _scale_bits(bits: int, u: int, q: int) -> int:
         out |= 1 << (r * u % q)
         b &= b - 1
     return out
-
-
-def _canonical_evens(q: int) -> Iterator[int]:
-    """Even bit-vectors of Z_q, in increasing order, that no unit scaling
-    makes smaller: the least representatives of {uY : gcd(u, q) = 1}.
-
-    Unit scaling preserves both Haight conditions; shifting is not a symmetry
-    here. It fixes residue 0, so 2m + 1 is canonical iff 2m is. Each image uY
-    is split at bit w: the high part is scaled once per block of 2^w vectors
-    and the low part is looked up in a per-unit table. w is at most 8 and
-    keeps the tables to about 2^13 entries. An image high | t[lo] is at
-    least high, so a unit whose high part lies above the block's own maps
-    every vector of the block higher, and the block does not ask it.
-    """
-    scalings = _units(q)[1:]
-    w = min(8, q, (8192 // max(len(scalings), 1)).bit_length() - 1)
-    lows = []  # lows[i][c]: the image of the low bit-vector c under unit i
-    for u in scalings:
-        t = [0]
-        for r in range(w):
-            image = 1 << (u * r % q)
-            t += [x | image for x in t]
-        lows.append(t)
-    for base in range(0, 1 << q, 1 << w):
-        top = base >> w
-        parts = [
-            (high, t) for u, t in zip(scalings, lows) if (high := _scale_bits(base, u, q)) >> w <= top
-        ]
-        for bits in range(base, base + (1 << w), 2):
-            lo = bits - base
-            if all(high | t[lo] >= bits for high, t in parts):
-                yield bits
 
 
 def _min_size(q: int) -> int:
@@ -309,21 +282,47 @@ def _verified_certificate(q: int, bits: int, kappa: int, evaluated: int) -> Haig
     return HaightCertificate(q, fresh, kappa, candidates_evaluated=evaluated)
 
 
+def _moduli(spec: SearchSpec) -> list[int]:
+    # A member's order is at most q, and a set has between _min_size(q) and
+    # (q - 1) // (kappa - 1) members.
+    k = spec.kappa
+    return [q for q in range(max(spec.q_min, k), spec.q_max + 1) if _min_size(q) <= (q - 1) // (k - 1)]
+
+
 def _search_exhaustive(spec: SearchSpec) -> Union[HaightCertificate, SearchExhausted]:
-    evaluated = 0
-    for q in range(max(spec.q_min, 2), spec.q_max + 1):
-        min_size = _min_size(q)
-        for bits in _canonical_evens(q):
-            if bits:
-                if evaluated >= spec.budget:
-                    return SearchExhausted(evaluated)
-                evaluated += 1
-                if bits.bit_count() >= min_size and not _objective(q, bits, spec.kappa, 1):
-                    return _verified_certificate(q, bits, spec.kappa, evaluated)
-            # bits + 1 holds residue 0, so it fails the s = 1 level.
+    kappa, evaluated = spec.kappa, 0
+    for q in _moduli(spec):
+        most = (q - 1) // (kappa - 1)
+        members = [y for y in range(1, q) if q // gcd(y, q) >= kappa]
+        # A node: Y, -Y, Y - Y, the levels (s)Y for 1 <= s <= kappa - 2, and
+        # the index in members of its next child.
+        stack = [(0, 0, 1, (0,) * (kappa - 2), 0)]
+        while stack:
+            bits, neg, diffs, levels, i = stack.pop()
+            if i == len(members):
+                continue
+            stack.append((bits, neg, diffs, levels, i + 1))
             if evaluated >= spec.budget:
                 return SearchExhausted(evaluated)
             evaluated += 1
+            y = members[i]
+            grown, prev = [], 1  # (s)Y' = (s)Y | ((s-1)Y' + y), from (0)Y' = {0}
+            for lev in levels:
+                prev = lev | _rot(prev, y, q)
+                grown.append(prev)
+            # 0 enters (s)Y' iff -y is in (s-1)Y'.
+            if any(lev >> (q - y) & 1 for lev in grown):
+                continue
+            bits |= 1 << y
+            neg |= 1 << (q - y)
+            diffs |= _rot(bits, q - y, q) | _rot(neg, y, q)
+            missing = q - diffs.bit_count()
+            if not missing:
+                return _verified_certificate(q, bits, kappa, evaluated)
+            size = bits.bit_count()
+            left = most - size
+            if missing <= left * (2 * size + left - 1):
+                stack.append((bits, neg, diffs, grown, i + 1))
     return SearchExhausted(evaluated)
 
 
@@ -449,9 +448,7 @@ def _hill_climb(q: int, kappa: int, rng: random.Random, budget_left: int) -> tup
 
 
 def _search_randomized(spec: SearchSpec) -> Union[HaightCertificate, SearchExhausted]:
-    # No Haight set lives in Z_q for q < kappa: each y in Y has order at most
-    # q, and 0 = ord(y) * y lies in ord(y)Y.
-    qs = [q for q in range(max(spec.q_min, spec.kappa), spec.q_max + 1) if _min_size(q) <= q - 1]
+    qs = _moduli(spec)
     if not qs:
         return SearchExhausted(0)
     rngs = {q: random.Random((spec.seed + 1) * 0x9E3779B97F4A7C15 + q) for q in qs}
@@ -472,12 +469,12 @@ def _search_randomized(spec: SearchSpec) -> Union[HaightCertificate, SearchExhau
 def search_haight_set(spec: SearchSpec) -> Union[HaightCertificate, SearchExhausted]:
     """Search Z_q for q in [q_min, q_max] for a set certified by ``kappa``.
 
-    Exhaustive mode enumerates subsets of each Z_q in increasing bit-vector
-    order, pruning unit-scaling duplicates; randomized mode runs seeded
-    steepest-descent restarts round-robin over the moduli. Every returned
-    certificate has been re-checked from scratch. SearchExhausted means
-    "not found within budget", never "does not exist". q = 1 is skipped:
-    no subset of Z_1 can avoid zero and still have complete differences.
+    Exhaustive mode runs the module docstring's pruned depth-first search on
+    each Z_q in turn, one candidate per member tried; randomized mode runs
+    seeded steepest-descent restarts round-robin over the moduli, one
+    candidate per swap. Every returned certificate has been re-checked from
+    scratch. SearchExhausted means "not found within budget"; from exhaustive
+    mode, a count below the budget proves that no Z_q in the range holds one.
     """
     if spec.mode == "exhaustive":
         return _search_exhaustive(spec)

@@ -28,11 +28,11 @@ def run_python(*args: str, cwd=None) -> subprocess.CompletedProcess:
 # the benchmark's `search` workload, so any change to the search's trajectory
 # shows here first.
 SEARCH_PINS = {
-    (3, 24, 24, "exhaustive", 0): (24, (1, 2, 3, 4, 5, 6, 7, 13), 7988),
-    (3, 25, 25, "exhaustive", 0): (25, (1, 2, 3, 4, 5, 6, 7, 13), 7290),
-    (3, 26, 26, "exhaustive", 0): (26, (1, 2, 3, 4, 5, 6, 7, 14), 15116),
-    (3, 27, 27, "exhaustive", 0): (27, (1, 2, 3, 4, 5, 6, 7, 14), 15206),
-    (3, 28, 28, "exhaustive", 0): (28, (1, 2, 3, 4, 5, 6, 7, 8, 15), 31370),
+    (3, 24, 24, "exhaustive", 0): (24, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 13), 12),
+    (3, 25, 25, "exhaustive", 0): (25, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13), 13),
+    (3, 26, 26, "exhaustive", 0): (26, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 14), 13),
+    (3, 27, 27, "exhaustive", 0): (27, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 14), 14),
+    (3, 28, 28, "exhaustive", 0): (28, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 15), 14),
     (4, 20, 45, "randomized", 0): (39, (3, 5, 6, 9, 11, 12, 20, 32), 39694),
     (4, 29, 29, "randomized", 5): (29, (8, 10, 12, 15, 18, 26, 27), 68406),
     (4, 38, 38, "randomized", 3): (38, (5, 6, 12, 23, 25, 29, 31, 34), 37779),

@@ -45,7 +45,9 @@ from wsforge.formats import read_certificate, read_game, reverify
 F = Fraction
 
 # Complete-difference sets with zero-free sumsets up to the named level,
-# found by `wsforge search` (exhaustive for q <= 20, randomized above).
+# found by `wsforge search`: randomized above q = 20, and at q <= 20 by an
+# earlier exhaustive mode that returned the least bit-vector. Today's
+# depth-first search returns supersets of the sets at q = 11 to 19.
 K3_POOL = {
     7: (1, 2, 4),
     9: (1, 2, 3, 5),

@@ -81,6 +81,22 @@ def test_randomized_search_skips_moduli_below_kappa(capsys):
     assert "evaluated 0 candidates" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kappa, code", [("3", 0), ("5", 3)])
+def test_exhaustive_search_at_max_order_is_bounded_by_its_budget(kappa, code):
+    # Each candidate is one member tried, O(kappa * q / 64) word operations.
+    got, seconds = run_timed(
+        "search", "--kappa", kappa, "--q-min", str(MAX_ORDER), "--q-max", str(MAX_ORDER),
+        "--budget", "20000",
+    )
+    assert got == code and seconds < 2
+
+
+def test_exhaustive_search_deep_branch_needs_no_recursion():
+    # At kappa = 2 the first branch is {1, ..., 2049}: 2,049 members deep.
+    code, seconds = run_timed("search", "--kappa", "2", "--q-min", str(MAX_ORDER), "--q-max", str(MAX_ORDER))
+    assert code == 0 and seconds < 2
+
+
 def test_search_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for out in (a, b):
@@ -328,7 +344,7 @@ def test_reverify_rejects_false_paley7_refutations(tmp_path, field, value):
 # outputs named as here, in the working directory, fix the replay line.
 REPLAY_GOLDEN = [
     (("search", "--kappa", "3", "--q-max", "7", "--out", "h.json"), "h.json",
-     "2c6c5fd8085ae3064de0f9fe95c3751be57c4bb26c603ced1137a4fb643fdc88"),
+     "cfa4ca4ce440aac9f3d7a5522dc0f156609e8face745964eccfaf46060ce578b"),
     (("certify", "--in", "paley7.dg", "--k", "3", "--l", "2", "--out", "kl.json"), "kl.json",
      "3474c821d4011ef1fc5ff940404e505e2102f5c9bf3c1c572a1a9d56fe6dbf37"),
     (("forge", "--k", "1", "--eps", "99/100"), "forge-k1.cert.json",

@@ -24,9 +24,10 @@ def test_forge_k1_passes_every_stage():
 
 
 def test_forge_k2_stops_at_the_failed_search():
-    stages = list(forge(2, Fraction(3, 4), **SEARCH))
+    # No q <= 24 leaves room for a kappa = 5 set, so the climbs run on 25..30.
+    stages = list(forge(2, Fraction(3, 4), **{**SEARCH, "q_max": 30}))
     assert [(s.name, s.ok) for s in stages] == [("search", True), ("search", False)]
-    assert stages[0].detail == "hunting a kappa=5 set in q range [2, 20]"
+    assert stages[0].detail == "hunting a kappa=5 set in q range [2, 30]"
     assert stages[0].product is None
     assert stages[-1].product == SearchExhausted(candidates_evaluated=2000)
 

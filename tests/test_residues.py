@@ -26,7 +26,6 @@ from wsforge import (
     shift_set,
 )
 from wsforge.residues import (
-    _canonical_evens,
     _hill_climb,
     _min_size,
     _objective,
@@ -245,13 +244,14 @@ def test_search_kappa3_finds_q7():
 
 
 def test_search_kappa3_small_moduli_exhausted():
+    # The size bounds settle q <= 4 before any candidate is tried.
     result = search_haight_set(SearchSpec(kappa=3, q_min=2, q_max=4, budget=10**6))
-    assert isinstance(result, SearchExhausted)
-    assert 0 < result.candidates_evaluated < 30
+    assert result == SearchExhausted(0)
 
 
 def test_search_budget_respected():
-    result = search_haight_set(SearchSpec(kappa=3, q_min=2, q_max=6, budget=5))
+    # No q <= 24 leaves room for a kappa = 5 set, and none exists at 25..30.
+    result = search_haight_set(SearchSpec(kappa=5, q_min=2, q_max=30, budget=5))
     assert isinstance(result, SearchExhausted)
     assert result.candidates_evaluated == 5
 
@@ -296,12 +296,12 @@ def test_search_trajectory_pinned(job):
 
 
 def test_search_budget_edge_at_q24():
-    short = search_haight_set(SearchSpec(3, 24, 24, budget=7987))
-    assert short == SearchExhausted(7987)
-    found = search_haight_set(SearchSpec(3, 24, 24, budget=7988))
+    short = search_haight_set(SearchSpec(3, 24, 24, budget=11))
+    assert short == SearchExhausted(11)
+    found = search_haight_set(SearchSpec(3, 24, 24, budget=12))
     assert isinstance(found, HaightCertificate)
-    assert found.candidates_evaluated == 7988
-    assert found.y.members() == (1, 2, 3, 4, 5, 6, 7, 13)
+    assert found.candidates_evaluated == 12
+    assert found.y.members() == (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 13)
 
 
 def test_randomized_search_budget_edge():
@@ -354,18 +354,18 @@ def test_swap_contenders_are_the_swaps_below_the_bar():
                     assert members_of(q, contenders(bar)) == want, (q, kappa, ya, bar)
 
 
-def test_canonical_evens_are_the_least_of_their_unit_orbits():
-    # Walk the even vectors upward; the first of each orbit {uY} is its least.
-    for q in range(1, 19):
-        units = [u for u in range(1, q) if gcd(u, q) == 1]
-        seen = bytearray(1 << q)
-        want = []
-        for bits in range(0, 1 << q, 2):
-            if not seen[bits]:
-                want.append(bits)
-                for u in units:
-                    seen[sum(1 << (r * u % q) for r in members_of(q, bits))] = 1
-        assert list(_canonical_evens(q)) == want, q
+def test_exhaustive_search_finds_a_set_exactly_when_one_exists():
+    # Every subset of Z_q against satisfies_haight; with a budget that does
+    # not bind, the search either finds a set or proves that none exists.
+    for q in range(1, 15):
+        for kappa in range(2, 6):
+            exists = any(satisfies_haight(ResidueSet(q, bits), kappa) for bits in range(1 << q))
+            result = search_haight_set(SearchSpec(kappa, q, q, budget=10**6))
+            if exists:
+                assert isinstance(result, HaightCertificate) and result.modulus == q, (q, kappa)
+            else:
+                assert isinstance(result, SearchExhausted), (q, kappa)
+                assert result.candidates_evaluated < 10**6, (q, kappa)
 
 
 def climb_per_swap(q, kappa, rng, budget_left):
