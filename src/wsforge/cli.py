@@ -3,8 +3,8 @@ search through Cayley construction, digraph powers, bipartite game mapping,
 WSNE checking, exhaustive refutation, and certificate re-verification;
 ``forge`` runs them all through :func:`wsforge.pipeline.forge`.
 
-Exit status: 0 success, 2 usage or malformed input, 3 not found within
-budget, 4 verification failed.
+Exit status: 0 success, 2 usage or malformed input, 3 not found (no set
+exists in the range, or the budget ran out), 4 verification failed.
 """
 
 from __future__ import annotations
@@ -124,10 +124,11 @@ def cmd_search(args: argparse.Namespace) -> int:
         if args.out:
             _write_certificate(args, "haight", haight_payload(result), args.out)
         return EXIT_OK
-    print(
-        f"not found within budget (evaluated {result.candidates_evaluated} candidates)",
-        file=sys.stderr,
-    )
+    if result.candidates_evaluated < spec.budget:
+        verdict = f"no kappa={spec.kappa} set exists in Z_q for {spec.q_min} <= q <= {spec.q_max}"
+    else:
+        verdict = "not found within budget"
+    print(f"{verdict} (evaluated {result.candidates_evaluated} candidates)", file=sys.stderr)
     return EXIT_NOT_FOUND
 
 
@@ -254,6 +255,12 @@ def cmd_forge(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+_MODE_HELP = (
+    "exhaustive: one depth-first search per modulus, members in increasing order;"
+    " randomized: seeded restarts of it on shuffled members, round-robin over the moduli"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wsforge",
@@ -273,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-max", type=_order, required=True)
     p.add_argument("--budget", type=_int_in(1), default=1_000_000)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--mode", choices=("exhaustive", "randomized"), default="exhaustive")
+    p.add_argument("--mode", choices=("exhaustive", "randomized"), default="exhaustive", help=_MODE_HELP)
     p.add_argument("--out", help="write a haight certificate here")
 
     p = command("cayley", cmd_cayley, "build the Cayley digraph of a residue set")
@@ -318,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--q-min", type=_order, default=2)
     p.add_argument("--q-max", type=_order, default=64)
-    p.add_argument("--mode", choices=("exhaustive", "randomized"), default="randomized")
+    p.add_argument("--mode", choices=("exhaustive", "randomized"), default="randomized", help=_MODE_HELP)
     p.add_argument("--out-game")
     p.add_argument("--out-cert")
 

@@ -32,7 +32,9 @@ def forge(
     - ``search``: at k = 1 the built-in directed triangle (a ``Digraph``).
       Otherwise a first record (no product) announces the hunt for a set of
       kappa = 2k(k-1) + 1 in Z_q, q_min <= q <= q_max; the search then ends
-      in a ``HaightCertificate``, or fails with ``SearchExhausted``.
+      in a ``HaightCertificate``, or fails with ``SearchExhausted``: its detail
+      says that no set exists in the range when the count is below the
+      budget, and that the budget ran out otherwise.
     - ``certify``: at k >= 3 first the base digraph's (kappa, 2) claim, then
       the power's (2k+1, k) claim (``KLCertificate``, or ``KLFailure``).
     - ``bipartify``: the ``WinLoseGame``.
@@ -59,12 +61,14 @@ def _stages(k, eps, budget, seed, q_min, q_max, mode) -> Iterator[Stage]:
         spec = residues.SearchSpec(kappa, q_min, q_max, budget, seed, mode)
         found = residues.search_haight_set(spec)
         if not isinstance(found, residues.HaightCertificate):
-            yield Stage(
-                "search", False,
-                f"budget exhausted after {found.candidates_evaluated} candidates;"
-                " no certificate emitted",
-                found,
-            )
+            if found.candidates_evaluated < budget:
+                detail = (
+                    f"no kappa={kappa} set exists in Z_q for {q_min} <= q <= {q_max}"
+                    f" (evaluated {found.candidates_evaluated} candidates)"
+                )
+            else:
+                detail = f"budget exhausted after {found.candidates_evaluated} candidates"
+            yield Stage("search", False, f"{detail}; no certificate emitted", found)
             return
         members = ", ".join(map(str, found.y.members()))
         yield Stage(

@@ -7,15 +7,13 @@ Python int, so difference sets and sumsets reduce to shift-and-or
 convolutions: O(q^2 / wordsize) per sumset level. A sumset step doubles its
 accumulator to 2q bits once, so each member costs one shift and one OR.
 
-The randomized climb builds its tables once per removed member a, from the
-differences and the sumset levels of Y minus a. One bit-parallel count over
-the missing differences gives every b whose swap can still beat the best
-score, and each of those costs one popcount and O(kappa^2) bit tests.
-
-Exhaustive mode is a depth-first search that adds members in increasing
-order and updates Y, -Y, Y - Y and the levels (s)Y, at O(kappa q / 64) word
-operations per member tried. Its rules are proven, so it finds a set
-exactly when one exists. Both modes skip the q that the size bounds rule out.
+The search is depth-first: it adds members in list order and updates Y,
+-Y, Y - Y and the levels (s)Y, at O(kappa q / 64) word operations per member
+tried. Its rules are proven and do not depend on the order, so a finished
+tree proves that Z_q holds no set. Exhaustive mode runs it once per modulus
+with the members in increasing order; randomized mode runs seeded restarts
+of it on shuffled members (Gomes, Selman and Kautz 1998). Both modes skip
+the q that the size bounds rule out.
 - Members have order >= kappa: y of order s puts s*y = 0 in (s)Y.
 - A member that puts 0 in a level ends its branch: (s)Y grows with Y, and
   0 enters (s)Y' = (s)Y | ((s-1)Y' + y) iff -y is in (s-1)Y'.
@@ -31,7 +29,7 @@ from __future__ import annotations
 
 import random
 from math import gcd, isqrt
-from typing import Callable, Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple, Union
 
 __all__ = [
     "ResidueSet",
@@ -156,7 +154,8 @@ class SearchSpec(_Frozen):
 
 
 class SearchExhausted(NamedTuple):
-    """No candidate passed within the budget; says nothing about existence."""
+    """No set found. A count below the search's budget proves that no Z_q in
+    its range holds one; a count at the budget says nothing about existence."""
 
     candidates_evaluated: int
 
@@ -226,7 +225,14 @@ def satisfies_haight(y: ResidueSet, kappa: int) -> bool:
     """
     if kappa < 2:
         raise ValueError(f"kappa must be >= 2, got {kappa}")
-    return _objective(y.modulus, y.bits, kappa, 1) == 0
+    if not is_complete_difference_set(y):
+        return False
+    level = y.bits
+    for _ in range(kappa - 2):
+        if level & 1:
+            return False
+        level = _sumset_step(level, y.bits, y.modulus)
+    return not level & 1
 
 
 def shift_set(x: ResidueSet, y: int) -> ResidueSet:
@@ -234,22 +240,6 @@ def shift_set(x: ResidueSet, y: int) -> ResidueSet:
     if not 0 <= y < x.modulus:
         raise ValueError(f"shift {y} outside [0, {x.modulus})")
     return ResidueSet(x.modulus, _rot(x.bits, x.modulus - y, x.modulus))
-
-
-def _objective(q: int, bits: int, kappa: int, bar: int) -> int:
-    """Missing differences plus violated sumset levels, zero iff Y qualifies,
-    when that is below ``bar``; otherwise some value >= ``bar``: the levels
-    are built only while the count stays below it. ``bar = 1`` decides the
-    Haight conditions, and ``bar = q + kappa`` gives the exact value."""
-    total = q - _diff_bits(bits, q).bit_count()
-    acc = bits  # (s)Y at level s
-    for s in range(1, kappa):
-        if total >= bar:
-            break
-        if s > 1:
-            acc = _sumset_step(acc, bits, q)
-        total += acc & 1
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -289,193 +279,82 @@ def _moduli(spec: SearchSpec) -> list[int]:
     return [q for q in range(max(spec.q_min, k), spec.q_max + 1) if _min_size(q) <= (q - 1) // (k - 1)]
 
 
-def _search_exhaustive(spec: SearchSpec) -> Union[HaightCertificate, SearchExhausted]:
-    kappa, evaluated = spec.kappa, 0
-    for q in _moduli(spec):
-        most = (q - 1) // (kappa - 1)
-        members = [y for y in range(1, q) if q // gcd(y, q) >= kappa]
-        # A node: Y, -Y, Y - Y, the levels (s)Y for 1 <= s <= kappa - 2, and
-        # the index in members of its next child.
-        stack = [(0, 0, 1, (0,) * (kappa - 2), 0)]
-        while stack:
-            bits, neg, diffs, levels, i = stack.pop()
-            if i == len(members):
-                continue
-            stack.append((bits, neg, diffs, levels, i + 1))
-            if evaluated >= spec.budget:
-                return SearchExhausted(evaluated)
-            evaluated += 1
-            y = members[i]
-            grown, prev = [], 1  # (s)Y' = (s)Y | ((s-1)Y' + y), from (0)Y' = {0}
-            for lev in levels:
-                prev = lev | _rot(prev, y, q)
-                grown.append(prev)
-            # 0 enters (s)Y' iff -y is in (s-1)Y'.
-            if any(lev >> (q - y) & 1 for lev in grown):
-                continue
+def _dfs(q: int, kappa: int, members: list[int], limit: int) -> tuple[int | None, int]:
+    """The module docstring's pruned depth-first search on Z_q, adding
+    ``members`` in list order, one candidate per member tried.
+
+    Returns (bits, candidates) for the first set found; (0, candidates) when
+    the tree is finished, which proves that no set in Z_q has its members in
+    ``members``; and (None, limit) when ``limit`` candidates end the search
+    first.
+    """
+    most = (q - 1) // (kappa - 1)
+    mask = (1 << q) - 1
+    evaluated = 0
+    # A node: Y, -Y, Y - Y, the levels (s)Y for 1 <= s <= kappa - 2, and the
+    # index in members of its next child.
+    stack = [(0, 0, 1, (0,) * (kappa - 2), 0)]
+    while stack:
+        bits, neg, diffs, levels, i = stack.pop()
+        if i == len(members):
+            continue
+        stack.append((bits, neg, diffs, levels, i + 1))
+        if evaluated >= limit:
+            return None, evaluated
+        evaluated += 1
+        y = members[i]
+        # (s)Y' = (s)Y | ((s-1)Y' + y), from (0)Y' = {0}; 0 enters (s)Y' iff
+        # -y is in (s-1)Y'.
+        grown, prev = [], 1
+        for lev in levels:
+            prev = lev | (prev << y | prev >> (q - y)) & mask
+            if prev >> (q - y) & 1:
+                break
+            grown.append(prev)
+        else:
             bits |= 1 << y
             neg |= 1 << (q - y)
-            diffs |= _rot(bits, q - y, q) | _rot(neg, y, q)
+            diffs |= (bits << (q - y) | bits >> y | neg << y | neg >> (q - y)) & mask
             missing = q - diffs.bit_count()
             if not missing:
-                return _verified_certificate(q, bits, kappa, evaluated)
+                return bits, evaluated
             size = bits.bit_count()
             left = most - size
             if missing <= left * (2 * size + left - 1):
                 stack.append((bits, neg, diffs, grown, i + 1))
-    return SearchExhausted(evaluated)
-
-
-def _swap_scorer(
-    q: int, kappa: int, ya: int
-) -> tuple[Callable[[int, int], int], Callable[[int], int]]:
-    """Scorers for the sets Y' = Ya + {b}, b not in Ya, built once from Ya.
-
-    ``score(b, bar)`` keeps the contract of ``_objective(q, Y', kappa, bar)``:
-    the exact value when that is below ``bar``, and some value >= ``bar``
-    otherwise. The tables are D_a = (Ya - Ya) + {0}, Ya and -Ya doubled to
-    2q bits (so a rotation is one shift and a mask), and the levels
-    L_0 = {0}, L_1 = Ya, ..., L_{kappa-1} = (kappa-1)Ya. Then
-    Y' - Y' = D_a + (b - Ya) + (Ya - b), and 0 is in sY' iff -j*b is in
-    L_{s-j} for some j in 0..s. So a swap costs one popcount and at most
-    kappa*(kappa-1)/2 bit tests, where ``_objective`` takes |Y'| rotations
-    per level.
-
-    ``contenders(bar)`` is the bit-vector of the b whose missing differences
-    plus the levels of Ya that already hold 0 stay below ``bar``: a superset
-    of the b that ``score`` puts below it. A difference m missing from D_a
-    is covered by exactly the b in C_m = (Ya + m) | (Ya - m), so one
-    bit-sliced count over the C_m serves every b at once: within[j] is the
-    set of b with at most j of them uncovered. Lower bars, as the climb
-    improves, index the same count.
-    """
-    mask = (1 << q) - 1
-    d_a = _diff_bits(ya, q) | 1
-    neg = _scale_bits(ya, q - 1, q)
-    neg2 = neg | neg << q
-    ya2 = ya | ya << q
-    levels = [1, ya]
-    for _ in range(kappa - 2):
-        levels.append(_sumset_step(levels[-1], ya, q))
-    # Levels that already hold 0 (j = 0) count for every b; for the others,
-    # the tests (L_{s-j}, j) for j = 1..s.
-    fixed = sum(lev & 1 for lev in levels[1:])
-    open_levels = [
-        [(levels[s - j], j) for j in range(1, s + 1)] for s in range(1, kappa) if not levels[s] & 1
-    ]
-    missing = q - d_a.bit_count()
-    within: list[int] = []
-
-    def score(b: int, bar: int) -> int:
-        total = q - ((d_a | neg2 >> (q - b) | ya2 >> b) & mask).bit_count() + fixed
-        for tests in open_levels:
-            if total >= bar:
-                break
-            for lev, j in tests:
-                if lev >> (-j * b % q) & 1:
-                    total += 1
-                    break
-        return total
-
-    def contenders(bar: int) -> int:
-        nonlocal within
-        limit = bar - fixed - 1
-        if limit < 0:
-            return 0
-        if limit >= missing:
-            return mask
-        if len(within) <= limit:
-            within = [mask] * (limit + 1)
-            for m in range(1, q):
-                if d_a >> m & 1:
-                    continue
-                cover = ya2 >> (q - m) | ya2 >> m
-                for j in range(limit, 0, -1):
-                    within[j] = within[j - 1] | within[j] & cover
-                within[0] &= cover
-        return within[limit]
-
-    return score, contenders
-
-
-def _hill_climb(q: int, kappa: int, rng: random.Random, budget_left: int) -> tuple[int, int]:
-    """One seeded steepest-descent restart over single-element swaps.
-
-    Returns (bits or 0, evaluations spent). 0 residues are never used as
-    members: they fail the s = 1 level outright.
-
-    ``_objective`` scores the start set. Each step then builds the scorers
-    of ``_swap_scorer`` once per removed member a (the differences and the
-    sumset levels of Y minus a), and scores the swaps of a for b against the
-    best score so far: the steepest descent needs no exact score for a swap
-    that cannot win. Only the contenders are scored, in increasing b, and
-    each improvement narrows them to the contenders of the new bar. Every
-    swap counts as one evaluation, scored or not; when the swaps of a member
-    would run past the budget, the climb spends the rest of it and returns
-    0, as a swap-by-swap count would.
-    """
-    size = min(q - 1, _min_size(q) + rng.randrange(3))
-    bits = sum(1 << r for r in rng.sample(range(1, q), size))
-    spent = 1
-    score = _objective(q, bits, kappa, q + kappa)
-    # Swaps keep |Y|, so every removed member has the same number of partners.
-    free_count = q - 1 - size
-    while score > 0:
-        best = 0
-        bar = score  # a swap is taken only if it scores below this
-        free = ((1 << q) - 2) & ~bits
-        for a in range(1, q):
-            if not bits >> a & 1:
-                continue
-            if spent + free_count > budget_left:
-                return 0, budget_left
-            spent += free_count
-            ya = bits ^ (1 << a)
-            swap_score, contenders = _swap_scorer(q, kappa, ya)
-            left = free & contenders(bar)
-            while left:
-                low = left & -left
-                left ^= low
-                cand_score = swap_score(low.bit_length() - 1, bar)
-                if cand_score < bar:
-                    bar = cand_score
-                    best = ya | low
-                    left &= contenders(bar)
-        if not best:
-            return 0, spent  # local minimum
-        score, bits = bar, best
-    return bits, spent
-
-
-def _search_randomized(spec: SearchSpec) -> Union[HaightCertificate, SearchExhausted]:
-    qs = _moduli(spec)
-    if not qs:
-        return SearchExhausted(0)
-    rngs = {q: random.Random((spec.seed + 1) * 0x9E3779B97F4A7C15 + q) for q in qs}
-    evaluated = 0
-    while evaluated < spec.budget:
-        for q in qs:
-            left = spec.budget - evaluated
-            if left <= 0:
-                break
-            # Every restart spends at least one evaluation, so this ends.
-            bits, spent = _hill_climb(q, spec.kappa, rngs[q], left)
-            evaluated += spent
-            if bits:
-                return _verified_certificate(q, bits, spec.kappa, evaluated)
-    return SearchExhausted(evaluated)
+    return 0, evaluated
 
 
 def search_haight_set(spec: SearchSpec) -> Union[HaightCertificate, SearchExhausted]:
     """Search Z_q for q in [q_min, q_max] for a set certified by ``kappa``.
 
-    Exhaustive mode runs the module docstring's pruned depth-first search on
-    each Z_q in turn, one candidate per member tried; randomized mode runs
-    seeded steepest-descent restarts round-robin over the moduli, one
-    candidate per swap. Every returned certificate has been re-checked from
-    scratch. SearchExhausted means "not found within budget"; from exhaustive
-    mode, a count below the budget proves that no Z_q in the range holds one.
+    Both modes run the module docstring's depth-first search, one candidate
+    per member tried. Exhaustive mode runs it once on each Z_q in turn, with
+    the members in increasing order. Randomized mode runs seeded restarts of
+    it round-robin over the moduli: each restart shuffles the members and
+    stops after q^2 candidates, and a restart that finishes its tree settles
+    its q. Every returned certificate has been re-checked from scratch.
+    SearchExhausted with a count below the budget proves that no Z_q in the
+    range holds a set; at the budget, it says nothing about existence.
     """
-    if spec.mode == "exhaustive":
-        return _search_exhaustive(spec)
-    return _search_randomized(spec)
+    kappa, evaluated = spec.kappa, 0
+    qs = _moduli(spec)
+    randomized = spec.mode == "randomized"
+    rngs = {q: random.Random((spec.seed + 1) * 0x9E3779B97F4A7C15 + q) for q in qs if randomized}
+    # An exhaustive pass settles each q or spends the budget, so it is the only one.
+    while qs and evaluated < spec.budget:
+        for q in list(qs):
+            left = spec.budget - evaluated
+            if not left:
+                break
+            order, limit = [y for y in range(1, q) if q // gcd(y, q) >= kappa], left
+            if randomized:
+                rngs[q].shuffle(order)
+                limit = min(q * q, left)
+            bits, spent = _dfs(q, kappa, order, limit)
+            evaluated += spent
+            if bits:
+                return _verified_certificate(q, bits, kappa, evaluated)
+            if bits == 0:
+                qs.remove(q)
+    return SearchExhausted(evaluated)

@@ -33,10 +33,10 @@ SEARCH_PINS = {
     (3, 26, 26, "exhaustive", 0): (26, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 14), 13),
     (3, 27, 27, "exhaustive", 0): (27, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 14), 14),
     (3, 28, 28, "exhaustive", 0): (28, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 15), 14),
-    (4, 20, 45, "randomized", 0): (39, (3, 5, 6, 9, 11, 12, 20, 32), 39694),
-    (4, 29, 29, "randomized", 5): (29, (8, 10, 12, 15, 18, 26, 27), 68406),
-    (4, 38, 38, "randomized", 3): (38, (5, 6, 12, 23, 25, 29, 31, 34), 37779),
-    (4, 28, 40, "randomized", 0): (39, (3, 5, 6, 9, 11, 12, 20, 32), 23059),
+    (4, 20, 45, "randomized", 0): (45, (5, 7, 8, 11, 14, 16, 25, 28, 43, 44), 27338),
+    (4, 29, 29, "randomized", 5): (29, (8, 10, 12, 15, 18, 26, 27), 17390),
+    (4, 38, 38, "randomized", 3): (38, (1, 12, 15, 16, 17, 24, 29, 33, 34), 876),
+    (4, 28, 40, "randomized", 0): (39, (4, 7, 14, 15, 19, 23, 27, 29, 33), 28259),
 }
 
 

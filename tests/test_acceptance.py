@@ -45,9 +45,10 @@ from wsforge.formats import read_certificate, read_game, reverify
 F = Fraction
 
 # Complete-difference sets with zero-free sumsets up to the named level,
-# found by `wsforge search`: randomized above q = 20, and at q <= 20 by an
-# earlier exhaustive mode that returned the least bit-vector. Today's
-# depth-first search returns supersets of the sets at q = 11 to 19.
+# found by earlier versions of `wsforge search`: by a randomized hill climb
+# above q = 20, and at q <= 20 by an exhaustive mode that returned the least
+# bit-vector. Today's depth-first search returns supersets of the sets at
+# q = 11 to 19, and its seeded restarts return other sets above q = 20.
 K3_POOL = {
     7: (1, 2, 4),
     9: (1, 2, 3, 5),

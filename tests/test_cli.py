@@ -71,6 +71,16 @@ def test_search_exhaustion_exits_3():
     assert run("search", "--kappa", "3", "--q-max", "4") == 3
 
 
+@pytest.mark.parametrize("budget, err", [
+    ("1000000", "no kappa=4 set exists in Z_q for 13 <= q <= 13 (evaluated 337 candidates)\n"),
+    ("100", "not found within budget (evaluated 100 candidates)\n"),
+], ids=["settled", "out-of-budget"])
+def test_search_says_whether_the_range_was_settled(capsys, budget, err):
+    # A count below the budget means that the search finished every tree.
+    assert run("search", "--kappa", "4", "--q-min", "13", "--q-max", "13", "--budget", budget) == 3
+    assert capsys.readouterr().err == err
+
+
 def test_randomized_search_skips_moduli_below_kappa(capsys):
     # Z_7 holds no Haight set at kappa > 7, so no sumset level is built.
     code, seconds = run_timed(
@@ -571,7 +581,7 @@ def cayley_text(q: int, members: list[int]) -> str:
     # about 77 KB of stdout, more than a pipe holds, so the child blocks on it
     (["cayley", "--q", str(MAX_ORDER), "--y", "1,2"], 0, cayley_text(MAX_ORDER, [1, 2]), ""),
     (["cayley", "--q", "7"], 2, "", "need --cert or both --q and --y"),
-    (["search", "--kappa", "3", "--q-max", "4"], 3, "", "not found within budget"),
+    (["search", "--kappa", "3", "--q-max", "4"], 3, "", "no kappa=3 set exists in Z_q for 2 <= q <= 4"),
     (["certify", "--in", "loop.dg", "--k", "2", "--l", "1"], 4, "FAILED: cycle of length 1 < k=2: 0\n", ""),
 ], ids=["ok", "usage", "not-found", "failed"])
 def test_process_exit_codes_and_complete_stdout(tmp_path, argv, code, out, err):

@@ -24,12 +24,22 @@ def test_forge_k1_passes_every_stage():
 
 
 def test_forge_k2_stops_at_the_failed_search():
-    # No q <= 24 leaves room for a kappa = 5 set, so the climbs run on 25..30.
+    # No q <= 24 leaves room for a kappa = 5 set, so the restarts run on 25..30.
     stages = list(forge(2, Fraction(3, 4), **{**SEARCH, "q_max": 30}))
     assert [(s.name, s.ok) for s in stages] == [("search", True), ("search", False)]
     assert stages[0].detail == "hunting a kappa=5 set in q range [2, 30]"
     assert stages[0].product is None
+    assert stages[-1].detail == "budget exhausted after 2000 candidates; no certificate emitted"
     assert stages[-1].product == SearchExhausted(candidates_evaluated=2000)
+
+
+def test_forge_says_when_the_search_settled_its_range():
+    search = {**SEARCH, "budget": 10**5, "q_min": 25, "q_max": 25, "mode": "exhaustive"}
+    stages = list(forge(2, Fraction(3, 4), **search))
+    assert stages[-1].detail == (
+        "no kappa=5 set exists in Z_q for 25 <= q <= 25 (evaluated 9364 candidates); no certificate emitted"
+    )
+    assert stages[-1].product == SearchExhausted(candidates_evaluated=9364)
 
 
 def test_forge_announces_the_hunt_before_searching():

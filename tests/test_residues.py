@@ -7,6 +7,7 @@ convolutions throughout.
 from __future__ import annotations
 
 import random
+import time
 from itertools import product
 from math import gcd
 
@@ -25,13 +26,7 @@ from wsforge import (
     search_haight_set,
     shift_set,
 )
-from wsforge.residues import (
-    _hill_climb,
-    _min_size,
-    _objective,
-    _sumset_step,
-    _swap_scorer,
-)
+from wsforge.residues import _sumset_step
 
 
 def brute_difference(q: int, members: tuple[int, ...]) -> set[int]:
@@ -304,6 +299,24 @@ def test_search_budget_edge_at_q24():
     assert found.y.members() == (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 13)
 
 
+def test_search_pins_run_fast():
+    # All nine benchmark jobs take about 0.1 s in-process; a kernel
+    # regression in either mode fails here before it reaches the benchmark.
+    start = time.perf_counter()
+    for kappa, q_min, q_max, mode, seed in SEARCH_PINS:
+        search_haight_set(SearchSpec(kappa, q_min, q_max, budget=10**6, seed=seed, mode=mode))
+    assert time.perf_counter() - start < 2
+
+
+def test_randomized_search_finds_a_kappa4_set_for_every_seed():
+    # Restarts cut at q^2 candidates leave no seed stuck in one unlucky
+    # member order.
+    for seed in range(12):
+        result = search_haight_set(SearchSpec(4, 20, 45, budget=200_000, seed=seed, mode="randomized"))
+        assert isinstance(result, HaightCertificate), seed
+        assert 20 <= result.modulus <= 45 and satisfies_haight(result.y, 4), seed
+
+
 def test_randomized_search_budget_edge():
     kappa, q_min, q_max, mode, seed = job = (4, 28, 40, "randomized", 0)
     q, members, evaluated = SEARCH_PINS[job]
@@ -313,50 +326,11 @@ def test_randomized_search_budget_edge():
     assert found == HaightCertificate(q, ResidueSet.from_members(q, members), kappa, evaluated)
 
 
-def test_swap_scorer_equals_objective():
-    rng = random.Random(17)
-    for q in range(2, 49):
-        for kappa in range(2, 7):
-            for size in {1, rng.randrange(1, q), rng.randrange(1, min(q, 8))}:
-                bits = sum(1 << r for r in rng.sample(range(q), size))
-                for a in range(q):
-                    if not bits >> a & 1:
-                        continue
-                    ya = bits ^ (1 << a)
-                    score, _ = _swap_scorer(q, kappa, ya)
-                    for b in range(q):
-                        if ya >> b & 1:
-                            continue
-                        want = _objective(q, ya | 1 << b, kappa, q + kappa)
-                        assert score(b, q + kappa) == want, (q, kappa, ya, b)
-                        bar = rng.randrange(q + kappa)
-                        for got in (score(b, bar), _objective(q, ya | 1 << b, kappa, bar)):
-                            assert got == want if want < bar else got >= bar, (q, kappa, ya, b, bar)
-
-
-def test_swap_contenders_are_the_swaps_below_the_bar():
-    # contenders(bar) against the b whose missing differences of Ya + {b},
-    # plus the levels of Ya already holding 0, stay below bar: read off sets
-    # built member by member, for bars in decreasing order as the climb asks.
-    rng = random.Random(18)
-    for q in range(2, 41):
-        for size in {1, rng.randrange(1, q), rng.randrange(1, min(q, 8))}:
-            ya = sum(1 << r for r in rng.sample(range(q), size))
-            missing = [q - len(brute_difference(q, members_of(q, ya | 1 << b))) for b in range(q)]
-            for kappa in range(2, 7):
-                level, fixed = {0}, 0
-                for _ in range(1, kappa):
-                    level = {(x + r) % q for x in level for r in members_of(q, ya)}
-                    fixed += 0 in level
-                _, contenders = _swap_scorer(q, kappa, ya)
-                for bar in sorted({rng.randrange(q + kappa) for _ in range(4)}, reverse=True):
-                    want = tuple(b for b in range(q) if missing[b] + fixed < bar)
-                    assert members_of(q, contenders(bar)) == want, (q, kappa, ya, bar)
-
-
 def test_exhaustive_search_finds_a_set_exactly_when_one_exists():
-    # Every subset of Z_q against satisfies_haight; with a budget that does
-    # not bind, the search either finds a set or proves that none exists.
+    # Every subset of Z_q against satisfies_haight. With a budget that does
+    # not bind, exhaustive mode either finds a set or proves that none
+    # exists; randomized mode finds one wherever one exists, and otherwise
+    # runs out of a small budget or settles q.
     for q in range(1, 15):
         for kappa in range(2, 6):
             exists = any(satisfies_haight(ResidueSet(q, bits), kappa) for bits in range(1 << q))
@@ -366,52 +340,13 @@ def test_exhaustive_search_finds_a_set_exactly_when_one_exists():
             else:
                 assert isinstance(result, SearchExhausted), (q, kappa)
                 assert result.candidates_evaluated < 10**6, (q, kappa)
-
-
-def climb_per_swap(q, kappa, rng, budget_left):
-    """The hill climb scoring every swap in turn, one evaluation each, with
-    ``_objective`` for its scorer: the reference for ``_hill_climb``."""
-    size = min(q - 1, _min_size(q) + rng.randrange(3))
-    bits = sum(1 << r for r in rng.sample(range(1, q), size))
-    spent = 1
-    score = _objective(q, bits, kappa, q + kappa)
-    while score > 0:
-        best = 0
-        bar = score
-        for a in range(1, q):
-            if not bits >> a & 1:
-                continue
-            ya = bits ^ (1 << a)
-            for b in range(1, q):
-                if bits >> b & 1:
-                    continue
-                if spent >= budget_left:
-                    return 0, spent
-                spent += 1
-                cand_score = _objective(q, ya | 1 << b, kappa, bar)
-                if cand_score < bar:
-                    bar = cand_score
-                    best = ya | 1 << b
-        if not best:
-            return 0, spent
-        score, bits = bar, best
-    return bits, spent
-
-
-def test_hill_climb_matches_the_per_swap_climb():
-    rng = random.Random(20)
-    found = ended_inside = 0
-    for _ in range(60):
-        q, kappa, seed = rng.randrange(5, 46), rng.randrange(3, 6), rng.randrange(10**6)
-        whole = climb_per_swap(q, kappa, random.Random(seed), 10**9)
-        found += whole[0] != 0
-        # The whole climb, budgets that end it one swap short, inside a step,
-        # and at the first step.
-        for budget in {10**9, whole[1], max(1, whole[1] - 1), rng.randrange(1, whole[1] + 1), 1, 2}:
-            want = climb_per_swap(q, kappa, random.Random(seed), budget)
-            assert _hill_climb(q, kappa, random.Random(seed), budget) == want, (q, kappa, seed, budget)
-            ended_inside += want == (0, budget) and budget < whole[1]
-    assert found and ended_inside
+            for seed in (0, 1):
+                spec = SearchSpec(kappa, q, q, budget=10**4, seed=seed, mode="randomized")
+                result = search_haight_set(spec)
+                if exists:
+                    assert isinstance(result, HaightCertificate) and result.modulus == q, (q, kappa, seed)
+                else:
+                    assert isinstance(result, SearchExhausted), (q, kappa, seed)
 
 
 def test_satisfies_haight_matches_definition():
