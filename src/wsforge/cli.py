@@ -1,7 +1,8 @@
 """Command-line driver: every stage is a subcommand, from difference-set
 search through Cayley construction, digraph powers, bipartite game mapping,
 WSNE checking, exhaustive refutation, and certificate re-verification;
-``forge`` runs them all through :func:`wsforge.pipeline.forge`.
+``forge`` runs them all through :func:`wsforge.pipeline.forge`. ``search``,
+``certify`` and ``exhaust`` print the outcome of the same pipeline step.
 
 Exit status: 0 success, 2 usage or malformed input, 3 not found (no set
 exists in the range, or the budget ran out), 4 verification failed.
@@ -96,9 +97,10 @@ def _residue_list(text: str) -> list[int]:
 def _certificate_values(path: str, kind: str) -> tuple:
     """The parsed payload of the ``kind`` certificate at ``path``."""
     env = read_certificate(path)
+    values = validate_envelope(env)  # a payload error comes before a wrong kind
     if env.kind != kind:
         raise FormatError(f"{path} is a {env.kind} certificate, expected {kind}")
-    return validate_envelope(env)
+    return values
 
 
 def _write_certificate(args: argparse.Namespace, kind: str, payload: dict, out: str) -> None:
@@ -115,21 +117,13 @@ def _write_certificate(args: argparse.Namespace, kind: str, payload: dict, out: 
 
 def cmd_search(args: argparse.Namespace) -> int:
     spec = residues.SearchSpec(args.kappa, args.q_min, args.q_max, args.budget, args.seed, args.mode)
-    result = residues.search_haight_set(spec)
-    if isinstance(result, residues.HaightCertificate):
-        print(
-            f"found q={result.modulus} Y={{{', '.join(map(str, result.y.members()))}}}"
-            f" kappa={result.kappa} (evaluated {result.candidates_evaluated} candidates)"
-        )
-        if args.out:
-            _write_certificate(args, "haight", haight_payload(result), args.out)
-        return EXIT_OK
-    if result.candidates_evaluated < spec.budget:
-        verdict = f"no kappa={spec.kappa} set exists in Z_q for {spec.q_min} <= q <= {spec.q_max}"
-    else:
-        verdict = "not found within budget"
-    print(f"{verdict} (evaluated {result.candidates_evaluated} candidates)", file=sys.stderr)
-    return EXIT_NOT_FOUND
+    stage = pipeline.search(spec)
+    print(stage.detail, file=sys.stdout if stage.ok else sys.stderr)
+    if not stage.ok:
+        return EXIT_NOT_FOUND
+    if args.out:
+        _write_certificate(args, "haight", haight_payload(stage.product), args.out)
+    return EXIT_OK
 
 
 def cmd_cayley(args: argparse.Namespace) -> int:
@@ -161,23 +155,12 @@ def cmd_bipartify(args: argparse.Namespace) -> int:
 def cmd_certify(args: argparse.Namespace) -> int:
     d = read_digraph(args.infile)
     require_subsets_within_max_work(d.n, args.l, "--l")
-    result = digraph.certify_kl(d, args.k, args.l)
-    if isinstance(result, digraph.KLFailure):
-        if result.short_cycle is not None:
-            print(
-                f"FAILED: cycle of length {len(result.short_cycle)} < k={args.k}: "
-                + " -> ".join(map(str, result.short_cycle))
-            )
-        else:
-            print(
-                f"FAILED: undominated {args.l}-set: "
-                + "{" + ", ".join(map(str, result.undominated)) + "}"
-            )
+    stage = pipeline.certify(d, args.k, args.l)
+    print(stage.detail)
+    if not stage.ok:
         return EXIT_VERIFY_FAILED
-    girth_text = "acyclic" if result.girth_found is None else str(result.girth_found)
-    print(f"verified ({args.k},{args.l})-digraph: n={d.n} girth={girth_text}")
     if args.out:
-        _write_certificate(args, "kl_digraph", kl_digraph_payload(d, result), args.out)
+        _write_certificate(args, "kl_digraph", kl_digraph_payload(d, stage.product), args.out)
     return EXIT_OK
 
 
@@ -200,20 +183,12 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_exhaust(args: argparse.Namespace) -> int:
     g = read_game(args.game)
     require_pairs_within_max_work(g.m, g.n, args.k, "--k")
-    result = wsne.exhaustive_search(g, args.k, args.eps)
-    if isinstance(result, wsne.NoWitness):
-        print(
-            f"no eps-WSNE with supports of cardinality <= {args.k} at eps={args.eps}:"
-            f" refuted {result.pairs_refuted} support pairs"
-        )
-        kind, payload = "nonexistence", nonexistence_payload(g, args.k, args.eps, result)
+    stage = pipeline.exhaust(g, args.k, args.eps)
+    print(stage.detail)
+    if stage.ok:
+        kind, payload = "nonexistence", nonexistence_payload(g, args.k, args.eps, stage.product)
     else:
-        p, q = result
-        print(
-            f"witness found at eps={args.eps}:"
-            f" row support {list(p.support)}, col support {list(q.support)}"
-        )
-        kind, payload = "wsne_witness", wsne_witness_payload(g, p, q, args.eps)
+        kind, payload = "wsne_witness", wsne_witness_payload(g, *stage.product, args.eps)
     if args.out:
         _write_certificate(args, kind, payload, args.out)
     return EXIT_OK
@@ -325,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--q-min", type=_order, default=2)
     p.add_argument("--q-max", type=_order, default=64)
-    p.add_argument("--mode", choices=("exhaustive", "randomized"), default="randomized", help=_MODE_HELP)
+    p.add_argument("--mode", choices=("exhaustive", "randomized"), default="exhaustive", help=_MODE_HELP)
     p.add_argument("--out-game")
     p.add_argument("--out-cert")
 

@@ -530,6 +530,13 @@ def validate_envelope(env: CertificateEnvelope) -> tuple:
     kl_digraph, (g, p, q, eps) for wsne_witness and (g, k, eps,
     pairs_refuted, char_none) for nonexistence. Every CertificateError
     names the offending field."""
+    _check_envelope(env)
+    parse, _ = _KINDS[env.kind]
+    return parse(env.payload)
+
+
+def _check_envelope(env: CertificateEnvelope) -> None:
+    """The checks of :func:`validate_envelope` that precede the payload's parse."""
     if env.kind not in CERT_KINDS:  # a tuple: the kind may be an unhashable JSON value
         raise CertificateError(f"kind: unknown certificate kind {env.kind!r}")
     if not isinstance(env.payload, dict) or not env.payload:
@@ -538,8 +545,6 @@ def validate_envelope(env: CertificateEnvelope) -> tuple:
         raise CertificateError("toolchain: must be a nonempty string")
     if not isinstance(env.replay, str) or not env.replay:
         raise CertificateError("replay: must be a nonempty string")
-    parse, _ = _KINDS[env.kind]
-    return parse(env.payload)
 
 
 def make_envelope(kind: str, payload: dict, replay: str) -> CertificateEnvelope:
@@ -561,6 +566,9 @@ def write_certificate(env: CertificateEnvelope, dest: Source) -> None:
 
 
 def read_certificate(src: Source) -> CertificateEnvelope:
+    """The envelope in ``src``, its schema and fields checked. Its payload is
+    parsed, and its errors raised, by :func:`validate_envelope` or
+    :func:`reverify`, which use its values."""
     text = _read_text(src)
     try:
         doc = json.loads(text)
@@ -574,7 +582,7 @@ def read_certificate(src: Source) -> CertificateEnvelope:
         if field not in doc:
             raise CertificateError(f"{field}: missing required field")
     env = CertificateEnvelope(doc["kind"], doc["payload"], doc["toolchain"], doc["replay"])
-    validate_envelope(env)
+    _check_envelope(env)
     return env
 
 

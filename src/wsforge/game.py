@@ -164,6 +164,13 @@ def char_decision(
     cyc = shortest_cycle(h)
     if cyc is not None and len(cyc) <= 2 * k:
         return CycleWitness(tuple(cyc))
+    return _first_undominated_side(g, h, k)
+
+
+def _first_undominated_side(g: WinLoseGame, h: Digraph, k: int) -> Union[UndominatedWitness, None]:
+    """The first one-sided k-set with no common in-neighbour in ``h``, the
+    game's bipartite digraph: row-side index sets lexicographically, then
+    column-side; None when every such set is dominated."""
     for side, count, offset in (("row", g.m, 0), ("col", g.n, g.m)):
         combo = _first_undominated(h.in_masks, range(offset, offset + count), k)
         if combo is not None:

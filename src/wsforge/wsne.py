@@ -15,11 +15,12 @@ from math import comb, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from . import feasibility
-from .digraph import _first_undominated, is_dominated
+from .digraph import is_dominated
 from .game import (
     CycleWitness,
     UndominatedWitness,
     WinLoseGame,
+    _first_undominated_side,
     _require_out_degree,
     char_decision,
     to_bipartite_digraph,
@@ -526,11 +527,7 @@ def _below_half(g: WinLoseGame, k: int) -> bool:
     """
     if any(a & b for a, b in zip(g.a_rows, g.b_rows)):
         return False
-    in_masks = to_bipartite_digraph(g).in_masks
-    return all(
-        _first_undominated(in_masks, range(offset, offset + count), k) is None
-        for offset, count in ((0, g.m), (g.m, g.n))
-    )
+    return _first_undominated_side(g, to_bipartite_digraph(g), k) is None
 
 
 def exhaustive_search(

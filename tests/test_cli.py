@@ -11,11 +11,12 @@ import hashlib
 import io
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
 from conftest import run_python
-from wsforge import Digraph, ResidueSet, bipartify, cayley, power
+from wsforge import Digraph, ResidueSet, SearchSpec, bipartify, cayley, power
 from wsforge.cli import main
 from wsforge.formats import (
     MAX_ORDER,
@@ -27,6 +28,7 @@ from wsforge.formats import (
     write_digraph,
     write_game,
 )
+from wsforge.pipeline import certify, exhaust, search
 
 
 def run(*argv: str) -> int:
@@ -260,7 +262,7 @@ def test_forge_k1_certifies_the_triangle_once(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out.splitlines()
     assert [line for line in out if line.startswith("[certify]")] == [
-        "[certify] power is a (3,1)-digraph"
+        "[certify] verified (3,1)-digraph: n=3 girth=3"
     ]
 
 
@@ -278,6 +280,19 @@ def test_forge_k2_budget_exhaustion_exits_3(tmp_path):
     )
     assert code == 3
     assert not (tmp_path / "g.wl").exists()
+
+
+def test_forge_search_settles_its_range_by_default(tmp_path, capsys):
+    # --mode defaults to exhaustive, as in search: randomized restarts stop
+    # at q^2 candidates per modulus and cannot settle Z_25 in this budget.
+    code = run(
+        "forge", "--k", "2", "--eps", "3/4", "--q-min", "25", "--q-max", "25", "--budget", "100000",
+        "--out-game", str(tmp_path / "g.wl"), "--out-cert", str(tmp_path / "c.json"),
+    )
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "[search] no kappa=5 set exists in Z_q for 25 <= q <= 25 (evaluated 9364 candidates)\n"
+    )
 
 
 def test_exhaust_finds_witness_on_forged_game(forged_k1, tmp_path):
@@ -357,8 +372,9 @@ REPLAY_GOLDEN = [
      "cfa4ca4ce440aac9f3d7a5522dc0f156609e8face745964eccfaf46060ce578b"),
     (("certify", "--in", "paley7.dg", "--k", "3", "--l", "2", "--out", "kl.json"), "kl.json",
      "3474c821d4011ef1fc5ff940404e505e2102f5c9bf3c1c572a1a9d56fe6dbf37"),
+    # its replay line ends "--mode exhaustive", forge's default search mode
     (("forge", "--k", "1", "--eps", "99/100"), "forge-k1.cert.json",
-     "a27b1f82d74633e6ded0c4febb72cb46c19f179e5ab23d32274be9d63d4d8a1b"),
+     "a4fb1606c6a5233ffff66eafab5ea06247510a7904eac82e704423ee1fba4df3"),
 ]
 
 
@@ -369,6 +385,47 @@ def test_replay_line_certificates_are_byte_identical(tmp_path, monkeypatch, argv
     assert run(*argv) == 0
     assert hashlib.sha256((tmp_path / out).read_bytes()).hexdigest() == digest
     assert run("reverify", "--cert", out) == 0
+
+# ---------------------------------------------------------------------------
+# One outcome per step: a subcommand prints the detail of the Stage that the
+# pipeline's step function returns, on the same stream and with its exit code
+# ---------------------------------------------------------------------------
+
+PALEY7 = cayley(7, ResidueSet.from_members(7, [1, 2, 4]))
+TRIANGLE = cayley(3, ResidueSet.from_members(3, [2]))
+
+OUTCOMES = {
+    "search-found": (["search", "--kappa", "3", "--q-max", "7"], "out", 0,
+                     lambda: search(SearchSpec(3, 2, 7))),
+    "search-settled": (["search", "--kappa", "4", "--q-min", "13", "--q-max", "13"], "err", 3,
+                       lambda: search(SearchSpec(4, 13, 13))),
+    "search-out-of-budget": (["search", "--kappa", "4", "--q-min", "13", "--q-max", "13", "--budget", "100"],
+                             "err", 3, lambda: search(SearchSpec(4, 13, 13, budget=100))),
+    "certify-verified": (["certify", "--in", "paley7.dg", "--k", "3", "--l", "2"], "out", 0,
+                         lambda: certify(PALEY7, 3, 2)),
+    "certify-short-cycle": (["certify", "--in", "paley7.dg", "--k", "4", "--l", "2"], "out", 4,
+                            lambda: certify(PALEY7, 4, 2)),
+    "certify-undominated": (["certify", "--in", "triangle.dg", "--k", "3", "--l", "2"], "out", 4,
+                            lambda: certify(TRIANGLE, 3, 2)),
+    "exhaust-refuted": (["exhaust", "--game", "paley7.wl", "--k", "1", "--eps", "99/100"], "out", 0,
+                        lambda: exhaust(bipartify(PALEY7), 1, Fraction(99, 100))),
+    "exhaust-witness": (["exhaust", "--game", "paley7.wl", "--k", "2", "--eps", "1/2"], "out", 0,
+                        lambda: exhaust(bipartify(PALEY7), 2, Fraction(1, 2))),
+}
+
+
+@pytest.mark.parametrize("argv, stream, code, step", OUTCOMES.values(), ids=OUTCOMES)
+def test_subcommand_prints_the_detail_of_its_step(tmp_path, monkeypatch, capsys, argv, stream, code, step):
+    monkeypatch.chdir(tmp_path)
+    write_digraph(PALEY7, "paley7.dg")
+    write_digraph(TRIANGLE, "triangle.dg")
+    write_game(bipartify(PALEY7), "paley7.wl")
+    assert run(*argv) == code
+    printed = capsys.readouterr()
+    stage = step()
+    assert stage.name == argv[0]
+    assert {"out": printed.out, "err": printed.err} == {"out": "", "err": "", stream: stage.detail + "\n"}
+
 
 def test_check_verdicts(forged_k1, tmp_path):
     game, _ = forged_k1

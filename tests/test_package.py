@@ -107,12 +107,10 @@ def loaded_after(tmp_path: Path, *argvs: list[str]) -> set[str]:
 
 
 def test_search_and_haight_reverify_load_only_cli_formats_residues(tmp_path):
-    loaded = loaded_after(
-        tmp_path,
-        ["search", "--kappa", "3", "--q-max", "7", "--out", "h.json"],
-        ["reverify", "--cert", "h.json"],
-    )
-    assert loaded == {"cli", "formats", "residues"}  # and neither of RATIONALS
+    # search also loads pipeline, whose search step words its outcome
+    searched = loaded_after(tmp_path, ["search", "--kappa", "3", "--q-max", "7", "--out", "h.json"])
+    assert searched == {"cli", "formats", "residues", "pipeline"}  # and neither of RATIONALS
+    assert loaded_after(tmp_path, ["reverify", "--cert", "h.json"]) == {"cli", "formats", "residues"}
 
 
 def test_digraph_subcommands_skip_the_equilibrium_layers(tmp_path):
@@ -124,8 +122,8 @@ def test_digraph_subcommands_skip_the_equilibrium_layers(tmp_path):
         ["bipartify", "--in", "d.dg", "--out", "g.wl"],
         ["reverify", "--cert", "kl.json"],
     )
-    assert {"cli", "formats", "residues", "digraph", "game"} <= loaded
-    assert not loaded & {"wsne", "feasibility", "pipeline", *RATIONALS}
+    assert {"cli", "formats", "residues", "digraph", "game", "pipeline"} <= loaded
+    assert not loaded & {"wsne", "feasibility", *RATIONALS}
 
 
 def test_digraph_subcommands_without_cayley_skip_residues(tmp_path):
@@ -139,7 +137,7 @@ def test_digraph_subcommands_without_cayley_skip_residues(tmp_path):
         ["bipartify", "--in", "d.dg", "--out", "g.wl"],
         ["reverify", "--cert", "kl.json"],
     )
-    assert loaded == {"cli", "formats", "digraph", "game"}
+    assert loaded == {"cli", "formats", "digraph", "game", "pipeline"}  # pipeline: certify's step
 
 
 def test_readme_chain_loads_every_layer_but_not_dataclasses(tmp_path):

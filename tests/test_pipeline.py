@@ -3,7 +3,11 @@ first failure."""
 
 from __future__ import annotations
 
+import contextlib
+import io
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +24,9 @@ def test_forge_k1_passes_every_stage():
     assert stages[0].product == triangle
     assert stages[2].product == bipartify(triangle)
     assert stages[4].product == NoWitness(pairs_refuted=9)
-    assert stages[4].detail == "refuted all 9 support pairs at eps=99/100"
+    assert stages[4].detail == (
+        "no eps-WSNE with supports of cardinality <= 1 at eps=99/100: refuted 9 support pairs"
+    )
 
 
 def test_forge_k2_stops_at_the_failed_search():
@@ -29,16 +35,14 @@ def test_forge_k2_stops_at_the_failed_search():
     assert [(s.name, s.ok) for s in stages] == [("search", True), ("search", False)]
     assert stages[0].detail == "hunting a kappa=5 set in q range [2, 30]"
     assert stages[0].product is None
-    assert stages[-1].detail == "budget exhausted after 2000 candidates; no certificate emitted"
+    assert stages[-1].detail == "not found within budget (evaluated 2000 candidates)"
     assert stages[-1].product == SearchExhausted(candidates_evaluated=2000)
 
 
 def test_forge_says_when_the_search_settled_its_range():
     search = {**SEARCH, "budget": 10**5, "q_min": 25, "q_max": 25, "mode": "exhaustive"}
     stages = list(forge(2, Fraction(3, 4), **search))
-    assert stages[-1].detail == (
-        "no kappa=5 set exists in Z_q for 25 <= q <= 25 (evaluated 9364 candidates); no certificate emitted"
-    )
+    assert stages[-1].detail == "no kappa=5 set exists in Z_q for 25 <= q <= 25 (evaluated 9364 candidates)"
     assert stages[-1].product == SearchExhausted(candidates_evaluated=9364)
 
 
@@ -53,3 +57,15 @@ def test_forge_announces_the_hunt_before_searching():
 def test_forge_rejects_bad_arguments_when_called(k, eps):
     with pytest.raises(ValueError):
         forge(k, eps, **SEARCH)
+
+
+def test_readme_library_example_prints_its_commented_output():
+    # The README's forge example, run as written: what it prints must be the
+    # "# " lines under it.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = [b for b in re.findall(r"```python\n(.*?)```", readme, re.S) if "import forge" in b]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {"Fraction": Fraction})
+    expected = [line[2:] for line in block.splitlines() if line.startswith("# ")]
+    assert expected and out.getvalue().splitlines() == expected
