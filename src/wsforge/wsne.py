@@ -2,9 +2,9 @@
 games, uniform strategy constructions from undominated sets and from even
 cycles, and an exhaustive support-enumeration oracle.
 
-All arithmetic is exact: payoffs, thresholds, and feasibility systems use
-Fraction throughout, so verdicts at the boundary (payoff equal to best
-response minus epsilon) are accepted. No floating point anywhere.
+All arithmetic is exact: payoffs and thresholds use Fraction, feasibility
+systems integers, so verdicts at the boundary (payoff equal to best response
+minus epsilon) are accepted. No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -325,15 +325,15 @@ class _PlayerSystem:
     for the row player. Each system is exact feasibility over the support's
     simplex, reduced to distinct support patterns against pointwise-maximal
     opponent patterns, then solved in closed form on supports of size <= 2
-    and by Fourier-Motzkin on larger ones. Results are cached by pattern
-    signature, which collapses most of the enumeration in
-    :func:`exhaustive_search`.
+    and by Fourier-Motzkin on larger ones, both on integers scaled by eps's
+    denominator. Results are cached by pattern signature, which
+    collapses most of the enumeration in :func:`exhaustive_search`.
     """
 
     def __init__(self, masks: Sequence[int], size: int, eps: Fraction):
         self.masks = masks
         self.size = size
-        self.eps = eps
+        self._eps_ratio = eps.as_integer_ratio()
         self._tables: dict[tuple[int, ...], tuple[list[int], tuple[int, ...]]] = {}
         self._solved: dict[tuple, Optional[MixedStrategy]] = {}
 
@@ -374,21 +374,16 @@ class _PlayerSystem:
         rows = [(mp & ~sp, sp & ~mp) for sp in support_pats for mp in maximal if mp & ~sp]
         if dim <= 2:
             return self._solve_interval(dim, rows)
-        cons: list[feasibility.Constraint] = []
-        ones = tuple(_ONE for _ in range(dim))
-        neg_ones = tuple(-_ONE for _ in range(dim))
-        cons.append((ones, _ONE))
-        cons.append((neg_ones, -_ONE))
-        for idx in range(dim):
-            coeffs = tuple(-_ONE if i == idx else _ZERO for i in range(dim))
-            cons.append((coeffs, _ZERO))
+        # In y = b x, with eps = a / b, every entry is an integer: sum y = b,
+        # y >= 0, and each row's difference of y-sums <= a. FM's point scales
+        # with the bounds, so y / b is the point it picks for x.
+        a, b = self._eps_ratio
+        cons = [((1,) * dim, b), ((-1,) * dim, -b)]
+        cons += [(tuple(-(i == idx) for i in range(dim)), 0) for idx in range(dim)]
         for plus, minus in rows:
-            coeffs = tuple(
-                _ONE if plus >> i & 1 else (-_ONE if minus >> i & 1 else _ZERO)
-                for i in range(dim)
-            )
-            cons.append((coeffs, self.eps))
-        return feasibility.feasible_point(cons, dim)
+            cons.append((tuple((plus >> i & 1) - (minus >> i & 1) for i in range(dim)), a))
+        point = feasibility.feasible_point(cons, dim)
+        return None if point is None else tuple(y / b for y in point)
 
     def _solve_interval(
         self, dim: int, rows: list[tuple[int, int]]
@@ -396,21 +391,24 @@ class _PlayerSystem:
         """The systems of one or two variables in closed form, with the point
         Fourier-Motzkin would pick: on x0 + x1 = 1 each row c.x <= eps reads
         (c0 - c1) x0 <= eps - c1, and x0 is the midpoint of the interval
-        these leave of [0, 1]. With one variable, x1 = 0 and x0 = 1."""
-        lo, hi = (_ONE if dim == 1 else _ZERO), _ONE
+        these leave of [0, 1]. With one variable, x1 = 0 and x0 = 1. In units
+        of 1/(2b), with eps = a / b, each end is the integer 2 (a - c1 b) /
+        (c0 - c1), as |c0 - c1| <= 2, so the midpoint is the one Fraction."""
+        a, b = self._eps_ratio
+        lo, hi = (2 * b if dim == 1 else 0), 2 * b
         for plus, minus in rows:
             c0 = (plus & 1) - (minus & 1)
             c1 = (plus >> 1 & 1) - (minus >> 1 & 1)
-            slope, room = c0 - c1, self.eps - c1
+            slope, room = c0 - c1, 2 * (a - c1 * b)
             if slope > 0:
-                hi = min(hi, room / slope)
+                hi = min(hi, room // slope)
             elif slope < 0:
-                lo = max(lo, room / slope)
+                lo = max(lo, room // slope)
             elif room < 0:
                 return None
         if lo > hi:
             return None
-        x0 = (lo + hi) / 2
+        x0 = Fraction(lo + hi, 4 * b)
         return (x0,) if dim == 1 else (x0, _ONE - x0)
 
     def singletons(self, support: tuple[int, ...]) -> int:

@@ -3,14 +3,16 @@ shared across the suite."""
 
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import wsforge
-from wsforge import Digraph, WinLoseGame, girth
+from wsforge import Digraph, NoWitness, WinLoseGame, crosscheck_characterization, girth
 
 SRC = str(Path(wsforge.__file__).resolve().parents[1])
 
@@ -83,3 +85,33 @@ def random_game(
             if not any(b_rows[i] >> j & 1 for i in range(m)):
                 b_rows[rng.randrange(m)] |= 1 << j
     return WinLoseGame(m, n, tuple(a_rows), tuple(b_rows))
+
+
+def _crosscheck_point_line(idx, k, point) -> str:
+    result = point.search_result
+    if isinstance(result, NoWitness):
+        tail = f"refuted {result.pairs_refuted}"
+    else:
+        p, q = result
+        tail = "p " + ",".join(map(str, p.probs)) + " q " + ",".join(map(str, q.probs))
+    return f"{idx} {k} {point.eps} {tail}\n"
+
+
+def crosscheck_digest(count: int) -> str:
+    """sha256 of every cross-check point, at k = 1, 2, 3, over the first
+    ``count`` seeded square games of the acceptance suite's criterion 7,
+    asserting that each report agrees. A change to the support oracle that
+    moves a witness probability or a refuted-pair count moves the digest."""
+    rng = random.Random(700)
+    digest = hashlib.sha256()
+    for idx in range(count):
+        m = rng.randrange(3, 9)
+        g = random_game(rng, m, m, p=rng.choice([0.2, 0.35, 0.5]))
+        for k in (1, 2, 3):
+            report = crosscheck_characterization(g, k)
+            assert report.agree, (idx, k, report)
+            assert report.points[0].eps == 1 - Fraction(1, k)
+            assert report.points[1].eps == 1 - Fraction(1, 2 * k)
+            for point in report.points:
+                digest.update(_crosscheck_point_line(idx, k, point).encode())
+    return digest.hexdigest()

@@ -10,23 +10,20 @@ starting points, never trusted facts.
 
 from __future__ import annotations
 
-import hashlib
 import random
 import time
 from fractions import Fraction
 from itertools import combinations
 
-from conftest import random_digraph, random_digraph_with_cycle, random_game
+from conftest import crosscheck_digest, random_digraph, random_digraph_with_cycle, random_game
 from wsforge import (
     Digraph,
     KLCertificate,
-    NoWitness,
     ResidueSet,
     bipartify,
     cayley,
     certify_kl,
     check_wsne,
-    crosscheck_characterization,
     girth,
     is_complete_difference_set,
     is_dominated,
@@ -348,37 +345,15 @@ def test_criterion_6_uniform_constructions():
 # ---------------------------------------------------------------------------
 
 
-# sha256 of every point's line from _crosscheck_point_line over criterion 7's
-# 500 games: any change to the oracle that moves a witness probability or a
-# refuted-pair count shows here, not only one that breaks agreement.
+# conftest.crosscheck_digest over criterion 7's 500 games: any change to the
+# oracle that moves a witness probability or a refuted-pair count shows here,
+# not only one that breaks agreement.
 CROSSCHECK_DIGEST = "ea2965c9afc4f4585ea80161f711a684f0c7a7c3977550cfd6be0e48f90b6e03"
-
-
-def _crosscheck_point_line(idx, k, point):
-    result = point.search_result
-    if isinstance(result, NoWitness):
-        tail = f"refuted {result.pairs_refuted}"
-    else:
-        p, q = result
-        tail = "p " + ",".join(map(str, p.probs)) + " q " + ",".join(map(str, q.probs))
-    return f"{idx} {k} {point.eps} {tail}\n"
 
 
 def test_criterion_7_characterization_crosscheck():
     def body():
-        rng = random.Random(700)
-        digest = hashlib.sha256()
-        for idx in range(500):
-            m = rng.randrange(3, 9)
-            g = random_game(rng, m, m, p=rng.choice([0.2, 0.35, 0.5]))
-            for k in (1, 2, 3):
-                report = crosscheck_characterization(g, k)
-                assert report.agree, (idx, k, report)
-                assert report.points[0].eps == F(1) - F(1, k)
-                assert report.points[1].eps == F(1) - F(1, 2 * k)
-                for point in report.points:
-                    digest.update(_crosscheck_point_line(idx, k, point).encode())
-        assert digest.hexdigest() == CROSSCHECK_DIGEST
+        assert crosscheck_digest(500) == CROSSCHECK_DIGEST
         return "500 games x k in {1,2,3} x two eps points, all agree, witnesses as pinned"
 
     _criterion(7, 600.0, body)

@@ -11,7 +11,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import random_digraph, random_game
+from conftest import crosscheck_digest, random_digraph, random_game
 from wsforge import (
     Digraph,
     MixedStrategy,
@@ -628,6 +628,25 @@ def test_crosscheck_solves_systems_where_the_lemma_holds(oracle_counts):
     assert oracle_counts["systems"] > 0
 
 
+def test_crosscheck_points_pinned():
+    # Criterion 7's first 100 games, fast enough for every run: both solvers
+    # of the support oracle (closed form and Fourier-Motzkin) feed it.
+    assert crosscheck_digest(100) == (
+        "fb3005e049add4e3ddec3ef2d38377dfddb02b13bb518ea931d3a77401e5cfbf"
+    )
+
+
+PALEY19 = bipartify(cayley(19, ResidueSet.from_members(19, [1, 4, 5, 6, 7, 9, 11, 16, 17])))
+
+
+def test_paley19_scan_refutes_k3_at_49_100(oracle_counts):
+    # No 49/100-WSNE with supports <= 3 on the 3-paradoxical Paley-19, decided
+    # by the scan alone (exhaustive_search would apply the constant-sum
+    # lemma), with most systems solved by Fourier-Motzkin.
+    assert _scan(PALEY19, 3, F(49, 100)) == NoWitness(1343281)
+    assert oracle_counts == {"systems": 8589, "fm": 8344, "pairs": 24375}
+
+
 def _random_tournament_game(rng, n):
     arcs = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in combinations(range(n), 2)]
     return bipartify(Digraph.from_arcs(n, arcs))
@@ -731,7 +750,11 @@ def _nonempty_sets(items):
 def test_closed_form_matches_fourier_motzkin_up_to_two_variables():
     from wsforge.wsne import _PlayerSystem
 
-    epsilons = sorted({F(a, b) for b in range(1, 9) for a in range(2 * b + 1)})
+    # the closed form works in units of 1/(2b), so large denominators b too
+    epsilons = sorted(
+        {F(a, b) for b in range(1, 9) for a in range(2 * b + 1)}
+        | {F(49, 100), F(99, 100), F(101, 100)}
+    )
     checked = infeasible = 0
     for dim in (1, 2):
         patterns = range(1 << dim)
