@@ -554,7 +554,7 @@ def make_envelope(kind: str, payload: dict, replay: str) -> CertificateEnvelope:
 
 
 def write_certificate(env: CertificateEnvelope, dest: Source) -> None:
-    validate_envelope(env)
+    """Write ``env``, as :func:`make_envelope` built and validated it."""
     doc = {
         "schema": SCHEMA_TAG,
         "kind": env.kind,

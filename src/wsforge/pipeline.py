@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Iterator, NamedTuple
 
-from . import digraph, game, residues, wsne
+from . import digraph, formats, game, residues, wsne
 
 if TYPE_CHECKING:  # fractions stays out of the processes that parse no rational
     from fractions import Fraction
@@ -83,7 +83,9 @@ def forge(
       Otherwise a first record (no product) announces the hunt for a set of
       kappa = 2k(k-1) + 1 in Z_q, q_min <= q <= q_max; then :func:`search`.
     - ``certify``: at k >= 3 first :func:`certify` of the base digraph's
-      (kappa, 2) claim, then of the power's (2k+1, k) claim.
+      (kappa, 2) claim, then of the power's (2k+1, k) claim. Before the
+      latter, a game with more support pairs than ``exhaust`` and
+      ``reverify`` accept raises ``formats.CertificateError`` naming --k.
     - ``bipartify``: the ``WinLoseGame``.
     - ``char``: None, or the cycle or undominated set found.
     - ``exhaust``: :func:`exhaust`.
@@ -124,6 +126,8 @@ def _stages(k, eps, budget, seed, q_min, q_max, mode) -> Iterator[Stage]:
             yield certify(base, kappa, 2)
 
     target = digraph.power(base, k - 1) if k >= 2 else base
+    # The limit of exhaust and reverify; it bounds certify's k-subsets too.
+    formats.require_pairs_within_max_work(target.n, target.n, k, "--k")
     yield certify(target, 2 * k + 1, k)
     g = game.bipartify(target)
     yield Stage("bipartify", True, f"game is {g.m} x {g.n}", g)

@@ -49,11 +49,15 @@ class _Frozen:
     """Base of wsforge's validated immutable values, whose fields are their
     ``__slots__``: equal (same class) and hashed by field values, shown as
     ``Name(field=value, ...)``. Assigning or deleting a field raises
-    AttributeError; ``__init__`` validates its arguments, then stores each
-    with ``object.__setattr__``. It lives in this bottom layer so that no
-    module loads only for it."""
+    AttributeError; a subclass's ``__init__`` validates its arguments, then
+    passes them to this ``__init__``, which stores them in slot order. It
+    lives in this bottom layer so that no module loads only for it."""
 
     __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -90,8 +94,7 @@ class ResidueSet(_Frozen):
             raise ValueError(f"modulus must be >= 1, got {modulus}")
         if bits < 0 or bits >> modulus != 0:
             raise ValueError("bit-vector has members outside [0, modulus)")
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "bits", bits)
+        super().__init__(modulus, bits)
 
     @classmethod
     def from_members(cls, modulus: int, members: Iterable[int]) -> "ResidueSet":
@@ -145,12 +148,7 @@ class SearchSpec(_Frozen):
             raise ValueError("budget must be >= 1")
         if mode not in ("exhaustive", "randomized"):
             raise ValueError(f"unknown mode {mode!r}")
-        object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "q_min", q_min)
-        object.__setattr__(self, "q_max", q_max)
-        object.__setattr__(self, "budget", budget)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "mode", mode)
+        super().__init__(kappa, q_min, q_max, budget, seed, mode)
 
 
 class SearchExhausted(NamedTuple):

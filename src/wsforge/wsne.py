@@ -86,7 +86,7 @@ class MixedStrategy(_Frozen):
         num = sum(p.numerator * (den // p.denominator) for p in probs)
         if num != den:
             raise ValueError(f"entries sum to {Fraction(num, den)}, expected exactly 1")
-        object.__setattr__(self, "probs", probs)
+        super().__init__(probs)
 
     @classmethod
     def from_probs(cls, values: Iterable[Union[int, str, Fraction]]) -> "MixedStrategy":
@@ -142,8 +142,7 @@ class SupportPair(_Frozen):
                 raise ValueError(f"{name} must be strictly increasing")
             if idx[0] < 0:
                 raise ValueError(f"{name} contains a negative index")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
+        super().__init__(rows, cols)
 
 
 class NoWitness(_Frozen):
@@ -156,7 +155,7 @@ class NoWitness(_Frozen):
     __slots__ = ("pairs_refuted",)
 
     def __init__(self, pairs_refuted: int) -> None:
-        object.__setattr__(self, "pairs_refuted", pairs_refuted)
+        super().__init__(pairs_refuted)
 
 
 class CrosscheckPoint(NamedTuple):
@@ -433,25 +432,23 @@ class _PlayerSystem:
         return covered
 
 
-class _SupportOracle:
-    """Feasibility of a support pair for one (game, eps). The well-supported
-    conditions split: supported rows constrain only the column strategy and
-    vice versa, so each player gets one :class:`_PlayerSystem`."""
+def _systems(g: WinLoseGame, eps: Fraction) -> tuple[_PlayerSystem, _PlayerSystem]:
+    """The row player's and the column player's support systems for one
+    (game, eps). The well-supported conditions split: supported rows
+    constrain only the column strategy and vice versa."""
+    return _PlayerSystem(g.b_col_masks, g.m, eps), _PlayerSystem(g.a_rows, g.n, eps)
 
-    def __init__(self, g: WinLoseGame, eps: Fraction):
-        self.q_system = _PlayerSystem(g.a_rows, g.n, eps)
-        self.p_system = _PlayerSystem(g.b_col_masks, g.m, eps)
 
-    def witness(
-        self, rows: tuple[int, ...], cols: tuple[int, ...]
-    ) -> Optional[tuple[MixedStrategy, MixedStrategy]]:
-        """Strategies (p, q) on ``rows`` and ``cols`` that form an eps-WSNE,
-        or None if the pair is infeasible."""
-        q = self.q_system.strategy(cols, rows)
-        if q is None:
-            return None
-        p = self.p_system.strategy(rows, cols)
-        return None if p is None else (p, q)
+def _witness(
+    p_system: _PlayerSystem, q_system: _PlayerSystem, rows: tuple[int, ...], cols: tuple[int, ...]
+) -> Optional[tuple[MixedStrategy, MixedStrategy]]:
+    """Strategies (p, q) on ``rows`` and ``cols`` that form an eps-WSNE, or
+    None if the pair is infeasible: the pair test of the support oracle."""
+    q = q_system.strategy(cols, rows)
+    if q is None:
+        return None
+    p = p_system.strategy(rows, cols)
+    return None if p is None else (p, q)
 
 
 def feasible_on_supports(
@@ -466,7 +463,7 @@ def feasible_on_supports(
     eps = _exact_eps(eps)
     if pair.rows[-1] >= g.m or pair.cols[-1] >= g.n:
         raise ValueError("support pair exceeds game dimensions")
-    return _SupportOracle(g, eps).witness(pair.rows, pair.cols)
+    return _witness(*_systems(g, eps), pair.rows, pair.cols)
 
 
 def _supports(indices: Sequence[int], k: int) -> list[tuple[int, ...]]:
@@ -545,10 +542,10 @@ def exhaustive_search(
 
 
 def _scan(
-    g: WinLoseGame, k: int, eps: Union[int, str, Fraction]
+    g: WinLoseGame, k: int, eps: Fraction
 ) -> Union[tuple[MixedStrategy, MixedStrategy], NoWitness]:
     """:func:`exhaustive_search` by the support oracle alone, without the
-    constant-sum lemma.
+    constant-sum lemma. Its callers have checked k and eps.
 
     A pair (R, C) reaches the full systems only if every column of C is an
     eps-best response to some distribution on R, and every row of R to some
@@ -563,9 +560,7 @@ def _scan(
     orbit. The first feasible pair in lexicographic order has such an R, so
     the witness is the same; ``pairs_refuted`` still counts every pair.
     """
-    _require_k(g, k)
-    eps = _exact_eps(eps)
-    oracle = _SupportOracle(g, eps)
+    p_system, q_system = _systems(g, eps)
     n = g.n
     symmetric = _shift_invariant(g)
     ok_rows_of: dict[tuple[int, ...], int] = {}
@@ -577,7 +572,7 @@ def _scan(
             if _least_rotation(rows, n)[0] != rows:
                 continue
         row_mask = sum(1 << i for i in rows)
-        ok_cols = oracle.p_system.singletons(rows)
+        ok_cols = p_system.singletons(rows)
         for cols in _supports([j for j in range(n) if ok_cols >> j & 1], k):
             ok_rows = ok_rows_of.get(cols)
             if ok_rows is None:
@@ -585,11 +580,11 @@ def _scan(
                 rep, shift = _least_rotation(cols, n) if symmetric else (cols, 0)
                 base = ok_rows_of.get(rep)
                 if base is None:
-                    base = ok_rows_of[rep] = oracle.q_system.singletons(rep)
+                    base = ok_rows_of[rep] = q_system.singletons(rep)
                 ok_rows = ok_rows_of[cols] = _rot(base, shift, n)
             if row_mask & ~ok_rows:
                 continue
-            found = oracle.witness(rows, cols)
+            found = _witness(p_system, q_system, rows, cols)
             if found is not None:
                 return found
     return NoWitness(_pair_count(g, k))
@@ -603,8 +598,7 @@ def crosscheck_characterization(g: WinLoseGame, k: int) -> CrosscheckReport:
     characterization finds a structure, at both points. The scan, not the
     lemma, which shares the characterization's domination scan.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _require_k(g, k)
     witness = char_decision(g, k)  # raises on out-degree violations
     points = []
     agree = True

@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import run_python
-from wsforge import Digraph, ResidueSet, SearchSpec, bipartify, cayley, power
+from wsforge import Digraph, HaightCertificate, ResidueSet, SearchSpec, bipartify, cayley, power
 from wsforge.cli import main
 from wsforge.formats import (
     MAX_ORDER,
@@ -349,10 +349,11 @@ def test_exhaust_k2_certificates_are_byte_identical(tmp_path, monkeypatch, name,
     assert run("reverify", "--cert", "c.json") == 0
 
 
-@pytest.mark.parametrize("field, value", [("eps", "1/2"), ("pairs_refuted", 783)])
+@pytest.mark.parametrize("field, value", [("eps", "1/2"), ("pairs_refuted", 783), ("char_none", True)])
 def test_reverify_rejects_false_paley7_refutations(tmp_path, field, value):
     # Below 1/2 reverify refutes Paley-7 by the constant-sum lemma; a claim
-    # at 1/2, where a witness exists, or with a wrong count still fails.
+    # at 1/2, where a witness exists, or with a wrong count still fails, and
+    # so does a char_none claim: char_decision finds the 4-cycle (0, 7, 3, 8).
     game = tmp_path / "paley7.wl"
     write_game(bipartify(cayley(7, ResidueSet.from_members(7, [1, 2, 4]))), game)
     out = tmp_path / "r.json"
@@ -572,6 +573,21 @@ def test_certify_without_out_refuses_a_scan_over_max_work(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"--l: the 2000-subsets of {MAX_ORDER} vertices exceed" in captured.err
+
+
+def test_forge_refuses_a_game_over_max_work_before_its_certify(tmp_path, monkeypatch, capsys):
+    # A set found at q = 300 gives a 300 x 300 game with about 2 * 10^9
+    # support pairs at k = 2, which exhaust and reverify refuse, so forge
+    # refuses it before it certifies the digraph.
+    found = HaightCertificate(300, ResidueSet.from_members(300, [1, 2]), 5, 1)
+    monkeypatch.setattr("wsforge.residues.search_haight_set", lambda spec: found)
+    monkeypatch.chdir(tmp_path)
+    code, seconds = run_timed("forge", "--k", "2", "--eps", "1/4")
+    assert code == 2 and seconds < 1
+    assert list(tmp_path.iterdir()) == []
+    captured = capsys.readouterr()
+    assert "[certify]" not in captured.out + captured.err
+    assert "--k: the support pairs of size <= 2 of a 300 x 300 game exceed" in captured.err
 
 
 def test_reverify_rejects_nonexistence_game_over_max_order(tmp_path, capsys):

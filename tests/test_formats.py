@@ -4,6 +4,7 @@ three file formats."""
 from __future__ import annotations
 
 import io
+import json
 import random
 from fractions import Fraction
 
@@ -170,6 +171,7 @@ def test_game_malformed_rejected():
     for text in (
         "",
         "1 1\n1\n1",  # missing blank separator
+        "1 1\n1\n0\n1",  # a row where the blank separator belongs
         "1 1\n10\n\n1",  # wrong row length
         "1 1\n2\n\n1",  # illegal character
         "2 2\n10\n01\n\n01\n",  # missing B row
@@ -283,6 +285,8 @@ def test_schema_violations_name_the_field():
         make_envelope("haight", {}, "x")
     with pytest.raises(CertificateError, match="payload.kappa"):
         make_envelope("haight", {"q": 7, "y": [1]}, "x")
+    with pytest.raises(CertificateError, match="^payload.kappa: must be >= 2, got 1$"):
+        make_envelope("haight", {"q": 7, "y": [1], "kappa": 1}, "x")
     with pytest.raises(CertificateError, match=r"payload.y\[0\]"):
         make_envelope("haight", {"q": 7, "y": [9], "kappa": 2}, "x")
     with pytest.raises(CertificateError, match="payload.y"):
@@ -303,6 +307,17 @@ def test_schema_violations_name_the_field():
             },
             "x",
         )
+    witness = {"m": 1, "n": 1, "a": ["1"], "b": ["1"], "q": ["1"], "eps": "0"}
+    with pytest.raises(CertificateError, match="^payload.p: expected 1 entries, got 2$"):
+        make_envelope("wsne_witness", {**witness, "p": ["1", "0"]}, "x")
+    with pytest.raises(CertificateError, match="^payload.p: entries sum to 1/2, expected exactly 1$"):
+        make_envelope("wsne_witness", {**witness, "p": ["1/2"]}, "x")
+    claim = {"n": 3, "arcs": [[0, 1], [1, 2], [2, 0]], "k": 3, "l": 1}
+    with pytest.raises(CertificateError, match=r"^payload.girth: missing required field \(null means acyclic\)$"):
+        make_envelope("kl_digraph", claim, "x")
+    for girth in (0, "3", True):
+        with pytest.raises(CertificateError, match="^payload.girth: expected a positive int or null$"):
+            make_envelope("kl_digraph", {**claim, "girth": girth}, "x")
 
 
 def test_row_errors_name_the_certificate_field_or_the_file_line():
@@ -335,6 +350,23 @@ def test_certificate_rejects_wrong_schema_tag():
     write_certificate(env, buf)
     with pytest.raises(CertificateError, match="schema"):
         read_certificate(io.StringIO(buf.getvalue().replace("wsforge-cert/1", "other/9")))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("toolchain", "", "toolchain: must be a nonempty string"),
+    ("replay", "", "replay: must be a nonempty string"),
+    ("payload", None, "payload: missing required field"),  # None: the field is left out
+])
+def test_certificate_envelope_violations_name_the_field(field, value, message):
+    buf = io.StringIO()
+    write_certificate(make_envelope("haight", {"q": 7, "y": [1, 2, 4], "kappa": 3}, "x"), buf)
+    doc = json.loads(buf.getvalue())
+    if value is None:
+        del doc[field]
+    else:
+        doc[field] = value
+    with pytest.raises(CertificateError, match=f"^{message}$"):
+        read_certificate(io.StringIO(json.dumps(doc)))
 
 
 def test_certificate_write_is_deterministic():

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from wsforge import NoWitness, ResidueSet, SearchExhausted, bipartify, cayley, forge
+from wsforge import HaightCertificate, NoWitness, ResidueSet, SearchExhausted, bipartify, cayley, forge
+from wsforge.cli import main
 
 SEARCH = {"budget": 2000, "seed": 0, "q_min": 2, "q_max": 20, "mode": "randomized"}
 
@@ -51,6 +52,29 @@ def test_forge_announces_the_hunt_before_searching():
     assert next(stages).detail == "hunting a kappa=5 set in q range [30, 20]"
     with pytest.raises(ValueError, match="q_min <= q_max"):
         next(stages)
+
+
+# A kappa = 4 set of Z_29: its Cayley digraph has 4-cycles. Returned by the
+# search as a kappa = 5 or kappa = 13 set, it takes forge to a failed certify.
+Z29_SET = ResidueSet.from_members(29, [8, 10, 12, 15, 18, 26, 27])
+
+
+@pytest.mark.parametrize("k, failed", [
+    (2, "FAILED: cycle of length 4 < k=5: 0 -> 2 -> 4 -> 15"),  # the power's (5, 2) claim
+    (3, "FAILED: cycle of length 4 < k=13: 0 -> 2 -> 4 -> 15"),  # the base's (13, 2) claim
+])
+def test_forge_after_a_found_set_stops_at_the_failed_certify(tmp_path, monkeypatch, capsys, k, failed):
+    monkeypatch.setattr(
+        "wsforge.residues.search_haight_set", lambda spec: HaightCertificate(29, Z29_SET, spec.kappa, 1)
+    )
+    stages = list(forge(k, Fraction(1, 4), **SEARCH))
+    assert [(s.name, s.ok) for s in stages] == [("search", True), ("search", True), ("certify", False)]
+    assert stages[1].product.kappa == 2 * k * (k - 1) + 1
+    assert stages[2].detail == failed
+    monkeypatch.chdir(tmp_path)
+    assert main(["forge", "--k", str(k), "--eps", "1/4"]) == 4
+    assert capsys.readouterr().err == f"[certify] {failed}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("k, eps", [(0, Fraction(1, 2)), (1, Fraction(1)), (1, Fraction(-1, 2))])

@@ -538,7 +538,7 @@ def oracle_counts(monkeypatch):
 
     count(wsne._PlayerSystem, "_solve_system", "systems")
     count(wsne.feasibility, "feasible_point", "fm")
-    count(wsne._SupportOracle, "witness", "pairs")
+    count(wsne, "_witness", "pairs")
     return counts
 
 
@@ -706,7 +706,7 @@ def _singletons_one_system_per_pattern(system, support):
 
 
 def test_singletons_match_one_system_per_pattern():
-    from wsforge.wsne import _PlayerSystem, _SupportOracle, _supports
+    from wsforge.wsne import _PlayerSystem, _supports, _systems
 
     rng = random.Random(93)
     decided = Counter()
@@ -714,8 +714,7 @@ def test_singletons_match_one_system_per_pattern():
         m, n = rng.randrange(2, 8), rng.randrange(2, 8)
         g = random_game(rng, m, n, p=rng.choice([0.2, 0.35, 0.5]), ensure_out_degree=False)
         for eps in (F(0), F(1, 4), F(1, 2), F(2, 3), F(1)):
-            oracle = _SupportOracle(g, eps)
-            for system in (oracle.p_system, oracle.q_system):
+            for system in _systems(g, eps):
                 reference = _PlayerSystem(system.masks, system.size, eps)
                 for support in _supports(range(system.size), 3):
                     got = system.singletons(support)
@@ -777,17 +776,17 @@ def test_closed_form_matches_fourier_motzkin_up_to_two_variables():
 def _lexicographic_scan(g, k, eps):
     """Every support pair in lexicographic order through the full pair test,
     with no singleton tables."""
-    from wsforge.wsne import _SupportOracle
+    from wsforge.wsne import _systems, _witness
 
     def supports(count):
         return sorted(s for size in range(1, k + 1) for s in combinations(range(count), size))
 
-    oracle = _SupportOracle(g, eps)
+    systems = _systems(g, eps)
     col_supports = supports(g.n)
     refuted = 0
     for rows in supports(g.m):
         for cols in col_supports:
-            found = oracle.witness(rows, cols)
+            found = _witness(*systems, rows, cols)
             if found is not None:
                 return found
             refuted += 1
