@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import re
+from functools import partial
 from math import comb
 from pathlib import Path
 from typing import IO, NamedTuple, Optional, Union
@@ -155,6 +156,14 @@ def _write_text(dest: Source, text: str) -> None:
         dest.write(text)
 
 
+def _read_header(no: int, line: str, names: str) -> tuple[int, int]:
+    """The two decimal counts of header line ``no``, which names them."""
+    parts = line.split()
+    if len(parts) != 2 or not all(p.isdecimal() for p in parts):
+        raise FormatError(f"line {no}: expected header {names!r}, got {line!r}")
+    return int(parts[0]), int(parts[1])
+
+
 # ---------------------------------------------------------------------------
 # Digraph format
 # ---------------------------------------------------------------------------
@@ -188,10 +197,7 @@ def read_digraph(src: Source) -> digraph.Digraph:
     if not data:
         raise FormatError("empty digraph file")
     no, header = data[0]
-    parts = header.split()
-    if len(parts) != 2 or not all(p.isdecimal() for p in parts):
-        raise FormatError(f"line {no}: expected header 'n m', got {header!r}")
-    n, m = int(parts[0]), int(parts[1])
+    n, m = _read_header(no, header, "n m")
     if n > MAX_ORDER:
         raise FormatError(f"line {no}: vertex count {n} exceeds {MAX_ORDER}")
     if len(data) - 1 != m:
@@ -215,18 +221,20 @@ def _payoff_rows(rows: tuple[int, ...], n: int) -> list[str]:
     return [bin(mask | 1 << n)[3:][::-1] for mask in rows]
 
 
-def _parse_payoff_row(line: str, n: int) -> int:
-    """The bitmask of a 0/1 row string. The FormatError for a malformed row
-    does not say where the row is; the caller adds that."""
-    if len(line) != n:
-        raise FormatError(f"row has length {len(line)}, expected {n}")
-    mask = 0
-    for j, ch in enumerate(line):
-        if ch == "1":
-            mask |= 1 << j
-        elif ch != "0":
-            raise FormatError(f"illegal character {ch!r}")
-    return mask
+def _parse_payoff_row(n: int, row: str) -> int:
+    """The bitmask of a 0/1 row string of length n. The FormatError for a
+    malformed row does not say where the row is; the caller adds that."""
+    if type(row) is not str:
+        raise FormatError("expected a 0/1 string")
+    if len(row) != n:
+        raise FormatError(f"row has length {len(row)}, expected {n}")
+    # What strip leaves starts at the first character other than 0 or 1. The
+    # check comes first: int() would also take '_', spaces, signs and
+    # non-ASCII digits.
+    illegal = row.strip("01")
+    if illegal:
+        raise FormatError(f"illegal character {illegal[0]!r}")
+    return int(row[::-1], 2)
 
 
 def write_game(g: game.WinLoseGame, dest: Source) -> None:
@@ -240,10 +248,7 @@ def read_game(src: Source) -> game.WinLoseGame:
         lines.pop()
     if not lines:
         raise FormatError("empty game file")
-    parts = lines[0].split()
-    if len(parts) != 2 or not all(p.isdecimal() for p in parts):
-        raise FormatError(f"line 1: expected header 'm n', got {lines[0]!r}")
-    m, n = int(parts[0]), int(parts[1])
+    m, n = _read_header(1, lines[0], "m n")
     if max(m, n) > MAX_ORDER:
         raise FormatError(f"line 1: a {m} x {n} game exceeds {MAX_ORDER} rows or columns")
     if len(lines) != 2 * m + 2:
@@ -253,7 +258,7 @@ def read_game(src: Source) -> game.WinLoseGame:
     rows = []
     for no in (*range(2, m + 2), *range(m + 3, 2 * m + 3)):
         try:
-            rows.append(_parse_payoff_row(lines[no - 1], n))
+            rows.append(_parse_payoff_row(n, lines[no - 1]))
         except FormatError as exc:
             raise FormatError(f"line {no}: {exc}") from exc
     return game.WinLoseGame(m, n, tuple(rows[:m]), tuple(rows[m:]))
@@ -264,15 +269,12 @@ def read_game(src: Source) -> game.WinLoseGame:
 # ---------------------------------------------------------------------------
 
 
-def _require(payload: dict, field: str, kinds):
+def _require(payload: dict, field: str, kind: type):
     if field not in payload:
         raise CertificateError(f"payload.{field}: missing required field")
     value = payload[field]
-    if not isinstance(value, kinds) or isinstance(value, bool) and kinds is int:
-        raise CertificateError(
-            f"payload.{field}: expected {getattr(kinds, '__name__', kinds)},"
-            f" got {type(value).__name__}"
-        )
+    if type(value) is not kind:
+        raise CertificateError(f"payload.{field}: expected {kind.__name__}, got {type(value).__name__}")
     return value
 
 
@@ -293,7 +295,7 @@ def _require_order(payload: dict, field: str) -> int:
 def _require_sorted_set(payload: dict, field: str, upper: int) -> list[int]:
     value = _require(payload, field, list)
     for pos, item in enumerate(value):
-        if not isinstance(item, int) or isinstance(item, bool):
+        if type(item) is not int:
             raise CertificateError(f"payload.{field}[{pos}]: expected int")
         if not 0 <= item < upper:
             raise CertificateError(f"payload.{field}[{pos}]: {item} outside [0, {upper})")
@@ -313,19 +315,19 @@ def _require_rational(payload: dict, field: str) -> Fraction:
     return parsed
 
 
-def _require_rows(payload: dict, field: str, m: int, n: int) -> tuple[int, ...]:
+def _require_list(payload: dict, field: str, length: int, noun: str, parse) -> tuple:
+    """The ``length`` items of list ``field``, each parsed by ``parse``,
+    whose FormatError is re-raised naming the item's position."""
     value = _require(payload, field, list)
-    if len(value) != m:
-        raise CertificateError(f"payload.{field}: expected {m} rows, got {len(value)}")
-    rows = []
-    for pos, row in enumerate(value):
-        if not isinstance(row, str):
-            raise CertificateError(f"payload.{field}[{pos}]: expected a 0/1 string")
+    if len(value) != length:
+        raise CertificateError(f"payload.{field}: expected {length} {noun}, got {len(value)}")
+    items = []
+    for pos, item in enumerate(value):
         try:
-            rows.append(_parse_payoff_row(row, n))
+            items.append(parse(item))
         except FormatError as exc:
             raise CertificateError(f"payload.{field}[{pos}]: {exc}") from exc
-    return tuple(rows)
+    return tuple(items)
 
 
 def game_payload(g: game.WinLoseGame) -> dict:
@@ -335,23 +337,16 @@ def game_payload(g: game.WinLoseGame) -> dict:
 def _game_from_payload(payload: dict) -> game.WinLoseGame:
     m = _require_order(payload, "m")
     n = _require_order(payload, "n")
-    a_rows = _require_rows(payload, "a", m, n)
-    b_rows = _require_rows(payload, "b", m, n)
+    parse_row = partial(_parse_payoff_row, n)
+    a_rows = _require_list(payload, "a", m, "rows", parse_row)
+    b_rows = _require_list(payload, "b", m, "rows", parse_row)
     return game.WinLoseGame(m, n, a_rows, b_rows)
 
 
 def _strategy_from_payload(payload: dict, field: str, length: int) -> wsne.MixedStrategy:
-    value = _require(payload, field, list)
-    if len(value) != length:
-        raise CertificateError(f"payload.{field}: expected {length} entries, got {len(value)}")
-    probs = []
-    for pos, item in enumerate(value):
-        try:
-            probs.append(parse_rational(item))
-        except FormatError as exc:
-            raise CertificateError(f"payload.{field}[{pos}]: {exc}") from exc
+    probs = _require_list(payload, field, length, "entries", parse_rational)
     try:
-        return wsne.MixedStrategy(tuple(probs))
+        return wsne.MixedStrategy(probs)
     except ValueError as exc:
         raise CertificateError(f"payload.{field}: {exc}") from exc
 
@@ -452,7 +447,7 @@ def _supports_up_to(count: int, k: int) -> int:
     """The nonempty subsets of at most k of count items, counted only until
     the count passes MAX_WORK."""
     total = 0
-    for size in range(1, k + 1):
+    for size in range(1, min(k, count) + 1):
         total += comb(count, size)
         if total > MAX_WORK:
             break
@@ -488,7 +483,7 @@ def _parse_nonexistence(payload: dict) -> tuple[game.WinLoseGame, int, Fraction,
     eps = _require_rational(payload, "eps")
     pairs_refuted = _require_int(payload, "pairs_refuted", 1)
     char_none = payload.get("char_none", False)
-    if not isinstance(char_none, bool):
+    if type(char_none) is not bool:
         raise CertificateError("payload.char_none: expected a boolean")
     return g, k, eps, pairs_refuted, char_none
 

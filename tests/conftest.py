@@ -17,12 +17,12 @@ from wsforge import Digraph, NoWitness, WinLoseGame, crosscheck_characterization
 SRC = str(Path(wsforge.__file__).resolve().parents[1])
 
 
-def run_python(*args: str, cwd=None) -> subprocess.CompletedProcess:
+def run_python(*args: str, cwd=None, timeout: float = 60) -> subprocess.CompletedProcess:
     """Run a fresh interpreter on ``args``, with this wsforge on its path;
     stdout and stderr are captured as text."""
     return subprocess.run(
         [sys.executable, *args], cwd=cwd, env=dict(os.environ, PYTHONPATH=SRC),
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=timeout,
     )
 
 # Haight searches with budget 10**6, keyed by (kappa, q_min, q_max, mode,

@@ -548,6 +548,19 @@ def test_exhaust_without_out_refuses_a_scan_over_max_work(tmp_path, capsys):
     assert "--k: the support pairs of size <= 3 of a 151 x 151 game exceed" in captured.err
 
 
+def test_exhaust_refuses_a_k_far_above_the_game_at_once(tmp_path):
+    # The work limit counts the support sizes up to min(k, m), not up to k, so
+    # a huge --k reaches exhaustive_search's own check at once. A subprocess,
+    # so that a loop over range(k) fails the test instead of hanging it.
+    game = tmp_path / "g.wl"
+    write_game(bipartify(Digraph.from_arcs(2, [(0, 1), (1, 0)])), game)
+    start = time.perf_counter()
+    done = run_python("-m", "wsforge", "exhaust", "--game", str(game), "--k", str(10**12),
+                      "--eps", "1/2", timeout=10)
+    assert done.returncode == 2 and time.perf_counter() - start < 1
+    assert "need 1 <= k <= min(m, n) = 2" in done.stderr
+
+
 def test_certify_out_refuses_a_claim_over_max_work_before_the_scan(tmp_path, capsys):
     # The complete digraph on 30 vertices at l = 15: C(30, 15) > MAX_WORK
     # subsets, a certificate reverify would refuse, so certify --out does not

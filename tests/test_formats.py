@@ -6,6 +6,7 @@ from __future__ import annotations
 import io
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from conftest import random_digraph, random_game, run_python
 from wsforge import Digraph, ResidueSet, bipartify, cayley
 from wsforge.formats import (
+    MAX_ORDER,
     CertificateEnvelope,
     CertificateError,
     FormatError,
@@ -31,6 +33,10 @@ from wsforge.formats import (
 TRIANGLE = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
 PALEY7 = cayley(7, ResidueSet.from_members(7, [1, 2, 4]))
 PALEY7_GAME = bipartify(PALEY7)
+# Rows of length 3 that int(row, 2) accepts but the 0/1 alphabet does not,
+# each with its first illegal character.
+INT_ROWS = {"1_0": "_", " 10": " ", "+10": "+", "0b1": "b", "\u0661\u0660\u0661": "\u0661",
+            "\uff11\uff10\uff11": "\uff11"}
 
 
 def roundtrip_digraph(d):
@@ -175,9 +181,19 @@ def test_game_malformed_rejected():
         "1 1\n10\n\n1",  # wrong row length
         "1 1\n2\n\n1",  # illegal character
         "2 2\n10\n01\n\n01\n",  # missing B row
+        *(f"1 3\n{row}\n\n101" for row in INT_ROWS),  # rows that int(row, 2) accepts
     ):
         with pytest.raises(FormatError):
             read_game(io.StringIO(text))
+
+
+def test_game_at_max_order_parses_quickly():
+    ones = "1" * MAX_ORDER
+    text = f"{MAX_ORDER} {MAX_ORDER}\n" + f"{ones}\n" * MAX_ORDER + "\n" + f"{ones}\n" * MAX_ORDER
+    start = time.perf_counter()
+    g = read_game(io.StringIO(text))
+    assert time.perf_counter() - start < 2
+    assert g.a_rows[0] == g.b_rows[-1] == (1 << MAX_ORDER) - 1
 
 
 def test_game_roundtrip_random():
@@ -332,6 +348,17 @@ def test_row_errors_name_the_certificate_field_or_the_file_line():
         make_envelope("wsne_witness", payload, "x")
     with pytest.raises(FormatError, match="^line 5: row has length 1, expected 2$"):
         read_game(io.StringIO("2 2\n10\n01\n\n1\n01\n"))
+    payload["a"][0] = 1010111
+    with pytest.raises(CertificateError, match=r"^payload.a\[0\]: expected a 0/1 string$"):
+        make_envelope("wsne_witness", payload, "x")
+    witness = {"m": 1, "n": 3, "b": ["101"], "p": ["1"], "q": ["1", "0", "0"], "eps": "0"}
+    for row, illegal in INT_ROWS.items():
+        with pytest.raises(CertificateError) as info:
+            make_envelope("wsne_witness", {**witness, "a": [row]}, "x")
+        assert str(info.value) == f"payload.a[0]: illegal character {illegal!r}"
+        with pytest.raises(FormatError) as info:
+            read_game(io.StringIO(f"1 3\n101\n\n{row}\n"))
+        assert str(info.value) == f"line 4: illegal character {illegal!r}"
 
 
 def test_negative_eps_rejected_by_schema():

@@ -60,6 +60,9 @@ def test_out_of_range_member_rejected():
         ResidueSet.from_members(5, [-1])
     with pytest.raises(ValueError):
         ResidueSet(0, 0)
+    for bits in (1 << 5, -1):
+        with pytest.raises(ValueError, match=r"^bit-vector has members outside \[0, modulus\)$"):
+            ResidueSet(5, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +196,9 @@ def test_shift_examples():
     assert shift_set(y, 0) == y
     assert shift_set(y, 1).members() == (0, 1, 3)
     assert shift_set(ResidueSet.from_members(5, [0]), 2).members() == (3,)
+    for shift in (-1, 7):
+        with pytest.raises(ValueError, match=rf"^shift {shift} outside \[0, 7\)$"):
+            shift_set(y, shift)
 
 
 def test_shift_preserves_difference_set():

@@ -127,6 +127,35 @@ def test_strategy_support():
     assert MixedStrategy.point_mass(1, 3).support == (1,)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: MixedStrategy.uniform_on([], 3), "uniform strategy needs a nonempty index set"),
+        (lambda: MixedStrategy.uniform_on([0, 3], 3), "indices outside [0, 3)"),
+        (lambda: MixedStrategy.uniform_on([-1], 3), "indices outside [0, 3)"),
+        (lambda: SupportPair((), (0,)), "rows must be nonempty"),
+        (lambda: SupportPair((0,), ()), "cols must be nonempty"),
+        (lambda: SupportPair((-1, 0), (0,)), "rows contains a negative index"),
+        (lambda: payoffs(TRI_GAME, MixedStrategy.point_mass(0, 3), MixedStrategy.point_mass(0, 2)),
+         "column strategy has 2 entries, game has 3 columns"),
+        (lambda: wsne_from_undominated(TRI_GAME, "both", [0]), "side must be 'row' or 'col', got 'both'"),
+        (lambda: wsne_from_undominated(TRI_GAME, "row", []), "undominated set must be nonempty"),
+        (lambda: wsne_from_undominated(TRI_GAME, "col", [0, 3]), "indices outside [0, 3)"),
+        (lambda: wsne_from_undominated(TRI_GAME, "row", [-1]), "indices outside [0, 3)"),
+        (lambda: wsne_from_cycle(TRI_GAME, [6, 0]), "vertex 6 outside bipartite digraph"),
+        (lambda: wsne_from_cycle(TRI_GAME, [-1, 0]), "vertex -1 outside bipartite digraph"),
+        (lambda: feasible_on_supports(TRI_GAME, SupportPair((3,), (0,)), 0),
+         "support pair exceeds game dimensions"),
+        (lambda: feasible_on_supports(TRI_GAME, SupportPair((0,), (0, 3)), 0),
+         "support pair exceeds game dimensions"),
+    ],
+)
+def test_input_checks_name_the_fault(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # payoffs
 # ---------------------------------------------------------------------------
