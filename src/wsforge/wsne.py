@@ -2,8 +2,9 @@
 games, uniform strategy constructions from undominated sets and from even
 cycles, and an exhaustive support-enumeration oracle.
 
-All arithmetic is exact: payoffs and thresholds use Fraction, feasibility
-systems integers, so verdicts at the boundary (payoff equal to best response
+All arithmetic is exact: payoffs and the eps test run on integers over each
+strategy's common denominator, feasibility systems on integers scaled by
+eps's denominator, so verdicts at the boundary (payoff equal to best response
 minus epsilon) are accepted. No floating point anywhere.
 """
 
@@ -64,6 +65,13 @@ def _exact_eps(eps: Union[int, str, Fraction]) -> Fraction:
     return eps
 
 
+def _scaled(probs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The entries as integer numerators over their common denominator, the
+    lcm of theirs: ``probs[i] == nums[i] / den``."""
+    den = lcm(*[p.denominator for p in probs])
+    return [p.numerator * (den // p.denominator) for p in probs], den
+
+
 class MixedStrategy(_Frozen):
     """Probability vector with exact entries; sums to exactly 1.
 
@@ -81,11 +89,9 @@ class MixedStrategy(_Frozen):
                 raise TypeError(f"entry {i} is {type(p).__name__}, expected Fraction")
             if p.numerator < 0:
                 raise ValueError(f"entry {i} is negative: {p}")
-        # The sum in integers: numerators over the lcm of the denominators.
-        den = lcm(*[p.denominator for p in probs])
-        num = sum(p.numerator * (den // p.denominator) for p in probs)
-        if num != den:
-            raise ValueError(f"entries sum to {Fraction(num, den)}, expected exactly 1")
+        nums, den = _scaled(probs)
+        if sum(nums) != den:
+            raise ValueError(f"entries sum to {Fraction(sum(nums), den)}, expected exactly 1")
         super().__init__(probs)
 
     @classmethod
@@ -176,35 +182,46 @@ class CrosscheckReport(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
+def _scaled_payoffs(
+    g: WinLoseGame, p: MixedStrategy, q: MixedStrategy
+) -> tuple[tuple[list[int], list[int], int], tuple[list[int], list[int], int]]:
+    """For the row player, then the column player: its own strategy's
+    numerators, its payoff numerators (Aq, then p^T B) and their common
+    denominator, the opponent's. All integers."""
+    if len(p.probs) != g.m:
+        raise ValueError(f"row strategy has {len(p.probs)} entries, game has {g.m} rows")
+    if len(q.probs) != g.n:
+        raise ValueError(f"column strategy has {len(q.probs)} entries, game has {g.n} columns")
+    p_nums, p_den = _scaled(p.probs)
+    q_nums, q_den = _scaled(q.probs)
+    q_bits = sum(1 << j for j, x in enumerate(q_nums) if x)
+    row_pay = []
+    for mask in g.a_rows:
+        total = 0
+        mask &= q_bits
+        while mask:
+            low = mask & -mask
+            total += q_nums[low.bit_length() - 1]
+            mask ^= low
+        row_pay.append(total)
+    col_pay = [0] * g.n
+    for x, mask in zip(p_nums, g.b_rows):
+        if not x:
+            continue
+        while mask:
+            low = mask & -mask
+            col_pay[low.bit_length() - 1] += x
+            mask ^= low
+    return (p_nums, row_pay, q_den), (q_nums, col_pay, p_den)
+
+
 def payoffs(
     g: WinLoseGame, p: MixedStrategy, q: MixedStrategy
 ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Exact (Aq, p^T B): per-row payoffs against q and per-column payoffs
     against p."""
-    if len(p.probs) != g.m:
-        raise ValueError(f"row strategy has {len(p.probs)} entries, game has {g.m} rows")
-    if len(q.probs) != g.n:
-        raise ValueError(f"column strategy has {len(q.probs)} entries, game has {g.n} columns")
-    row_pay = []
-    for i in range(g.m):
-        total = _ZERO
-        mask = g.a_rows[i]
-        while mask:
-            j = (mask & -mask).bit_length() - 1
-            total += q.probs[j]
-            mask &= mask - 1
-        row_pay.append(total)
-    col_pay = [_ZERO] * g.n
-    for i in range(g.m):
-        pi = p.probs[i]
-        if pi == 0:
-            continue
-        mask = g.b_rows[i]
-        while mask:
-            j = (mask & -mask).bit_length() - 1
-            col_pay[j] += pi
-            mask &= mask - 1
-    return tuple(row_pay), tuple(col_pay)
+    row, col = (tuple(Fraction(x, den) for x in pay) for _, pay, den in _scaled_payoffs(g, p, q))
+    return row, col
 
 
 def check_wsne(
@@ -214,20 +231,25 @@ def check_wsne(
     eps: Union[int, str, Fraction],
 ) -> WsneVerdict:
     """Exact verdict: every supported pure strategy must earn within eps of
-    the best pure response. Boundary cases (payoff == best - eps) pass."""
+    the best pure response. Boundary cases (payoff == best - eps) pass.
+
+    With eps = a / b and payoffs pay / den, a supported strategy fails when
+    b (best - pay) > a den; only the bests and the failures become
+    Fractions."""
     eps = _exact_eps(eps)
-    row_pay, col_pay = payoffs(g, p, q)
-    row_best = max(row_pay)
-    col_best = max(col_pay)
+    a, b = eps.as_integer_ratio()
+    bests = []
     violations = []
-    for player, strategy, pay, best in (
-        ("row", p, row_pay, row_best),
-        ("col", q, col_pay, col_best),
-    ):
-        for i in strategy.support:
-            if pay[i] < best - eps:
-                violations.append(Violation(player, i, pay[i], best - eps - pay[i]))
-    return WsneVerdict(not violations, eps, row_best, col_best, tuple(violations))
+    for player, (own, pay, den) in zip(("row", "col"), _scaled_payoffs(g, p, q)):
+        best = max(pay)
+        bests.append(Fraction(best, den))
+        bar = b * best - a * den  # best - eps, in units of 1 / (b den)
+        for i, x in enumerate(own):
+            if x and b * pay[i] < bar:
+                violations.append(
+                    Violation(player, i, Fraction(pay[i], den), Fraction(bar - b * pay[i], b * den))
+                )
+    return WsneVerdict(not violations, eps, *bests, tuple(violations))
 
 
 # ---------------------------------------------------------------------------

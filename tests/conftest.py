@@ -1,5 +1,5 @@
-"""Seeded generators, pinned search results and a fresh-interpreter runner
-shared across the suite."""
+"""Seeded generators, pinned search results, Fraction references for the
+equilibrium check and a fresh-interpreter runner shared across the suite."""
 
 from __future__ import annotations
 
@@ -12,7 +12,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import wsforge
-from wsforge import Digraph, NoWitness, WinLoseGame, crosscheck_characterization, girth
+from wsforge import (
+    Digraph,
+    MixedStrategy,
+    NoWitness,
+    WinLoseGame,
+    WsneVerdict,
+    crosscheck_characterization,
+    girth,
+)
+from wsforge.wsne import Violation
 
 SRC = str(Path(wsforge.__file__).resolve().parents[1])
 
@@ -85,6 +94,49 @@ def random_game(
             if not any(b_rows[i] >> j & 1 for i in range(m)):
                 b_rows[rng.randrange(m)] |= 1 << j
     return WinLoseGame(m, n, tuple(a_rows), tuple(b_rows))
+
+
+def fraction_payoffs(g: WinLoseGame, p: MixedStrategy, q: MixedStrategy):
+    """(Aq, p^T B) by adding Fractions one entry at a time: the reference
+    for wsne.payoffs, which sums integer numerators."""
+    row_pay = []
+    for i in range(g.m):
+        total = Fraction(0)
+        mask = g.a_rows[i]
+        while mask:
+            j = (mask & -mask).bit_length() - 1
+            total += q.probs[j]
+            mask &= mask - 1
+        row_pay.append(total)
+    col_pay = [Fraction(0)] * g.n
+    for i in range(g.m):
+        pi = p.probs[i]
+        if pi == 0:
+            continue
+        mask = g.b_rows[i]
+        while mask:
+            j = (mask & -mask).bit_length() - 1
+            col_pay[j] += pi
+            mask &= mask - 1
+    return tuple(row_pay), tuple(col_pay)
+
+
+def fraction_check_wsne(g: WinLoseGame, p: MixedStrategy, q: MixedStrategy, eps) -> WsneVerdict:
+    """wsne.check_wsne with every comparison made in Fractions: the
+    reference for its integer test b (best - pay) > a den."""
+    eps = Fraction(eps)
+    row_pay, col_pay = fraction_payoffs(g, p, q)
+    row_best = max(row_pay)
+    col_best = max(col_pay)
+    violations = []
+    for player, strategy, pay, best in (
+        ("row", p, row_pay, row_best),
+        ("col", q, col_pay, col_best),
+    ):
+        for i in strategy.support:
+            if pay[i] < best - eps:
+                violations.append(Violation(player, i, pay[i], best - eps - pay[i]))
+    return WsneVerdict(not violations, eps, row_best, col_best, tuple(violations))
 
 
 def _crosscheck_point_line(idx, k, point) -> str:

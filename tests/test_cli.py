@@ -428,21 +428,51 @@ def test_subcommand_prints_the_detail_of_its_step(tmp_path, monkeypatch, capsys,
     assert {"out": printed.out, "err": printed.err} == {"out": "", "err": "", stream: stage.detail + "\n"}
 
 
-def test_check_verdicts(forged_k1, tmp_path):
+@pytest.fixture()
+def witness_k2(forged_k1, tmp_path):
+    """The triangle game and exhaust's witness at k = 2, eps = 1/2: p = (1/2,
+    1/2, 0), q = (1/4, 3/4, 0)."""
     game, _ = forged_k1
     wit = tmp_path / "w.json"
-    run("exhaust", "--game", str(game), "--k", "2", "--eps", "1/2", "--out", str(wit))
-    assert run("check", "--game", str(game), "--strategy", str(wit), "--eps", "1/2") == 0
-    assert run("check", "--game", str(game), "--strategy", str(wit), "--eps", "1/4") == 4
+    assert run("exhaust", "--game", str(game), "--k", "2", "--eps", "1/2", "--out", str(wit)) == 0
+    return game, wit
 
 
-def test_check_dimension_mismatch_is_usage_error(forged_k1, tmp_path):
-    _, _ = forged_k1
+# Every line `check` prints, byte for byte, at three eps.
+CHECK_OUTPUT = {
+    "1/2": (0, "valid at eps=1/2 (row best 1, col best 1/2)\n"),
+    "1/4": (4, "INVALID at eps=1/4:\n  col 1 pays 0, short by 1/4\n"),
+    "0": (4, "INVALID at eps=0:\n  row 1 pays 3/4, short by 1/4\n  col 1 pays 0, short by 1/2\n"),
+}
+
+
+def test_check_verdicts(witness_k2, capsys):
+    game, wit = witness_k2
+    capsys.readouterr()
+    for eps, expected in CHECK_OUTPUT.items():
+        code = run("check", "--game", str(game), "--strategy", str(wit), "--eps", eps)
+        assert (code, capsys.readouterr().out) == expected, eps
+
+
+@pytest.mark.parametrize(
+    "eps, detail",
+    [("1/4", "col 1 pays 0, short by 1/4"), ("0", "row 1 pays 3/4, short by 1/4")],
+)
+def test_reverify_names_the_first_witness_violation(witness_k2, tmp_path, capsys, eps, detail):
+    _, wit = witness_k2
+    doc = json.loads(wit.read_text())
+    doc["payload"]["eps"] = eps
+    tampered = tmp_path / "t.json"
+    tampered.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("reverify", "--cert", str(tampered)) == 4
+    assert capsys.readouterr().out == f"FAILED [wsne_witness] {detail}\n"
+
+
+def test_check_dimension_mismatch_is_usage_error(witness_k2, tmp_path):
+    _, wit = witness_k2
     other = tmp_path / "one.wl"
     other.write_text("1 1\n1\n\n1\n")
-    wit = tmp_path / "w.json"
-    game = forged_k1[0]
-    run("exhaust", "--game", str(game), "--k", "2", "--eps", "1/2", "--out", str(wit))
     assert run("check", "--game", str(other), "--strategy", str(wit), "--eps", "1/2") == 2
 
 

@@ -5,13 +5,20 @@ cross-check."""
 from __future__ import annotations
 
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from conftest import crosscheck_digest, random_digraph, random_game
+from conftest import (
+    crosscheck_digest,
+    fraction_check_wsne,
+    fraction_payoffs,
+    random_digraph,
+    random_game,
+)
 from wsforge import (
     Digraph,
     MixedStrategy,
@@ -186,7 +193,7 @@ def test_payoffs_point_mass_reads_column():
 
 
 def test_payoffs_dimension_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^row strategy has 2 entries, game has 3 rows$"):
         payoffs(TRI_GAME, MixedStrategy.point_mass(0, 2), MixedStrategy.point_mass(0, 3))
 
 
@@ -217,6 +224,64 @@ def test_check_shortfall_reported():
     first = verdict.violations[0]
     assert (first.player, first.index) == ("row", 0)
     assert first.payoff == F(1, 2) and first.shortfall == F(1, 4)
+
+
+def _mixed_denominator_strategy(rng: random.Random, size: int) -> MixedStrategy:
+    """Random weights over a random support, some with large denominators,
+    normalized: the entries keep different denominators, and some are 0."""
+    support = rng.sample(range(size), rng.randrange(1, size + 1))
+    weights = [F(rng.randrange(1, 9), rng.choice([1, 2, 3, 5, 7, 12, 10**20 + 1])) for _ in support]
+    total = sum(weights)
+    probs = [F(0)] * size
+    for i, w in zip(support, weights):
+        probs[i] = w / total
+    return MixedStrategy(tuple(probs))
+
+
+def _assert_exact_fields(verdict):
+    numbers = [verdict.epsilon, verdict.row_best, verdict.col_best]
+    for v in verdict.violations:
+        numbers += [v.payoff, v.shortfall]
+    assert all(type(x) is F for x in numbers), verdict
+
+
+def test_check_matches_fraction_reference_seeded():
+    # eps = 0, eps on a supported strategy's boundary (best - eps == its
+    # payoff, which must pass), just below that boundary, and at random.
+    rng = random.Random(53)
+    boundaries = 0
+    for _ in range(600):
+        g = random_game(rng, rng.randrange(1, 9), rng.randrange(1, 9), ensure_out_degree=False)
+        p = _mixed_denominator_strategy(rng, g.m)
+        q = _mixed_denominator_strategy(rng, g.n)
+        ref_row, ref_col = fraction_payoffs(g, p, q)
+        row, col = payoffs(g, p, q)
+        assert (row, col) == (ref_row, ref_col)
+        assert all(type(x) is F for x in row + col)
+        gaps = [max(ref_row) - ref_row[i] for i in p.support]
+        gaps += [max(ref_col) - ref_col[j] for j in q.support]
+        edge = rng.choice(gaps)
+        below = edge * (1 - F(1, rng.choice([2, 10**9 + 7, 10**30])))
+        for eps in (0, edge, below, F(rng.randrange(0, 13), 12)):
+            verdict = check_wsne(g, p, q, eps)
+            assert verdict == fraction_check_wsne(g, p, q, eps)
+            _assert_exact_fields(verdict)
+        if edge > 0:
+            boundaries += 1
+            assert check_wsne(g, p, q, edge).valid == (edge == max(gaps))
+            assert not check_wsne(g, p, q, below).valid
+    assert boundaries > 200
+
+
+def test_check_wall_clock_on_512_square():
+    n = 512
+    ones = (1 << n) - 1
+    g = WinLoseGame(n, n, (ones,) * n, (ones,) * n)
+    u = MixedStrategy.uniform_on(range(n), n)
+    start = time.perf_counter()
+    verdict = check_wsne(g, u, u, 0)
+    assert time.perf_counter() - start < 1
+    assert verdict == (True, F(0), F(1), F(1), ())
 
 
 def test_check_rejects_negative_eps():
