@@ -277,50 +277,60 @@ def _moduli(spec: SearchSpec) -> list[int]:
     return [q for q in range(max(spec.q_min, k), spec.q_max + 1) if _min_size(q) <= (q - 1) // (k - 1)]
 
 
-def _dfs(q: int, kappa: int, members: list[int], limit: int) -> tuple[int | None, int]:
-    """The module docstring's pruned depth-first search on Z_q, adding
-    ``members`` in list order, one candidate per member tried.
+def _member_table(q: int, kappa: int) -> list[tuple[int, int, int, int]]:
+    """One row (y, q - y, 1 << y, 1 << (q - y)) per y of order >= kappa in Z_q."""
+    return [(y, q - y, 1 << y, 1 << (q - y)) for y in range(1, q) if q // gcd(y, q) >= kappa]
+
+
+def _dfs(q: int, kappa: int, table: list[tuple[int, int, int, int]], limit: int) -> tuple[int | None, int]:
+    """The module docstring's pruned depth-first search on Z_q, adding the
+    members of ``table`` (rows of :func:`_member_table`) in list order, one
+    candidate per member tried.
 
     Returns (bits, candidates) for the first set found; (0, candidates) when
     the tree is finished, which proves that no set in Z_q has its members in
-    ``members``; and (None, limit) when ``limit`` candidates end the search
+    ``table``; and (None, limit) when ``limit`` candidates end the search
     first.
     """
-    most = (q - 1) // (kappa - 1)
-    mask = (1 << q) - 1
-    evaluated = 0
-    # A node: Y, -Y, Y - Y, the levels (s)Y for 1 <= s <= kappa - 2, and the
-    # index in members of its next child.
-    stack = [(0, 0, 1, (0,) * (kappa - 2), 0)]
-    while stack:
-        bits, neg, diffs, levels, i = stack.pop()
-        if i == len(members):
-            continue
-        stack.append((bits, neg, diffs, levels, i + 1))
+    most, mask = (q - 1) // (kappa - 1), (1 << q) - 1
+    end, evaluated = len(table), 0
+    # The open node: Y, -Y, Y - Y, the levels (s)Y for 1 <= s <= kappa - 2,
+    # the index in table of its next child, left = most - |Y|, and twice
+    # |Y| plus one. The stack holds its open ancestors, each with the index
+    # of its own next child: a parent is pushed only when the search descends
+    # into a child, so a sibling tried costs no stack operation.
+    bits, neg, diffs, levels, i, left, odd = 0, 0, 1, (0,) * (kappa - 2), 0, most, 1
+    stack = []
+    push, pop = stack.append, stack.pop
+    while True:
+        while i == end:
+            if not stack:
+                return 0, evaluated
+            bits, neg, diffs, levels, i, left, odd = pop()
         if evaluated >= limit:
             return None, evaluated
         evaluated += 1
-        y = members[i]
+        y, ny, ybit, nbit = table[i]
+        i += 1
         # (s)Y' = (s)Y | ((s-1)Y' + y), from (0)Y' = {0}; 0 enters (s)Y' iff
         # -y is in (s-1)Y'.
         grown, prev = [], 1
         for lev in levels:
-            prev = lev | (prev << y | prev >> (q - y)) & mask
-            if prev >> (q - y) & 1:
+            prev = lev | (prev << y | prev >> ny) & mask
+            if prev & nbit:
                 break
             grown.append(prev)
         else:
-            bits |= 1 << y
-            neg |= 1 << (q - y)
-            diffs |= (bits << (q - y) | bits >> y | neg << y | neg >> (q - y)) & mask
-            missing = q - diffs.bit_count()
+            child, cneg = bits | ybit, neg | nbit
+            cdiffs = diffs | (child << ny | child >> y | cneg << y | cneg >> ny) & mask
+            missing = q - cdiffs.bit_count()
             if not missing:
-                return bits, evaluated
-            size = bits.bit_count()
-            left = most - size
-            if missing <= left * (2 * size + left - 1):
-                stack.append((bits, neg, diffs, grown, i + 1))
-    return 0, evaluated
+                return child, evaluated
+            # A child with |Y| + 1 members has left - 1 to go: its bound
+            # r(2c + r - 1) is (left - 1)(odd + left - 1).
+            if missing <= (left - 1) * (odd + left - 1):
+                push((bits, neg, diffs, levels, i, left, odd))
+                bits, neg, diffs, levels, left, odd = child, cneg, cdiffs, grown, left - 1, odd + 2
 
 
 def search_haight_set(spec: SearchSpec) -> Union[HaightCertificate, SearchExhausted]:
@@ -336,7 +346,8 @@ def search_haight_set(spec: SearchSpec) -> Union[HaightCertificate, SearchExhaus
     range holds a set; at the budget, it says nothing about existence.
     """
     kappa, evaluated = spec.kappa, 0
-    qs = _moduli(spec)
+    # Each q's member table, built on its first visit and dropped once q is settled.
+    qs = dict.fromkeys(_moduli(spec))
     randomized = spec.mode == "randomized"
     rngs = {q: random.Random((spec.seed + 1) * 0x9E3779B97F4A7C15 + q) for q in qs if randomized}
     # An exhaustive pass settles each q or spends the budget, so it is the only one.
@@ -345,14 +356,17 @@ def search_haight_set(spec: SearchSpec) -> Union[HaightCertificate, SearchExhaus
             left = spec.budget - evaluated
             if not left:
                 break
-            order, limit = [y for y in range(1, q) if q // gcd(y, q) >= kappa], left
+            qs[q] = table = qs[q] or _member_table(q, kappa)
+            limit = min(q * q, left) if randomized else left
             if randomized:
-                rngs[q].shuffle(order)
-                limit = min(q * q, left)
-            bits, spent = _dfs(q, kappa, order, limit)
+                # Shuffle a copy: every restart permutes the members from
+                # increasing order.
+                table = table[:]
+                rngs[q].shuffle(table)
+            bits, spent = _dfs(q, kappa, table, limit)
             evaluated += spent
             if bits:
                 return _verified_certificate(q, bits, kappa, evaluated)
             if bits == 0:
-                qs.remove(q)
+                del qs[q]
     return SearchExhausted(evaluated)

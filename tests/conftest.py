@@ -1,5 +1,6 @@
-"""Seeded generators, pinned search results, Fraction references for the
-equilibrium check and a fresh-interpreter runner shared across the suite."""
+"""Seeded generators, pinned search results, the previous Haight search
+kernel, Fraction references for the equilibrium check and a
+fresh-interpreter runner shared across the suite."""
 
 from __future__ import annotations
 
@@ -49,6 +50,43 @@ SEARCH_PINS = {
     (4, 38, 38, "randomized", 3): (38, (1, 12, 15, 16, 17, 24, 29, 33, 34), 876),
     (4, 28, 40, "randomized", 0): (39, (4, 7, 14, 15, 19, 23, 27, 29, 33), 28259),
 }
+
+
+def reference_dfs(q: int, kappa: int, members: list[int], limit: int) -> tuple[int | None, int]:
+    """The Haight search kernel as ``residues._dfs`` was before its stack
+    kept one entry per open branch: every sibling tried pops its parent and
+    pushes it back. The reference for the kernel's (bits, candidates)."""
+    most = (q - 1) // (kappa - 1)
+    mask = (1 << q) - 1
+    evaluated = 0
+    stack = [(0, 0, 1, (0,) * (kappa - 2), 0)]
+    while stack:
+        bits, neg, diffs, levels, i = stack.pop()
+        if i == len(members):
+            continue
+        stack.append((bits, neg, diffs, levels, i + 1))
+        if evaluated >= limit:
+            return None, evaluated
+        evaluated += 1
+        y = members[i]
+        grown, prev = [], 1
+        for lev in levels:
+            prev = lev | (prev << y | prev >> (q - y)) & mask
+            if prev >> (q - y) & 1:
+                break
+            grown.append(prev)
+        else:
+            bits |= 1 << y
+            neg |= 1 << (q - y)
+            diffs |= (bits << (q - y) | bits >> y | neg << y | neg >> (q - y)) & mask
+            missing = q - diffs.bit_count()
+            if not missing:
+                return bits, evaluated
+            size = bits.bit_count()
+            left = most - size
+            if missing <= left * (2 * size + left - 1):
+                stack.append((bits, neg, diffs, grown, i + 1))
+    return 0, evaluated
 
 
 def random_digraph(

@@ -13,7 +13,7 @@ from math import gcd
 
 import pytest
 
-from conftest import SEARCH_PINS
+from conftest import SEARCH_PINS, reference_dfs
 from wsforge import (
     HaightCertificate,
     ResidueSet,
@@ -26,7 +26,9 @@ from wsforge import (
     search_haight_set,
     shift_set,
 )
-from wsforge.residues import _sumset_step
+from wsforge import residues
+from wsforge.formats import MAX_ORDER
+from wsforge.residues import _dfs, _member_table, _sumset_step
 
 
 def brute_difference(q: int, members: tuple[int, ...]) -> set[int]:
@@ -330,6 +332,66 @@ def test_randomized_search_budget_edge():
     assert short == SearchExhausted(evaluated - 1)
     found = search_haight_set(SearchSpec(kappa, q_min, q_max, evaluated, seed, mode))
     assert found == HaightCertificate(q, ResidueSet.from_members(q, members), kappa, evaluated)
+
+
+def test_dfs_matches_the_reference_kernel():
+    # The same (bits, candidates) as the kernel that popped and pushed back
+    # its parent for every sibling tried: members in increasing and in
+    # shuffled order, cut at 1, 10 and q^2 candidates, at 10^5 for q = 27
+    # and 47 at kappa >= 4 (trees of 10^4 to over 10^5 candidates), and at
+    # the exact count of a tree that ended first and one less.
+    rng = random.Random(24)
+    cases = 0
+    for q in range(2, 51):
+        for kappa in range(2, 7):
+            table = _member_table(q, kappa)
+            shuffled = table[:]
+            rng.shuffle(shuffled)
+            for rows in (table, shuffled):
+                members = [row[0] for row in rows]
+                limits = [1, 10, q * q] + [10**5] * (q % 20 == 7 and kappa >= 4)
+                for limit in limits:
+                    want = reference_dfs(q, kappa, members, limit)
+                    assert _dfs(q, kappa, rows, limit) == want, (q, kappa, members, limit)
+                    cases += 1
+                    if want[0] is not None:
+                        for cut in (want[1], want[1] - 1):
+                            got = _dfs(q, kappa, rows, cut)
+                            assert got == reference_dfs(q, kappa, members, cut), (q, kappa, members, cut)
+                            cases += 1
+    assert cases > 2000
+
+
+def test_kappa5_search_settles_25_to_33():
+    assert search_haight_set(SearchSpec(5, 25, 33, budget=10**7)) == SearchExhausted(205868)
+
+
+@pytest.mark.parametrize("spec", [
+    SearchSpec(5, 4000, MAX_ORDER, budget=10**5, mode="randomized"),
+    SearchSpec(6, 4090, MAX_ORDER, budget=10**5),
+], ids=["randomized", "exhaustive"])
+def test_search_at_max_order_spends_its_budget_quickly(spec):
+    # Each takes 0.2-0.3 s. Building the member tables of all 97 moduli of
+    # 4000..4096 up front would add about 0.9 s and 280 MiB.
+    start = time.perf_counter()
+    assert search_haight_set(spec) == SearchExhausted(100_000)
+    assert time.perf_counter() - start < 5
+
+
+def test_randomized_search_builds_each_member_table_once(monkeypatch):
+    built = []
+
+    def counted(q, kappa):
+        built.append(q)
+        return _member_table(q, kappa)
+
+    # This pinned job runs two restarts on every q in 28..39 before it finds
+    # its set on the second one at q = 39.
+    monkeypatch.setattr(residues, "_member_table", counted)
+    q, members, evaluated = SEARCH_PINS[4, 28, 40, "randomized", 0]
+    result = search_haight_set(SearchSpec(4, 28, 40, budget=10**6, seed=0, mode="randomized"))
+    assert result.candidates_evaluated == evaluated
+    assert built == list(range(28, 41))
 
 
 def test_exhaustive_search_finds_a_set_exactly_when_one_exists():
