@@ -102,6 +102,24 @@ def _transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
     return tuple(cols)
 
 
+def _rot(bits: int, shift: int, q: int) -> int:
+    """Rotate a q-bit vector left by ``shift``: bit r moves to r + shift mod q."""
+    shift %= q
+    if shift == 0:
+        return bits
+    mask = (1 << q) - 1
+    return ((bits << shift) | (bits >> (q - shift))) & mask
+
+
+def _circulant(rows: Sequence[int]) -> bool:
+    """Whether each bitmask row is its predecessor rotated by one over
+    n = len(rows) bits, i.e. the matrix is invariant under the shift
+    (i, j) -> (i + 1, j + 1) mod n. Row 0 then follows from row n - 1, since
+    n rotations are the identity, and the first mismatch ends the test."""
+    n = len(rows)
+    return all(rows[i + 1] == _rot(rows[i], 1, n) for i in range(n - 1))
+
+
 class KLCertificate(NamedTuple):
     """Witnessed claim that every cycle has length >= k (``girth_found`` is
     None when the digraph is acyclic) and that every l-subset of vertices
@@ -136,7 +154,7 @@ def cayley(q: int, y: residues.ResidueSet) -> Digraph:
         raise ValueError(f"generator set has modulus {y.modulus}, expected {q}")
     # Row z is -Y rotated by z: the arcs z -> z - r for r in Y.
     neg = residues._scale_bits(y.bits, q - 1, q)
-    return Digraph(q, tuple(residues._rot(neg, z, q) for z in range(q)))
+    return Digraph(q, tuple(_rot(neg, z, q) for z in range(q)))
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +193,12 @@ def _shortest_return(d: Digraph, v: int, bound: int, alive: int) -> Optional[lis
 def _girth_and_start(d: Digraph) -> Optional[tuple[int, int, list[int]]]:
     """(girth, start, layers): the start vertex that ``shortest_cycle`` uses
     and the layers of its backward search, or None if acyclic."""
-    best: Optional[tuple[int, int, list[int]]] = None
     alive = (1 << d.n) - 1
+    if d.n and _circulant(d.out):
+        # Vertex 0's search is the first one and finds the girth: see girth.
+        layers = _shortest_return(d, 0, d.n + 1, alive)
+        return None if layers is None else (len(layers), 0, layers)
+    best: Optional[tuple[int, int, list[int]]] = None
     for v in range(d.n):
         if not alive >> v & 1:
             continue
@@ -217,6 +239,13 @@ def girth(d: Digraph) -> Optional[int]:
     long path or cycle is walked once instead of once per vertex. Once a
     2-cycle is found nothing more is peeled: each later search then stops
     after its first step.
+
+    On a circulant digraph (row i + 1 is row i rotated by one, as on every
+    Cayley digraph) only vertex 0 is searched. Translating a cycle by t is a
+    cycle of the same length, so every shortest cycle has a translate
+    through 0; the girth is that of vertex 0's search, and 0, the least
+    vertex, is the start the full search would keep, with the same layers
+    since nothing has been dropped before it.
     """
     found = _girth_and_start(d)
     return None if found is None else found[0]
@@ -268,16 +297,29 @@ def is_dominated(d: Digraph, s: Iterable[int]) -> Optional[int]:
 
 
 def _first_undominated(
-    in_masks: tuple[int, ...], vertices: Iterable[int], l: int
+    in_masks: Sequence[int], l: int, circulant: bool
 ) -> Optional[tuple[int, ...]]:
-    """Lexicographically first l-combination of ``vertices`` whose in-masks
-    have an empty intersection, i.e. no vertex dominates it; else None."""
-    for combo in combinations(vertices, l):
-        mask = -1
+    """Lexicographically first l-combination of the indices of ``in_masks``
+    whose masks have an empty intersection, i.e. no vertex dominates it;
+    else None.
+
+    ``circulant`` says that mask i + 1 is mask i rotated by one, so that the
+    shift by t maps the intersection over S to that over S + t: S is then
+    undominated iff S - min(S) is. Only the sets through 0 are tried. The
+    full scan's answer is unchanged: if S is the first undominated set,
+    S - min(S) is undominated too, contains 0 and is lexicographically <= S,
+    so S contains 0; and the sets through 0 come first in ``combinations``
+    order, so none of them before S is undominated either.
+    """
+    head, rest, start = (), range(len(in_masks)), -1
+    if circulant:
+        head, rest, start, l = (0,), rest[1:], in_masks[0], l - 1
+    for combo in combinations(rest, l):
+        mask = start
         for x in combo:
             mask &= in_masks[x]
-            if mask == 0:
-                return combo
+        if not mask:
+            return head + combo
     return None
 
 
@@ -291,10 +333,13 @@ def all_subsets_dominated(d: Digraph, l: int) -> bool:
 
 
 def find_undominated_set(d: Digraph, l: int) -> Optional[tuple[int, ...]]:
-    """Lexicographically first undominated set of cardinality l, else None."""
+    """Lexicographically first undominated set of cardinality l, else None.
+
+    On a circulant digraph, whose in-masks are then circulant too, only the
+    sets through vertex 0 are tried (``_first_undominated``)."""
     if not 1 <= l <= d.n:
         raise ValueError(f"need 1 <= l <= {d.n}, got {l}")
-    return _first_undominated(d.in_masks, range(d.n), l)
+    return _first_undominated(d.in_masks, l, _circulant(d.out))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple, Sequence, Union
 
-from .digraph import Digraph, _first_undominated, _transpose, shortest_cycle
+from .digraph import Digraph, _circulant, _first_undominated, _transpose, shortest_cycle
 
 __all__ = [
     "WinLoseGame",
@@ -160,19 +160,32 @@ def char_decision(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     _require_out_degree(g)
-    h = to_bipartite_digraph(g)
-    cyc = shortest_cycle(h)
+    cyc = shortest_cycle(to_bipartite_digraph(g))
     if cyc is not None and len(cyc) <= 2 * k:
         return CycleWitness(tuple(cyc))
-    return _first_undominated_side(g, h, k)
+    return _first_undominated_side(g, k)
 
 
-def _first_undominated_side(g: WinLoseGame, h: Digraph, k: int) -> Union[UndominatedWitness, None]:
-    """The first one-sided k-set with no common in-neighbour in ``h``, the
-    game's bipartite digraph: row-side index sets lexicographically, then
-    column-side; None when every such set is dominated."""
-    for side, count, offset in (("row", g.m, 0), ("col", g.n, g.m)):
-        combo = _first_undominated(h.in_masks, range(offset, offset + count), k)
-        if combo is not None:
-            return UndominatedWitness(side, tuple(x - offset for x in combo))
-    return None
+def _shift_invariant(g: WinLoseGame) -> bool:
+    """Whether the shift (i, j) -> (i + 1, j + 1) mod n of rows and columns
+    maps both payoff matrices to themselves, as on a bipartified Cayley
+    digraph: A and B are square, n >= 2, and circulant."""
+    return g.m == g.n >= 2 and _circulant(g.a_rows) and _circulant(g.b_rows)
+
+
+def _first_undominated_side(g: WinLoseGame, k: int) -> Union[UndominatedWitness, None]:
+    """The first one-sided k-set with no common in-neighbour in the game's
+    bipartite digraph: row-side index sets lexicographically, then
+    column-side; None when every such set is dominated.
+
+    Row i's in-mask is B's row i (the digraph shifts it past the row ids,
+    which changes no intersection's emptiness) and column j's is A's column
+    j. On a shift-invariant game both are circulant, so each side tries only
+    the sets through index 0 (``digraph._first_undominated``).
+    """
+    circulant = _shift_invariant(g)
+    combo = _first_undominated(g.b_rows, k, circulant)
+    if combo is not None:
+        return UndominatedWitness("row", combo)
+    combo = _first_undominated(_transpose(g.a_rows, g.n), k, circulant)
+    return None if combo is None else UndominatedWitness("col", combo)

@@ -163,15 +163,6 @@ class SearchExhausted(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _rot(bits: int, shift: int, q: int) -> int:
-    """Rotate a q-bit vector left by ``shift``: residue r maps to r+shift mod q."""
-    shift %= q
-    if shift == 0:
-        return bits
-    mask = (1 << q) - 1
-    return ((bits << shift) | (bits >> (q - shift))) & mask
-
-
 def _sumset_step(acc: int, bits: int, q: int, sign: int = 1) -> int:
     """acc (+) sign * bits: every a + sign * r for a in acc and r in bits.
 
@@ -237,7 +228,7 @@ def shift_set(x: ResidueSet, y: int) -> ResidueSet:
     """Return { (a - y) mod q : a in X }; preserves the difference set exactly."""
     if not 0 <= y < x.modulus:
         raise ValueError(f"shift {y} outside [0, {x.modulus})")
-    return ResidueSet(x.modulus, _rot(x.bits, x.modulus - y, x.modulus))
+    return ResidueSet(x.modulus, _sumset_step(x.bits, 1 << y, x.modulus, -1))
 
 
 # ---------------------------------------------------------------------------

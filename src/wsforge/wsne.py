@@ -16,17 +16,18 @@ from math import comb, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from . import feasibility
-from .digraph import is_dominated
+from .digraph import _rot, is_dominated
 from .game import (
     CycleWitness,
     UndominatedWitness,
     WinLoseGame,
     _first_undominated_side,
     _require_out_degree,
+    _shift_invariant,
     char_decision,
     to_bipartite_digraph,
 )
-from .residues import _Frozen, _rot
+from .residues import _Frozen
 
 __all__ = [
     "MixedStrategy",
@@ -356,7 +357,7 @@ class _PlayerSystem:
         self.size = size
         self._eps_ratio = eps.as_integer_ratio()
         self._tables: dict[tuple[int, ...], tuple[list[int], tuple[int, ...]]] = {}
-        self._solved: dict[tuple, Optional[MixedStrategy]] = {}
+        self._solved: dict[tuple, Optional[tuple[Fraction, ...]]] = {}
 
     def _table(self, support: tuple[int, ...]):
         hit = self._tables.get(support)
@@ -366,26 +367,27 @@ class _PlayerSystem:
             self._tables[support] = hit
         return hit
 
-    def strategy(
+    def point(
         self, support: tuple[int, ...], opp_support: tuple[int, ...]
-    ) -> Optional[MixedStrategy]:
-        """A strategy over all of this player's strategies, supported inside
-        ``support``, that makes every opponent strategy in ``opp_support`` an
-        eps-best response; None if infeasible. Cached per system."""
+    ) -> Optional[tuple[Fraction, ...]]:
+        """Probabilities on ``support``, in its order, that make every
+        opponent strategy in ``opp_support`` an eps-best response; None if
+        infeasible. Cached per system."""
         pats, maximal = self._table(support)
         support_pats = frozenset(pats[t] for t in opp_support)
         key = (support, support_pats)
         if key in self._solved:
             return self._solved[key]
-        point = self._solve_system(len(support), support_pats, maximal)
-        found = None
-        if point is not None:
-            probs = [_ZERO] * self.size
-            for s, x in zip(support, point):
-                probs[s] = x
-            found = MixedStrategy(tuple(probs))
-        self._solved[key] = found
+        found = self._solved[key] = self._solve_system(len(support), support_pats, maximal)
         return found
+
+    def strategy(self, support: tuple[int, ...], point: tuple[Fraction, ...]) -> MixedStrategy:
+        """``point`` on ``support`` as a strategy over all of this player's
+        strategies, checked by the simplex test of :class:`MixedStrategy`."""
+        probs = [_ZERO] * self.size
+        for s, x in zip(support, point):
+            probs[s] = x
+        return MixedStrategy(tuple(probs))
 
     def _solve_system(
         self, dim: int, support_pats: frozenset[int], maximal: tuple[int, ...]
@@ -434,7 +436,7 @@ class _PlayerSystem:
 
     def singletons(self, support: tuple[int, ...]) -> int:
         """Bitmask of the opponent strategies t for which
-        ``strategy(support, (t,))`` is feasible.
+        ``point(support, (t,))`` is feasible.
 
         Every t that pays 1 against some s in ``support`` is: with all mass
         on s, t earns 1, the most any strategy earns. The others share the
@@ -449,7 +451,7 @@ class _PlayerSystem:
                 uncovered |= 1 << t
         if uncovered:
             t = (uncovered & -uncovered).bit_length() - 1
-            if self.strategy(support, (t,)) is not None:
+            if self.point(support, (t,)) is not None:
                 covered |= uncovered
         return covered
 
@@ -465,12 +467,15 @@ def _witness(
     p_system: _PlayerSystem, q_system: _PlayerSystem, rows: tuple[int, ...], cols: tuple[int, ...]
 ) -> Optional[tuple[MixedStrategy, MixedStrategy]]:
     """Strategies (p, q) on ``rows`` and ``cols`` that form an eps-WSNE, or
-    None if the pair is infeasible: the pair test of the support oracle."""
-    q = q_system.strategy(cols, rows)
-    if q is None:
+    None if the pair is infeasible: the pair test of the support oracle.
+    Only the pair returned becomes strategies."""
+    y = q_system.point(cols, rows)
+    if y is None:
         return None
-    p = p_system.strategy(rows, cols)
-    return None if p is None else (p, q)
+    x = p_system.point(rows, cols)
+    if x is None:
+        return None
+    return p_system.strategy(rows, x), q_system.strategy(cols, y)
 
 
 def feasible_on_supports(
@@ -496,21 +501,6 @@ def _supports(indices: Sequence[int], k: int) -> list[tuple[int, ...]]:
         sets.extend(combinations(indices, size))
     sets.sort()
     return sets
-
-
-def _shift_invariant(g: WinLoseGame) -> bool:
-    """Whether the shift (i, j) -> (i + 1, j + 1) mod n of rows and columns
-    maps both payoff matrices to themselves, as on a bipartified Cayley
-    digraph: each row of A and of B is its predecessor rotated by one (row 0
-    then follows from row n - 1, since n rotations are the identity)."""
-    n = g.n
-    if g.m != n or n < 2:
-        return False
-    return all(
-        rows[i + 1] == _rot(rows[i], 1, n)
-        for rows in (g.a_rows, g.b_rows)
-        for i in range(n - 1)
-    )
 
 
 def _least_rotation(support: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:
@@ -541,10 +531,16 @@ def _below_half(g: WinLoseGame, k: int) -> bool:
     p.Aq > 1/2; likewise a column dominating R gives p.Bq > 1/2. But
     A + B <= 1 in every cell, so p.Aq + p.Bq <= 1, a contradiction.
     (Testing the k-sets suffices: a subset of a dominated set is dominated.)
+
+    The in-masks come from the game, with no bipartite digraph built. On a
+    shift-invariant game the shift by t maps a k-set S of one side and its
+    dominators to S + t and theirs, so S is dominated iff S - min(S) is, and
+    only the k-sets through index 0 are tested; the lexicographically first
+    undominated set, if any, is one of them (``game._first_undominated_side``).
     """
     if any(a & b for a, b in zip(g.a_rows, g.b_rows)):
         return False
-    return _first_undominated_side(g, to_bipartite_digraph(g), k) is None
+    return _first_undominated_side(g, k) is None
 
 
 def exhaustive_search(

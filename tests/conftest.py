@@ -1,6 +1,7 @@
 """Seeded generators, pinned search results, the previous Haight search
-kernel, Fraction references for the equilibrium check and a
-fresh-interpreter runner shared across the suite."""
+kernel, the full undominated-set and girth scans, Fraction references for
+the equilibrium check and a fresh-interpreter runner shared across the
+suite."""
 
 from __future__ import annotations
 
@@ -10,7 +11,10 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
+
+import pytest
 
 import wsforge
 from wsforge import (
@@ -21,7 +25,10 @@ from wsforge import (
     WsneVerdict,
     crosscheck_characterization,
     girth,
+    to_bipartite_digraph,
 )
+from wsforge.digraph import _shortest_return
+from wsforge.game import UndominatedWitness
 from wsforge.wsne import Violation
 
 SRC = str(Path(wsforge.__file__).resolve().parents[1])
@@ -87,6 +94,79 @@ def reference_dfs(q: int, kappa: int, members: list[int], limit: int) -> tuple[i
             if missing <= left * (2 * size + left - 1):
                 stack.append((bits, neg, diffs, grown, i + 1))
     return 0, evaluated
+
+
+def reference_first_undominated(in_masks, vertices, l: int):
+    """Lexicographically first l-combination of ``vertices`` whose in-masks
+    meet in nothing, trying every combination: the reference for
+    ``digraph._first_undominated``, which tries only the sets through 0 on
+    circulant masks."""
+    for combo in combinations(vertices, l):
+        mask = -1
+        for x in combo:
+            mask &= in_masks[x]
+            if mask == 0:
+                return combo
+    return None
+
+
+@pytest.fixture()
+def sets_tried(monkeypatch):
+    """A one-entry list counting the combinations that the domination scan,
+    ``digraph._first_undominated``, draws."""
+    import wsforge.digraph as digraph
+
+    tried = [0]
+
+    def counted(items, r):
+        for combo in combinations(items, r):
+            tried[0] += 1
+            yield combo
+
+    monkeypatch.setattr(digraph, "combinations", counted)
+    return tried
+
+
+def reference_first_undominated_side(g: WinLoseGame, k: int):
+    """``game._first_undominated_side`` on the in-masks of the game's
+    bipartite digraph, over every k-set of each side."""
+    h = to_bipartite_digraph(g)
+    for side, count, offset in (("row", g.m, 0), ("col", g.n, g.m)):
+        combo = reference_first_undominated(h.in_masks, range(offset, offset + count), k)
+        if combo is not None:
+            return UndominatedWitness(side, tuple(x - offset for x in combo))
+    return None
+
+
+def reference_girth_and_start(d: Digraph):
+    """(girth, start, layers), or None if acyclic, by a search from every
+    vertex not yet peeled, circulant or not: the reference for
+    ``digraph._girth_and_start``, which searches from vertex 0 alone on
+    circulant digraphs."""
+    best = None
+    alive = (1 << d.n) - 1
+    for v in range(d.n):
+        if not alive >> v & 1:
+            continue
+        layers = _shortest_return(d, v, d.n + 1 if best is None else best[0], alive)
+        if layers is not None:
+            best = (len(layers), v, layers)
+            if best[0] == 1:
+                break
+        if best is not None and best[0] == 2:
+            continue
+        alive &= ~(1 << v)
+        work = [v]
+        while work:
+            x = work.pop()
+            m = (d.out[x] | d.in_masks[x]) & alive
+            while m:
+                u = (m & -m).bit_length() - 1
+                m &= m - 1
+                if not d.out[u] & alive or not d.in_masks[u] & alive:
+                    alive &= ~(1 << u)
+                    work.append(u)
+    return best
 
 
 def random_digraph(

@@ -8,11 +8,14 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from itertools import combinations
+from math import comb
 
 import pytest
 
-from conftest import random_digraph
+from conftest import random_digraph, reference_first_undominated, reference_girth_and_start
+from test_acceptance import K3_POOL, K4_POOL
 from wsforge import (
     Digraph,
     KLCertificate,
@@ -30,6 +33,7 @@ from wsforge import (
     power,
     shortest_cycle,
 )
+from wsforge.digraph import _circulant, _girth_and_start
 
 TRIANGLE = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
 FIVE_CYCLE = Digraph.from_arcs(5, [(i, (i + 1) % 5) for i in range(5)])
@@ -157,6 +161,55 @@ def test_long_girth_cycles_are_fast():
     twisted = cayley(512, ResidueSet.from_members(512, [1, 257]))
     assert shortest_cycle(twisted) == [0, *range(255, 0, -1)]
     assert time.perf_counter() - start < 2
+
+
+def test_girth_of_a_long_circulant_searches_from_vertex_0_only():
+    # Girth 2048 on 4096 vertices: one backward search, not one per vertex.
+    start = time.perf_counter()
+    assert girth(cayley(4096, ResidueSet.from_members(4096, [1, 2049]))) == 2048
+    assert time.perf_counter() - start < 0.5
+
+
+def circulant_digraphs(rng: random.Random) -> list[Digraph]:
+    """The K3 and K4 pools' Cayley digraphs, Paley-7, Paley-19, and seeded
+    Cayley digraphs of random generator sets on Z_n, n = 1..14, which may
+    hold 0 (a loop at every vertex) or nothing (no arc at all)."""
+    ds = [cayley(q, ResidueSet.from_members(q, ys)) for pool in (K3_POOL, K4_POOL) for q, ys in pool.items()]
+    ds += [PALEY7, cayley(19, ResidueSet.from_members(19, [1, 4, 5, 6, 7, 9, 11, 16, 17]))]
+    for _ in range(120):
+        n = rng.randrange(1, 15)
+        p = rng.choice([0.1, 0.25, 0.4])
+        ds.append(cayley(n, ResidueSet.from_members(n, [y for y in range(n) if rng.random() < p])))
+    return ds
+
+
+def test_circulant_scans_match_the_full_scans(sets_tried):
+    # On a circulant digraph girth searches from vertex 0 alone and the
+    # domination scan tries only the sets through 0, C(n - 1, l - 1) of
+    # them when all are dominated. A copy with one arc flipped is not
+    # circulant and takes the full scans. Both must return what the full
+    # scans return: the layers of the start's search too.
+    rng = random.Random(25)
+    seen = Counter()
+    for d in circulant_digraphs(rng):
+        cases = [(d, True)]
+        if d.n >= 2:
+            out = list(d.out)
+            out[rng.randrange(d.n)] ^= 1 << rng.randrange(d.n)
+            cases.append((Digraph(d.n, tuple(out)), False))
+        for h, circulant in cases:
+            assert _circulant(h.out) is circulant
+            found = _girth_and_start(h)
+            assert found == reference_girth_and_start(h), h
+            seen[circulant, "girth", found is None] += 1
+            for l in range(1, min(h.n, 3) + 1):
+                want = reference_first_undominated(h.in_masks, range(h.n), l)
+                sets_tried[0] = 0
+                assert find_undominated_set(h, l) == want, (h, l)
+                if want is None:
+                    assert sets_tried[0] == (comb(h.n - 1, l - 1) if circulant else comb(h.n, l))
+                seen[circulant, "set", want is None] += 1
+    assert min(seen.values()) >= 10 and len(seen) == 8, seen
 
 
 def test_cayley_sumset_bridge_small():

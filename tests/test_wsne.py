@@ -9,6 +9,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -18,7 +19,9 @@ from conftest import (
     fraction_payoffs,
     random_digraph,
     random_game,
+    reference_first_undominated_side,
 )
+from test_acceptance import K3_POOL, K4_POOL
 from wsforge import (
     Digraph,
     MixedStrategy,
@@ -38,9 +41,10 @@ from wsforge import (
     wsne_from_cycle,
     wsne_from_undominated,
 )
+from wsforge.digraph import _rot
 from wsforge.feasibility import feasible_point
-from wsforge.residues import _rot
-from wsforge.wsne import _below_half, _scan, _shift_invariant
+from wsforge.game import _first_undominated_side, _shift_invariant
+from wsforge.wsne import _below_half, _scan
 
 F = Fraction
 TRIANGLE = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
@@ -793,7 +797,7 @@ def _singletons_one_system_per_pattern(system, support):
     mask = 0
     for t, pat in enumerate(pats):
         if pat not in verdicts:
-            verdicts[pat] = system.strategy(support, (t,)) is not None
+            verdicts[pat] = system.point(support, (t,)) is not None
         if verdicts[pat]:
             mask |= 1 << t
     return mask
@@ -953,3 +957,44 @@ def test_orbit_scan_matches_lexicographic_scan():
                     else:
                         refuted += 1
     assert witnesses > 400 and refuted > 40
+
+
+def test_game_domination_scan_matches_the_full_scan():
+    # _first_undominated_side reads the in-masks from the game and, on a
+    # shift-invariant game, tries only each side's k-sets through index 0;
+    # the reference scans every k-set in the bipartite digraph. The lemma
+    # rests on that scan.
+    rng = random.Random(26)
+    games = [PALEY7, PALEY19, K4_Q29, PALEY7_SWAPPED, K4_Q29_SWAPPED]
+    games += [
+        bipartify(cayley(q, ResidueSet.from_members(q, ys)))
+        for pool in (K3_POOL, K4_POOL) for q, ys in pool.items()
+    ]
+    for _ in range(80):
+        g = _circulant_game(rng, rng.randrange(2, 13))
+        b_rows = list(g.b_rows)
+        b_rows[-1] ^= 1 << rng.randrange(g.n)
+        games += [g, WinLoseGame(g.n, g.n, g.a_rows, tuple(b_rows))]
+    seen = Counter()
+    for g in games:
+        invariant = _shift_invariant(g)
+        disjoint = not any(a & b for a, b in zip(g.a_rows, g.b_rows))
+        for k in range(1, min(g.n, 3) + 1):
+            want = reference_first_undominated_side(g, k)
+            assert _first_undominated_side(g, k) == want, (g, k)
+            assert _below_half(g, k) == (disjoint and want is None), (g, k)
+            seen[invariant, None if want is None else want.side] += 1
+    assert not _shift_invariant(PALEY7_SWAPPED) and not _shift_invariant(K4_Q29_SWAPPED)
+    assert min(seen.values()) >= 10 and len(seen) == 6, seen
+
+
+PALEY67 = bipartify(cayley(67, ResidueSet.from_members(67, {x * x % 67 for x in range(1, 67)})))
+
+
+def test_lemma_on_paley67_at_k4_tries_the_sets_through_0(sets_tried):
+    # C(66, 3) sets per side, not C(67, 4): the lemma's premise holds at
+    # k = 4, although the game has 6.7 * 10**11 support pairs of size <= 4.
+    start = time.perf_counter()
+    assert _below_half(PALEY67, 4)
+    assert time.perf_counter() - start < 0.3
+    assert sets_tried[0] == 2 * comb(66, 3)
