@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import re
-from functools import partial
+from functools import lru_cache, partial
 from math import comb
 from pathlib import Path
 from typing import IO, NamedTuple, Optional, Union
@@ -105,11 +105,19 @@ class ReverifyResult(NamedTuple):
 # Plain ASCII "a/b" or "a", the form every certificate writes.
 _PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
-# fractions.Fraction, bound by the first parse_rational call. Importing
+# fractions.Fraction, bound by the first parse of a literal. Importing
 # fractions (and decimal, which it imports) costs a process about 4 ms, which
 # the subcommands that parse no rational now skip. An import statement in
-# every call would cost each parse about 1.7 us more than this check.
+# every parse would cost it about 1.7 us more than this check; a parse the
+# memo answers makes neither.
 Fraction = None
+
+# The memo of parse_rational: the values of at most _MEMO_SIZE distinct
+# literals, each of at most _MEMO_LENGTH characters, most recently used kept.
+# Certificates repeat a few short literals ("0", "1", "1/2", "1/3") many
+# times; the bounds keep the table small whatever the input.
+_MEMO_SIZE = 256
+_MEMO_LENGTH = 64
 
 
 def parse_rational(text: str) -> Fraction:
@@ -117,13 +125,20 @@ def parse_rational(text: str) -> Fraction:
 
     Plain ASCII literals skip Fraction's string parser, which all other
     text still takes, so the strings accepted and the errors raised are
-    those of Fraction(str).
+    those of Fraction(str). Short literals are parsed once and then
+    answered from a bounded memo; errors are never kept.
     """
+    if not isinstance(text, str):
+        raise FormatError(f"expected a rational string, got {type(text).__name__}")
+    if len(text) <= _MEMO_LENGTH:
+        return _memo_literal(text)
+    return _parse_literal(text)
+
+
+def _parse_literal(text: str) -> Fraction:
     global Fraction
     if Fraction is None:
         from fractions import Fraction
-    if not isinstance(text, str):
-        raise FormatError(f"expected a rational string, got {type(text).__name__}")
     s = text.strip()
     if "." in s or "e" in s or "E" in s or not s:
         raise FormatError(f"not an 'a/b' rational literal: {text!r}")
@@ -136,6 +151,9 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"not an 'a/b' rational literal: {text!r}") from exc
+
+
+_memo_literal = lru_cache(maxsize=_MEMO_SIZE)(_parse_literal)
 
 
 # ---------------------------------------------------------------------------

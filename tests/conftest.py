@@ -267,21 +267,27 @@ def _crosscheck_point_line(idx, k, point) -> str:
     return f"{idx} {k} {point.eps} {tail}\n"
 
 
-def crosscheck_digest(count: int) -> str:
-    """sha256 of every cross-check point, at k = 1, 2, 3, over the first
-    ``count`` seeded square games of the acceptance suite's criterion 7,
-    asserting that each report agrees. A change to the support oracle that
-    moves a witness probability or a refuted-pair count moves the digest."""
+def criterion7_reports(count: int):
+    """(idx, game, k, report) of crosscheck_characterization at k = 1, 2, 3
+    over the first ``count`` seeded square games of the acceptance suite's
+    criterion 7, which the benchmark's crosscheck workload runs too."""
     rng = random.Random(700)
-    digest = hashlib.sha256()
     for idx in range(count):
         m = rng.randrange(3, 9)
         g = random_game(rng, m, m, p=rng.choice([0.2, 0.35, 0.5]))
         for k in (1, 2, 3):
-            report = crosscheck_characterization(g, k)
-            assert report.agree, (idx, k, report)
-            assert report.points[0].eps == 1 - Fraction(1, k)
-            assert report.points[1].eps == 1 - Fraction(1, 2 * k)
-            for point in report.points:
-                digest.update(_crosscheck_point_line(idx, k, point).encode())
+            yield idx, g, k, crosscheck_characterization(g, k)
+
+
+def crosscheck_digest(count: int) -> str:
+    """sha256 of every cross-check point of :func:`criterion7_reports`,
+    asserting that each report agrees. A change to the support oracle that
+    moves a witness probability or a refuted-pair count moves the digest."""
+    digest = hashlib.sha256()
+    for idx, _, k, report in criterion7_reports(count):
+        assert report.agree, (idx, k, report)
+        assert report.points[0].eps == 1 - Fraction(1, k)
+        assert report.points[1].eps == 1 - Fraction(1, 2 * k)
+        for point in report.points:
+            digest.update(_crosscheck_point_line(idx, k, point).encode())
     return digest.hexdigest()

@@ -633,6 +633,24 @@ def test_forge_refuses_a_game_over_max_work_before_its_certify(tmp_path, monkeyp
     assert "--k: the support pairs of size <= 2 of a 300 x 300 game exceed" in captured.err
 
 
+@pytest.mark.parametrize("field, m, n", [("p", 1024, 1), ("q", 1, 1024)])
+def test_witness_strategy_over_the_bit_cap_is_refused_at_once(tmp_path, capsys, field, m, n):
+    # 1,024 distinct 1000-digit denominators, 3.4 million bits: taking their
+    # lcm alone would cost minutes.
+    hostile = [f"1/{10**999 + i}" for i in range(1024)]
+    payload = {"m": m, "n": n, "a": ["1" * n] * m, "b": ["1" * n] * m, "p": ["1"], "q": ["1"], "eps": "0"}
+    payload[field] = hostile
+    cert = write_raw_certificate(tmp_path / "w.json", "wsne_witness", payload)
+    game = tmp_path / "ones.wl"
+    game.write_text(f"{m} {n}\n" + ("1" * n + "\n") * m + "\n" + ("1" * n + "\n") * m)
+    capsys.readouterr()
+    for argv in (("reverify", "--cert", str(cert)),
+                 ("check", "--game", str(game), "--strategy", str(cert), "--eps", "0")):
+        code, seconds = run_timed(*argv)
+        assert code == 2 and seconds < 1
+        assert f"payload.{field}: denominators hold 3398656 bits" in capsys.readouterr().err
+
+
 def test_reverify_rejects_nonexistence_game_over_max_order(tmp_path, capsys):
     payload = {"m": 10**8, "n": 1, "a": [], "b": [], "k": 1, "eps": "1/2", "pairs_refuted": 1}
     cert = write_raw_certificate(tmp_path / "n.json", "nonexistence", payload)

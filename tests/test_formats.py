@@ -5,19 +5,21 @@ from __future__ import annotations
 
 import io
 import json
+import pickle
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_digraph, random_game, run_python
-from wsforge import Digraph, ResidueSet, bipartify, cayley
+from conftest import criterion7_reports, fraction_check_wsne, random_digraph, random_game, run_python
+from wsforge import Digraph, MixedStrategy, ResidueSet, bipartify, cayley, check_wsne, formats
 from wsforge.formats import (
     MAX_ORDER,
     CertificateEnvelope,
     CertificateError,
     FormatError,
+    ReverifyResult,
     game_payload,
     make_envelope,
     parse_rational,
@@ -25,9 +27,11 @@ from wsforge.formats import (
     read_digraph,
     read_game,
     reverify,
+    validate_envelope,
     write_certificate,
     write_digraph,
     write_game,
+    wsne_witness_payload,
 )
 
 TRIANGLE = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
@@ -69,6 +73,36 @@ def test_rational_parsing():
     for bad in ("0.5", "1e-3", "", "a/b", "1/0"):
         with pytest.raises(FormatError):
             parse_rational(bad)
+
+
+@pytest.mark.parametrize("value", [["1/2"], {"1": 2}, None, 1])
+def test_rational_parsing_names_the_type_of_a_non_string(value):
+    # Lists and dicts cannot key the memo: they must not reach it.
+    for _ in range(2):
+        with pytest.raises(FormatError, match=f"^expected a rational string, got {type(value).__name__}$"):
+            parse_rational(value)
+
+
+def test_rational_memo_is_bounded_and_keeps_no_error():
+    memo = formats._memo_literal
+    memo.cache_clear()
+    for bad in ("1/0", "0.5", "x"):
+        for _ in range(2):
+            with pytest.raises(FormatError, match=f"^not an 'a/b' rational literal: {bad!r}$"):
+                parse_rational(bad)
+    assert memo.cache_info().currsize == 0
+    texts = [f"{i}/{i + 1}" for i in range(formats._MEMO_SIZE + 100)]
+    for text in texts:
+        assert parse_rational(text) == Fraction(text)
+    assert memo.cache_info().currsize == formats._MEMO_SIZE
+    hits = memo.cache_info().hits
+    assert [parse_rational(text) for text in texts[-10:]] == [Fraction(t) for t in texts[-10:]]
+    assert memo.cache_info().hits == hits + 10
+    # A literal longer than _MEMO_LENGTH is parsed, never kept.
+    memo.cache_clear()
+    long = " " * formats._MEMO_LENGTH + "3/4"
+    assert parse_rational(long) == parse_rational(long) == Fraction(3, 4)
+    assert memo.cache_info().currsize == 0
 
 
 def test_rational_parsing_binds_fraction_on_first_use():
@@ -359,6 +393,56 @@ def test_row_errors_name_the_certificate_field_or_the_file_line():
         with pytest.raises(FormatError) as info:
             read_game(io.StringIO(f"1 3\n101\n\n{row}\n"))
         assert str(info.value) == f"line 4: illegal character {illegal!r}"
+
+
+@pytest.mark.parametrize("field, bad", [("p", ("x", "0.5")), ("a", ("2" * 7, "10"))])
+def test_list_errors_name_the_first_bad_position(field, bad):
+    payload = game_payload(PALEY7_GAME)
+    payload.update({"p": ["1"] + ["0"] * 6, "q": ["1"] + ["0"] * 6, "eps": "1/2"})
+    payload[field][2], payload[field][5] = bad
+    with pytest.raises(CertificateError) as info:
+        make_envelope("wsne_witness", payload, "x")
+    assert str(info.value) == {
+        "p": "payload.p[2]: not an 'a/b' rational literal: 'x'",
+        "a": "payload.a[2]: illegal character '2'",
+    }[field]
+
+
+def test_parsed_strategies_are_the_strategies_built_directly():
+    # Parsed entries may be the memo's shared Fractions; the strategy must
+    # not tell.
+    payload = game_payload(PALEY7_GAME)
+    payload.update({"p": ["1/2", "1/2"] + ["0"] * 5, "q": ["1/3", "0", "2/3"] + ["0"] * 4, "eps": "1/2"})
+    _, p, q, _ = validate_envelope(make_envelope("wsne_witness", payload, "x"))
+    built = MixedStrategy((Fraction(1, 2), Fraction(1, 2)) + (Fraction(0),) * 5)
+    assert p == built and hash(p) == hash(built) and p != q
+    assert repr(p) == "MixedStrategy(probs=(" + ", ".join(
+        ["Fraction(1, 2)"] * 2 + ["Fraction(0, 1)"] * 5) + "))"
+    assert pickle.loads(pickle.dumps(p)) == p
+    with pytest.raises(AttributeError):
+        p.probs = built.probs
+    assert validate_envelope(make_envelope("wsne_witness", payload, "x"))[1:3] == (p, q)
+
+
+def test_crosscheck_witnesses_round_trip_and_recheck():
+    # Every witness of the benchmark's crosscheck workload: the codec gives
+    # back the pair it was given, and the integer check agrees with the
+    # Fraction one.
+    witnesses = 0
+    for _, g, k, report in criterion7_reports(100):
+        for point in report.points:
+            if not isinstance(point.search_result, tuple):
+                continue
+            p, q = point.search_result
+            payload = wsne_witness_payload(g, p, q, point.eps)
+            env = make_envelope("wsne_witness", payload, f"wsforge exhaust --k {k} --eps {point.eps}")
+            detail = f"strategies re-verified at eps={point.eps}"
+            assert reverify(env) == ReverifyResult(True, "wsne_witness", detail)
+            parsed = validate_envelope(env)
+            assert parsed == (g, p, q, point.eps)
+            assert check_wsne(*parsed) == fraction_check_wsne(*parsed)
+            witnesses += 1
+    assert witnesses == 598
 
 
 def test_negative_eps_rejected_by_schema():
