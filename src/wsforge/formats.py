@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from functools import lru_cache, partial
-from math import comb
+from math import comb, lcm
 from pathlib import Path
 from typing import IO, NamedTuple, Optional, Union
 
@@ -35,6 +36,7 @@ __all__ = [
     "SCHEMA_TAG",
     "CERT_KINDS",
     "MAX_ORDER",
+    "MAX_STRATEGY_LITERALS",
     "MAX_WORK",
     "toolchain_version",
     "write_digraph",
@@ -68,6 +70,16 @@ MAX_ORDER = 4096
 # 10**8 admits every k = 2 game up to 140 x 140 and every k = 3 game up to
 # 39 x 39.
 MAX_WORK = 10**8
+
+# Most bits the common denominator of a strategy read from a certificate may
+# hold, in literals: units of the longest integer that int() reads from a
+# string (sys.get_int_max_str_digits(), 4,300 digits or about 14,300 bits by
+# default). Every strategy that wsforge writes has a common denominator
+# dividing 4b, with eps = a / b, so it holds at most one literal's bits plus 2.
+# The lcm of many distinct long denominators costs time quadratic in their
+# total; the one taken for this cap stops as soon as it passes it. With
+# int()'s limit lifted there is no cap, as there is none on one literal.
+MAX_STRATEGY_LITERALS = 4
 
 Source = Union[str, Path, IO[str]]
 
@@ -363,6 +375,18 @@ def _game_from_payload(payload: dict) -> game.WinLoseGame:
 
 def _strategy_from_payload(payload: dict, field: str, length: int) -> wsne.MixedStrategy:
     probs = _require_list(payload, field, length, "entries", parse_rational)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # A denominator has no more digits than its literal has characters, so
+    # literals of at most MAX_STRATEGY_LITERALS * digits characters in all
+    # have a common denominator within the cap: no lcm is needed to tell.
+    if digits and sum(map(len, payload[field])) > MAX_STRATEGY_LITERALS * digits:
+        cap = MAX_STRATEGY_LITERALS * (digits * 3322 // 1000 + 1)
+        den = 1
+        for p in probs:
+            if den % p.denominator:
+                den = lcm(den, p.denominator)
+                if den.bit_length() > cap:
+                    raise CertificateError(f"payload.{field}: common denominator over {cap} bits")
     try:
         return wsne.MixedStrategy(probs)
     except ValueError as exc:

@@ -30,7 +30,6 @@ from .game import (
 from .residues import _Frozen
 
 __all__ = [
-    "MAX_STRATEGY_BITS",
     "MixedStrategy",
     "Violation",
     "WsneVerdict",
@@ -67,39 +66,17 @@ def _exact_eps(eps: Union[int, str, Fraction]) -> Fraction:
     return eps
 
 
-# Most bits that the denominators of one strategy may hold in all. Finding
-# their common denominator costs time quadratic in that total (about 2 s at
-# the cap for 4,096 distinct 64-bit ones), so a longer strategy is refused
-# before it. Uniform on 4,096 entries holds 53,248 bits. A witness that
-# exhaust writes has 1-bit zeros and at most k <= 13 other entries (the
-# support pairs of formats.MAX_WORK), each with about as many bits as eps's
-# denominator: at most 14,300 when eps is read by int()'s default limit.
-MAX_STRATEGY_BITS = 1 << 18
-
-
-def _common_denominator(ratios: Iterable[tuple[int, int]]) -> int:
-    """The lcm of the denominators of (numerator, denominator) pairs, taken
-    only at a denominator that does not divide the lcm so far."""
-    den = 1
-    for _, d in ratios:
-        if den % d:
-            den = lcm(den, d)
-    return den
-
-
 def _scaled(probs: Sequence[Fraction]) -> tuple[list[int], int]:
     """The entries as integer numerators over their common denominator, the
     lcm of theirs: ``probs[i] == nums[i] / den``."""
-    ratios = [p.as_integer_ratio() for p in probs]
-    den = _common_denominator(ratios)
-    return [n * (den // d) for n, d in ratios], den
+    den = lcm(*[p.denominator for p in probs])
+    return [p.numerator * (den // p.denominator) for p in probs], den
 
 
 class MixedStrategy(_Frozen):
     """Probability vector with exact entries; sums to exactly 1.
 
-    Vectors that fail the simplex invariants, or whose denominators hold
-    more than MAX_STRATEGY_BITS bits in all, are rejected at construction,
+    Vectors that fail the simplex invariants are rejected at construction,
     never normalized.
     """
 
@@ -108,22 +85,20 @@ class MixedStrategy(_Frozen):
     def __init__(self, probs: tuple[Fraction, ...]) -> None:
         if not probs:
             raise ValueError("strategy over zero pure strategies")
-        ratios = []
-        bits = 0
         for i, p in enumerate(probs):
             if not isinstance(p, Fraction):
                 raise TypeError(f"entry {i} is {type(p).__name__}, expected Fraction")
-            num, den = ratio = p.as_integer_ratio()
-            if num < 0:
+            if p.numerator < 0:
                 raise ValueError(f"entry {i} is negative: {p}")
-            bits += den.bit_length()
-            ratios.append(ratio)
-        if bits > MAX_STRATEGY_BITS:
-            raise ValueError(f"denominators hold {bits} bits, more than {MAX_STRATEGY_BITS}")
-        den = _common_denominator(ratios)
-        total = sum([n * (den // d) for n, d in ratios])
+        nums, den = _scaled(probs)
+        total = sum(nums)
         if total != den:
-            raise ValueError(f"entries sum to {Fraction(total, den)}, expected exactly 1")
+            try:
+                wrong = f"entries sum to {Fraction(total, den)}"
+            except ValueError:  # str() of an int past int()'s digit limit
+                bits = den.bit_length()
+                wrong = f"entries sum to a fraction too long to print (common denominator {bits} bits)"
+            raise ValueError(f"{wrong}, expected exactly 1")
         super().__init__(probs)
 
     @classmethod

@@ -127,6 +127,15 @@ def sets_tried(monkeypatch):
     return tried
 
 
+@pytest.fixture()
+def int_digit_limit():
+    """``sys.set_int_max_str_digits``, with the limit that int() had before
+    the test put back after it."""
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)
+
+
 def reference_first_undominated_side(g: WinLoseGame, k: int):
     """``game._first_undominated_side`` on the in-masks of the game's
     bipartite digraph, over every k-set of each side."""

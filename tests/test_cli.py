@@ -634,9 +634,10 @@ def test_forge_refuses_a_game_over_max_work_before_its_certify(tmp_path, monkeyp
 
 
 @pytest.mark.parametrize("field, m, n", [("p", 1024, 1), ("q", 1, 1024)])
-def test_witness_strategy_over_the_bit_cap_is_refused_at_once(tmp_path, capsys, field, m, n):
+def test_witness_strategy_over_the_bit_cap_is_refused_at_once(tmp_path, capsys, int_digit_limit, field, m, n):
     # 1,024 distinct 1000-digit denominators, 3.4 million bits: taking their
     # lcm alone would cost minutes.
+    int_digit_limit(4300)
     hostile = [f"1/{10**999 + i}" for i in range(1024)]
     payload = {"m": m, "n": n, "a": ["1" * n] * m, "b": ["1" * n] * m, "p": ["1"], "q": ["1"], "eps": "0"}
     payload[field] = hostile
@@ -648,7 +649,20 @@ def test_witness_strategy_over_the_bit_cap_is_refused_at_once(tmp_path, capsys, 
                  ("check", "--game", str(game), "--strategy", str(cert), "--eps", "0")):
         code, seconds = run_timed(*argv)
         assert code == 2 and seconds < 1
-        assert f"payload.{field}: denominators hold 3398656 bits" in capsys.readouterr().err
+        assert f"payload.{field}: common denominator over 57140 bits" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("digits, limit", [(4300, 4300), (40_000, 0)])
+def test_exhaust_witness_at_the_longest_eps_passes_the_strategy_cap(tmp_path, int_digit_limit, digits, limit):
+    # eps = a / b with b as long as int() reads: the witness's q has
+    # common denominator b, one literal long.
+    int_digit_limit(limit)
+    b = 10 ** (digits - 1) + 7
+    game, wit = tmp_path / "tri.wl", tmp_path / "w.json"
+    write_game(bipartify(TRIANGLE), game)
+    assert run("exhaust", "--game", str(game), "--k", "2", "--eps", f"{b // 2 + 1}/{b}", "--out", str(wit)) == 0
+    assert max(Fraction(x).denominator for x in read_certificate(wit).payload["q"]) == b
+    assert run("reverify", "--cert", str(wit)) == 0
 
 
 def test_reverify_rejects_nonexistence_game_over_max_order(tmp_path, capsys):

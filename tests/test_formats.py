@@ -408,6 +408,45 @@ def test_list_errors_name_the_first_bad_position(field, bad):
     }[field]
 
 
+def _strategy_payload(p: list[str]) -> dict:
+    m = len(p)
+    return {"m": m, "n": 1, "a": ["1"] * m, "b": ["1"] * m, "p": p, "q": ["1"], "eps": "0"}
+
+
+@pytest.mark.parametrize("digits, cap", [(640, 8508), (4300, 57140)])
+def test_strategy_common_denominator_cap_follows_ints_digit_limit(int_digit_limit, digits, cap):
+    # MAX_STRATEGY_LITERALS = 4 literals of digits * 3.322 + 1 bits. Five
+    # entries 1/d over coprime prime powers, each one literal long at most,
+    # reach the cap exactly; one more factor of 2 passes it.
+    int_digit_limit(digits)
+    unit = digits * 3322 // 1000 + 1
+    dens = [pr ** (unit * 9 // 10 // pr.bit_length()) for pr in (3, 5, 7, 11)]
+    odd = dens[0] * dens[1] * dens[2] * dens[3]
+    for extra in (0, 1):
+        twos = cap - odd.bit_length() + extra
+        assert 0 < twos < unit
+        payload = _strategy_payload([f"1/{d}" for d in dens + [2**twos]])
+        with pytest.raises(CertificateError) as info:
+            make_envelope("wsne_witness", payload, "x")
+        assert str(info.value) == [
+            "payload.p: entries sum to a fraction too long to print"
+            f" (common denominator {cap} bits), expected exactly 1",
+            f"payload.p: common denominator over {cap} bits",
+        ][extra]
+    # Uniform on MAX_ORDER entries, read from a certificate.
+    payload = _strategy_payload([f"1/{MAX_ORDER}"] * MAX_ORDER)
+    assert len(validate_envelope(make_envelope("wsne_witness", payload, "x"))[1].support) == MAX_ORDER
+
+
+def test_strategy_cap_is_lifted_with_ints_digit_limit(int_digit_limit):
+    # No limit on one literal, no cap on the common denominator: 20
+    # distinct 3000-digit denominators reach the simplex check.
+    int_digit_limit(0)
+    payload = _strategy_payload([f"1/{10**2999 + i}" for i in range(20)])
+    with pytest.raises(CertificateError, match="^payload.p: entries sum to [0-9]+/[0-9]+, expected exactly 1$"):
+        make_envelope("wsne_witness", payload, "x")
+
+
 def test_parsed_strategies_are_the_strategies_built_directly():
     # Parsed entries may be the memo's shared Fractions; the strategy must
     # not tell.

@@ -44,7 +44,7 @@ from wsforge import (
 from wsforge.digraph import _rot
 from wsforge.feasibility import feasible_point
 from wsforge.game import _first_undominated_side, _shift_invariant
-from wsforge.wsne import MAX_STRATEGY_BITS, _below_half, _scaled, _scan
+from wsforge.wsne import _below_half, _scaled, _scan
 
 F = Fraction
 TRIANGLE = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
@@ -132,29 +132,22 @@ def test_strategy_errors_match_fraction_sum_seeded():
     assert 300 < rejected < 1900
 
 
-def test_strategy_denominator_bits_are_capped():
-    # Two entries over 2^t, (t + 1) bits each, fill the cap exactly.
-    t = MAX_STRATEGY_BITS // 2 - 1
-    half = F(1, 2**t)
+def test_strategy_built_directly_has_no_denominator_cap():
+    # Only strategies read from a certificate are capped: a caller may pass
+    # exhaustive_search an eps of any length, and its strategies with it.
+    half = F(1, 2**300_000)
     assert MixedStrategy((1 - half, half)).probs == (1 - half, half)
-    with pytest.raises(ValueError, match=f"^denominators hold {MAX_STRATEGY_BITS + 1} bits, more than"):
-        MixedStrategy((1 - half, half, F(0)))
-    # The entries' own checks still come first.
-    with pytest.raises(ValueError, match=r"^entry 3 is negative: -1$"):
-        MixedStrategy((1 - half, half, F(0), F(-1)))
-    with pytest.raises(TypeError, match=r"^entry 2 is int, expected Fraction$"):
-        MixedStrategy((1 - half, half, 0))
-    # Uniform on MAX_ORDER entries: 4,096 denominators of 13 bits.
-    assert len(MixedStrategy.uniform_on(range(4096), 4096).support) == 4096
 
 
-def test_strategy_refuses_distinct_long_denominators_before_their_lcm():
-    # 1,024 distinct 1000-digit denominators: their lcm alone took minutes.
-    probs = tuple(F(1, 10**999 + i) for i in range(1024))
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match="^denominators hold 3398656 bits, more than"):
-        MixedStrategy(probs)
-    assert time.perf_counter() - start < 0.1
+def test_wrong_sum_too_long_to_print_names_its_denominator_size(int_digit_limit):
+    int_digit_limit(4300)
+    d1, d2 = 10**3000 + 1, 10**3000 + 3
+    with pytest.raises(ValueError) as info:
+        MixedStrategy((F(1, d1), F(1, d2)))
+    assert str(info.value) == (
+        "entries sum to a fraction too long to print"
+        f" (common denominator {(d1 * d2).bit_length()} bits), expected exactly 1"
+    )
 
 
 def test_scaled_is_numerators_over_the_lcm():
