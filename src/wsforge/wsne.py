@@ -11,9 +11,8 @@ minus epsilon) are accepted. No floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import comb, lcm
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import feasibility
 from .digraph import _rot, is_dominated
@@ -345,6 +344,15 @@ def _maximal_patterns(patterns: Iterable[int]) -> tuple[int, ...]:
     )
 
 
+def _pattern_table(
+    masks: Sequence[int], support: tuple[int, ...]
+) -> tuple[list[int], tuple[int, ...]]:
+    """Each opponent strategy's payoff pattern on ``support``, and the
+    pointwise-maximal patterns among them. Independent of eps."""
+    pats = [_project(mask, support) for mask in masks]
+    return pats, _maximal_patterns(pats)
+
+
 class _PlayerSystem:
     """The support systems on one player's mixture for one (game, eps).
 
@@ -354,8 +362,14 @@ class _PlayerSystem:
     simplex, reduced to distinct support patterns against pointwise-maximal
     opponent patterns, then solved in closed form on supports of size <= 2
     and by Fourier-Motzkin on larger ones, both on integers scaled by eps's
-    denominator. Results are cached by pattern signature, which
-    collapses most of the enumeration in :func:`exhaustive_search`.
+    denominator.
+
+    Only the solving depends on eps. The pattern tables (each support's
+    projections and maximal patterns, :func:`_pattern_table`) depend on the
+    masks and the support alone, so :meth:`at` gives the same player's
+    systems at another eps over the same tables. The solved systems are
+    cached per eps by pattern signature, which collapses most of the
+    enumeration in :func:`exhaustive_search`.
     """
 
     def __init__(self, masks: Sequence[int], size: int, eps: Fraction):
@@ -365,12 +379,17 @@ class _PlayerSystem:
         self._tables: dict[tuple[int, ...], tuple[list[int], tuple[int, ...]]] = {}
         self._solved: dict[tuple, Optional[tuple[Fraction, ...]]] = {}
 
+    def at(self, eps: Fraction) -> "_PlayerSystem":
+        """This player's systems at ``eps``: the pattern tables shared with
+        this one, the solved systems cached apart."""
+        other = _PlayerSystem(self.masks, self.size, eps)
+        other._tables = self._tables
+        return other
+
     def _table(self, support: tuple[int, ...]):
         hit = self._tables.get(support)
         if hit is None:
-            pats = [_project(mask, support) for mask in self.masks]
-            hit = (pats, _maximal_patterns(pats))
-            self._tables[support] = hit
+            hit = self._tables[support] = _pattern_table(self.masks, support)
         return hit
 
     def point(
@@ -499,14 +518,24 @@ def feasible_on_supports(
     return _witness(*_systems(g, eps), pair.rows, pair.cols)
 
 
-def _supports(indices: Sequence[int], k: int) -> list[tuple[int, ...]]:
+def _supports(indices: Iterable[int], k: int) -> Iterator[tuple[int, ...]]:
     """Nonempty sets of at most k of the increasing ``indices``, in
-    lexicographic tuple order."""
-    sets: list[tuple[int, ...]] = []
-    for size in range(1, k + 1):
-        sets.extend(combinations(indices, size))
-    sets.sort()
-    return sets
+    lexicographic tuple order, generated lazily: each set, then its
+    extensions by later indices. A scan that stops early builds only the
+    sets it reaches."""
+    indices = tuple(indices)
+    open_sets: list[tuple[tuple[int, ...], int]] = []  # (set, position of its last index)
+    nxt = 0
+    while True:
+        if nxt < len(indices) and len(open_sets) < k:
+            support = (open_sets[-1][0] if open_sets else ()) + (indices[nxt],)
+            yield support
+            open_sets.append((support, nxt))
+            nxt += 1
+        elif open_sets:
+            nxt = open_sets.pop()[1] + 1
+        else:
+            return
 
 
 def _least_rotation(support: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:
@@ -569,7 +598,10 @@ def _scan(
     g: WinLoseGame, k: int, eps: Fraction
 ) -> Union[tuple[MixedStrategy, MixedStrategy], NoWitness]:
     """:func:`exhaustive_search` by the support oracle alone, without the
-    constant-sum lemma. Its callers have checked k and eps.
+    constant-sum lemma. Its callers have checked k and eps. The singleton
+    tables and the solved systems are built for this eps; the pattern
+    tables do not depend on it, and :func:`_scan_two` shares them between
+    two eps.
 
     A pair (R, C) reaches the full systems only if every column of C is an
     eps-best response to some distribution on R, and every row of R to some
@@ -584,12 +616,27 @@ def _scan(
     orbit. The first feasible pair in lexicographic order has such an R, so
     the witness is the same; ``pairs_refuted`` still counts every pair.
     """
-    p_system, q_system = _systems(g, eps)
+    found = _first_feasible(g, k, _systems(g, eps))
+    return NoWitness(_pair_count(g, k)) if found is None else found[1]
+
+
+def _first_feasible(
+    g: WinLoseGame,
+    k: int,
+    systems: tuple[_PlayerSystem, _PlayerSystem],
+    start: tuple[tuple[int, ...], tuple[int, ...]] = ((), ()),
+) -> Optional[tuple[tuple[tuple[int, ...], tuple[int, ...]], tuple[MixedStrategy, MixedStrategy]]]:
+    """The scan of :func:`_scan` on ``systems``, from the pair ``start`` on
+    (every pair, by default): the first feasible pair (R, C) at or after it
+    in the scan's order and its witness, as ((R, C), (p, q)), or None."""
+    p_system, q_system = systems
     n = g.n
     symmetric = _shift_invariant(g)
     ok_rows_of: dict[tuple[int, ...], int] = {}
-    row_supports = _supports(range(g.m), k)
-    for rows in row_supports:
+    first_rows, first_cols = start
+    for rows in _supports(range(g.m), k):
+        if rows < first_rows:
+            continue
         if symmetric:
             if rows[0]:
                 break  # every later support misses 0, so none is least
@@ -597,7 +644,10 @@ def _scan(
                 continue
         row_mask = sum(1 << i for i in rows)
         ok_cols = p_system.singletons(rows)
-        for cols in _supports([j for j in range(n) if ok_cols >> j & 1], k):
+        col_supports = _supports([j for j in range(n) if ok_cols >> j & 1], k)
+        if rows == first_rows:
+            col_supports = (cols for cols in col_supports if cols >= first_cols)
+        for cols in col_supports:
             ok_rows = ok_rows_of.get(cols)
             if ok_rows is None:
                 # cols = rep + shift, and the shift carries rep's table along
@@ -610,24 +660,61 @@ def _scan(
                 continue
             found = _witness(p_system, q_system, rows, cols)
             if found is not None:
-                return found
-    return NoWitness(_pair_count(g, k))
+                return (rows, cols), found
+    return None
+
+
+def _scan_two(
+    g: WinLoseGame, k: int, low: Fraction, high: Fraction
+) -> tuple[Union[tuple[MixedStrategy, MixedStrategy], NoWitness], ...]:
+    """``(_scan(g, k, low), _scan(g, k, high))`` for low <= high, in one
+    pass. The two share the pattern tables, which depend on the masks and
+    the support, not on eps (:meth:`_PlayerSystem.at`); the singleton
+    tables and the solved systems are each eps's own.
+
+    ``high`` is scanned first, and ``low`` resumes where it stopped. Proof
+    that this gives the full scan's result at ``low``: each support system
+    bounds differences of payoffs by eps, so a point feasible at ``low`` is
+    feasible at ``high``. Hence every low-WSNE is a high-WSNE, each
+    singleton table at ``low`` is inside the one at ``high``, and the scan
+    at ``low``, in the same order and with the same orbit reduction, tests
+    a subset of the pairs that the scan at ``high`` tests.
+
+    - If ``high`` refutes every pair, so does ``low``: its result is the
+      same :class:`NoWitness`, and no second scan runs.
+    - Otherwise every pair before the witness pair (R, C) of ``high`` in
+      scan order is infeasible at ``high``, so at ``low``, and the first
+      pair feasible at ``low`` is (R, C) or a later one: the scan at
+      ``low`` starts at (R, C).
+    """
+    wide = _systems(g, high)
+    found_high = _first_feasible(g, k, wide)
+    found_low = None
+    if found_high is not None:
+        found_low = _first_feasible(g, k, tuple(s.at(low) for s in wide), found_high[0])
+    return tuple(NoWitness(_pair_count(g, k)) if f is None else f[1] for f in (found_low, found_high))
 
 
 def crosscheck_characterization(g: WinLoseGame, k: int) -> CrosscheckReport:
     """Cross-check the graph characterization against the enumeration oracle.
 
-    Runs :func:`char_decision` once and :func:`_scan` at eps = 1 - 1/k and
-    eps = 1 - 1/(2k); agreement means a witness exists exactly when the
-    characterization finds a structure, at both points. The scan, not the
-    lemma, which shares the characterization's domination scan.
+    Runs :func:`char_decision` once and the scan of :func:`_scan` at
+    eps1 = 1 - 1/k and eps2 = 1 - 1/(2k); agreement means a witness exists
+    exactly when the characterization finds a structure, at both points,
+    reported in that order. The scan, not the lemma, which shares the
+    characterization's domination scan.
+
+    The characterization does not depend on eps. The two scans are one
+    pass (:func:`_scan_two`): the pattern tables are built once and shared,
+    the singleton tables and solved systems are built per eps, and the eps1
+    scan starts at the pair where the eps2 scan stopped.
     """
     _require_k(g, k)
     witness = char_decision(g, k)  # raises on out-degree violations
+    eps1, eps2 = _ONE - Fraction(1, k), _ONE - Fraction(1, 2 * k)
     points = []
     agree = True
-    for eps in (_ONE - Fraction(1, k), _ONE - Fraction(1, 2 * k)):
-        result = _scan(g, k, eps)
+    for eps, result in zip((eps1, eps2), _scan_two(g, k, eps1, eps2)):
         ok = isinstance(result, NoWitness) == (witness is None)
         points.append(CrosscheckPoint(eps, witness, result, ok))
         agree = agree and ok

@@ -1,7 +1,7 @@
 """Seeded generators, pinned search results, the previous Haight search
 kernel, the full undominated-set and girth scans, Fraction references for
-the equilibrium check and a fresh-interpreter runner shared across the
-suite."""
+the equilibrium check, the two-scan cross-check and a fresh-interpreter
+runner shared across the suite."""
 
 from __future__ import annotations
 
@@ -23,13 +23,14 @@ from wsforge import (
     NoWitness,
     WinLoseGame,
     WsneVerdict,
+    char_decision,
     crosscheck_characterization,
     girth,
     to_bipartite_digraph,
 )
 from wsforge.digraph import _shortest_return
 from wsforge.game import UndominatedWitness
-from wsforge.wsne import Violation
+from wsforge.wsne import CrosscheckPoint, CrosscheckReport, Violation, _require_k, _scan
 
 SRC = str(Path(wsforge.__file__).resolve().parents[1])
 
@@ -276,14 +277,19 @@ def _crosscheck_point_line(idx, k, point) -> str:
     return f"{idx} {k} {point.eps} {tail}\n"
 
 
-def criterion7_reports(count: int):
-    """(idx, game, k, report) of crosscheck_characterization at k = 1, 2, 3
-    over the first ``count`` seeded square games of the acceptance suite's
+def criterion7_games(count: int):
+    """The first ``count`` seeded square games of the acceptance suite's
     criterion 7, which the benchmark's crosscheck workload runs too."""
     rng = random.Random(700)
-    for idx in range(count):
+    for _ in range(count):
         m = rng.randrange(3, 9)
-        g = random_game(rng, m, m, p=rng.choice([0.2, 0.35, 0.5]))
+        yield random_game(rng, m, m, p=rng.choice([0.2, 0.35, 0.5]))
+
+
+def criterion7_reports(count: int):
+    """(idx, game, k, report) of crosscheck_characterization at k = 1, 2, 3
+    over :func:`criterion7_games`."""
+    for idx, g in enumerate(criterion7_games(count)):
         for k in (1, 2, 3):
             yield idx, g, k, crosscheck_characterization(g, k)
 
@@ -300,3 +306,18 @@ def crosscheck_digest(count: int) -> str:
         for point in report.points:
             digest.update(_crosscheck_point_line(idx, k, point).encode())
     return digest.hexdigest()
+
+
+def reference_crosscheck(g: WinLoseGame, k: int) -> CrosscheckReport:
+    """crosscheck_characterization as two independent scans, at eps1 and
+    then at eps2, each building its systems from nothing: the reference for
+    the one-pass cross-check, which shares the pattern tables and resumes
+    the eps1 scan where the eps2 scan stopped."""
+    _require_k(g, k)
+    witness = char_decision(g, k)
+    points = []
+    for eps in (1 - Fraction(1, k), 1 - Fraction(1, 2 * k)):
+        result = _scan(g, k, eps)
+        agree = isinstance(result, NoWitness) == (witness is None)
+        points.append(CrosscheckPoint(eps, witness, result, agree))
+    return CrosscheckReport(k, all(point.agree for point in points), tuple(points))

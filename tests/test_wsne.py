@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import random
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -14,11 +15,13 @@ from math import comb, lcm
 import pytest
 
 from conftest import (
+    criterion7_games,
     crosscheck_digest,
     fraction_check_wsne,
     fraction_payoffs,
     random_digraph,
     random_game,
+    reference_crosscheck,
     reference_first_undominated_side,
 )
 from test_acceptance import K3_POOL, K4_POOL
@@ -44,7 +47,7 @@ from wsforge import (
 from wsforge.digraph import _rot
 from wsforge.feasibility import feasible_point
 from wsforge.game import _first_undominated_side, _shift_invariant
-from wsforge.wsne import _below_half, _scaled, _scan
+from wsforge.wsne import _below_half, _scaled, _scan, _scan_two, _supports
 
 F = Fraction
 TRIANGLE = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
@@ -759,6 +762,109 @@ def test_crosscheck_points_pinned():
     assert crosscheck_digest(100) == (
         "fb3005e049add4e3ddec3ef2d38377dfddb02b13bb518ea931d3a77401e5cfbf"
     )
+
+
+def test_crosscheck_matches_two_independent_scans():
+    # The one-pass cross-check against its two-scan reference, report for
+    # report: criterion 7's first 100 games, then the K3/K4-pool Cayley
+    # games (Paley-7 among them), whose scans are orbit-reduced, so the eps1
+    # scan resumes at a row support least among its rotations.
+    games = list(criterion7_games(100))
+    games += [
+        bipartify(cayley(q, ResidueSet.from_members(q, ys)))
+        for pool in (K3_POOL, K4_POOL) for q, ys in pool.items()
+    ]
+    assert PALEY7 in games
+    seen = Counter()
+    for g in games:
+        for k in (1, 2, 3):
+            got, want = crosscheck_characterization(g, k), reference_crosscheck(g, k)
+            assert got == want and repr(got) == repr(want), (g, k)
+            refuted = tuple(isinstance(pt.search_result, NoWitness) for pt in got.points)
+            seen[_shift_invariant(g), refuted] += 1
+    # the characterization holds at both points, so they never differ here
+    assert set(seen) == {(s, (r, r)) for s in (False, True) for r in (False, True)}, seen
+
+
+def test_two_eps_scan_matches_two_scans():
+    # _scan_two at pairs low < high on random and circulant games, against
+    # two independent scans: a witness at both points, at high alone (the
+    # scan at low resumes and refutes the rest) and at neither. Zero-sum
+    # games (B the complement of A, both circulant when A is) refute often.
+    rng = random.Random(27)
+    epsilons = [F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(1)]
+    seen = Counter()
+    for _ in range(400):
+        if rng.random() < 0.4:
+            g = _circulant_game(rng, rng.randrange(2, 9))
+        else:
+            m, n = rng.randrange(1, 8), rng.randrange(1, 8)
+            g = random_game(rng, m, n, p=rng.choice([0.2, 0.35, 0.5]), ensure_out_degree=False)
+        if rng.random() < 0.6:
+            full = (1 << g.n) - 1
+            g = WinLoseGame(g.m, g.n, g.a_rows, tuple(~a & full for a in g.a_rows))
+        k = rng.randrange(1, min(g.m, g.n, 3) + 1)
+        low, high = sorted(rng.sample(epsilons, 2))
+        got, want = _scan_two(g, k, low, high), (_scan(g, k, low), _scan(g, k, high))
+        assert got == want and repr(got) == repr(want), (g, k, low, high)
+        seen[_shift_invariant(g), tuple(isinstance(r, NoWitness) for r in got)] += 1
+    assert not any(refuted == (False, True) for _, refuted in seen)
+    assert min(seen.values()) >= 5 and len(seen) == 6, seen
+
+
+def test_crosscheck_builds_each_pattern_table_once(monkeypatch):
+    # The two eps points share the pattern tables: in one call, each
+    # player's table on a support is built at most once, where the two
+    # independent scans of the reference build many of them twice.
+    import wsforge.wsne as wsne
+
+    builds = Counter()
+    original = wsne._pattern_table
+
+    def counted(masks, support):
+        builds[id(masks), support] += 1
+        return original(masks, support)
+
+    monkeypatch.setattr(wsne, "_pattern_table", counted)
+    one_pass = two_scans = 0
+    for g in criterion7_games(30):
+        for k in (1, 2, 3):
+            builds.clear()
+            crosscheck_characterization(g, k)
+            assert set(builds.values()) == {1}, (g, k)
+            one_pass += builds.total()
+            builds.clear()
+            reference_crosscheck(g, k)
+            two_scans += builds.total()
+    assert two_scans > 1.3 * one_pass, (one_pass, two_scans)
+
+
+def test_supports_are_the_sorted_combinations():
+    rng = random.Random(29)
+    index_lists = [range(size) for size in range(10)]
+    index_lists += [sorted(rng.sample(range(20), size)) for size in range(10) for _ in range(3)]
+    for indices in index_lists:
+        for k in range(1, 5):
+            want = sorted(s for size in range(1, k + 1) for s in combinations(indices, size))
+            assert list(_supports(indices, k)) == want, (indices, k)
+
+
+PALEY107 = bipartify(cayley(107, ResidueSet.from_members(107, {x * x % 107 for x in range(1, 107)})))
+
+
+def test_paley107_witness_scan_builds_few_supports():
+    # The scan stops at its witness, row support (0, 1), having generated
+    # only the supports it reached. The tracemalloc peak reads 6.3 MiB;
+    # building and sorting all 198,485 row supports of size <= 3 first
+    # read 26-27 MiB.
+    tracemalloc.start()
+    try:
+        p, q = exhaustive_search(PALEY107, 3, F(1, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p.support == (0, 1) and check_wsne(PALEY107, p, q, F(1, 2)).valid
+    assert peak < 10 * 2**20, peak
 
 
 PALEY19 = bipartify(cayley(19, ResidueSet.from_members(19, [1, 4, 5, 6, 7, 9, 11, 16, 17])))
