@@ -236,12 +236,7 @@ _MODE_HELP = (
 )
 
 
-def build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The ``wsforge`` parser. Every subcommand is listed with its summary,
-    so the top-level help is the same whatever ``only`` is; only the
-    subcommand named ``only`` gets its options, or every one when ``only``
-    is None. A process parses one subcommand, so declaring the others'
-    options would be wasted work."""
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wsforge",
         description="Forge win-lose games with no small-support well-supported "
@@ -249,78 +244,71 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, func, summary: str) -> argparse.ArgumentParser | None:
-        """The subparser ``name``, or None if its options are not wanted."""
+    def command(name: str, func, summary: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func, parser=p)  # the parser gives the replay line its options
-        return p if only in (None, name) else None
+        return p
 
-    if p := command("search", cmd_search, "search Z_q for a complete-difference, zero-sum-free set"):
-        p.add_argument("--kappa", type=_int_in(2), required=True)
-        p.add_argument("--q-min", type=_order, default=2)
-        p.add_argument("--q-max", type=_order, required=True)
-        p.add_argument("--budget", type=_int_in(1), default=1_000_000)
-        p.add_argument("--seed", type=_seed, default=0)
-        p.add_argument(
-            "--mode", choices=("exhaustive", "randomized"), default="exhaustive", help=_MODE_HELP
-        )
-        p.add_argument("--out", help="write a haight certificate here")
+    p = command("search", cmd_search, "search Z_q for a complete-difference, zero-sum-free set")
+    p.add_argument("--kappa", type=_int_in(2), required=True)
+    p.add_argument("--q-min", type=_order, default=2)
+    p.add_argument("--q-max", type=_order, required=True)
+    p.add_argument("--budget", type=_int_in(1), default=1_000_000)
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--mode", choices=("exhaustive", "randomized"), default="exhaustive", help=_MODE_HELP)
+    p.add_argument("--out", help="write a haight certificate here")
 
-    if p := command("cayley", cmd_cayley, "build the Cayley digraph of a residue set"):
-        p.add_argument("--q", type=_order)
-        p.add_argument("--y", type=_residue_list, help="comma-separated residues, e.g. 1,2,4")
-        p.add_argument("--cert", help="haight certificate file to take (q, Y) from")
-        p.add_argument("--out", help="digraph file (stdout if omitted)")
+    p = command("cayley", cmd_cayley, "build the Cayley digraph of a residue set")
+    p.add_argument("--q", type=_order)
+    p.add_argument("--y", type=_residue_list, help="comma-separated residues, e.g. 1,2,4")
+    p.add_argument("--cert", help="haight certificate file to take (q, Y) from")
+    p.add_argument("--out", help="digraph file (stdout if omitted)")
 
-    if p := command("power", cmd_power, "bounded-walk power of a digraph"):
-        p.add_argument("--in", dest="infile", required=True)
-        p.add_argument("--t", type=_int_in(1), required=True)
-        p.add_argument("--out", help="digraph file (stdout if omitted)")
+    p = command("power", cmd_power, "bounded-walk power of a digraph")
+    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--t", type=_int_in(1), required=True)
+    p.add_argument("--out", help="digraph file (stdout if omitted)")
 
-    if p := command("bipartify", cmd_bipartify, "map a digraph to a square win-lose game"):
-        p.add_argument("--in", dest="infile", required=True)
-        p.add_argument("--out", help="game file (stdout if omitted)")
+    p = command("bipartify", cmd_bipartify, "map a digraph to a square win-lose game")
+    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--out", help="game file (stdout if omitted)")
 
-    if p := command("certify", cmd_certify, "certify girth and domination of a digraph"):
-        p.add_argument("--in", dest="infile", required=True)
-        p.add_argument("--k", type=_int_in(1), required=True)
-        p.add_argument("--l", type=_int_in(1), required=True)
-        p.add_argument("--out", help="write a kl_digraph certificate here")
+    p = command("certify", cmd_certify, "certify girth and domination of a digraph")
+    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--k", type=_int_in(1), required=True)
+    p.add_argument("--l", type=_int_in(1), required=True)
+    p.add_argument("--out", help="write a kl_digraph certificate here")
 
-    if p := command("check", cmd_check, "check strategies against a game at some eps"):
-        p.add_argument("--game", required=True)
-        p.add_argument("--strategy", required=True, help="wsne_witness certificate with p and q")
-        p.add_argument("--eps", type=_rational, required=True)
+    p = command("check", cmd_check, "check strategies against a game at some eps")
+    p.add_argument("--game", required=True)
+    p.add_argument("--strategy", required=True, help="wsne_witness certificate with p and q")
+    p.add_argument("--eps", type=_rational, required=True)
 
-    if p := command("exhaust", cmd_exhaust, "enumerate all support pairs up to cardinality k"):
-        p.add_argument("--game", required=True)
-        p.add_argument("--k", type=_int_in(1), required=True)
-        p.add_argument("--eps", type=_rational, required=True)
-        p.add_argument("--out", help="write a witness or nonexistence certificate here")
+    p = command("exhaust", cmd_exhaust, "enumerate all support pairs up to cardinality k")
+    p.add_argument("--game", required=True)
+    p.add_argument("--k", type=_int_in(1), required=True)
+    p.add_argument("--eps", type=_rational, required=True)
+    p.add_argument("--out", help="write a witness or nonexistence certificate here")
 
-    if p := command("reverify", cmd_reverify, "re-run the defining checks of any certificate"):
-        p.add_argument("--cert", required=True)
+    p = command("reverify", cmd_reverify, "re-run the defining checks of any certificate")
+    p.add_argument("--cert", required=True)
 
-    if p := command("forge", cmd_forge, "end-to-end: game with no eps-WSNE of support <= k"):
-        p.add_argument("--k", type=_int_in(1), required=True)
-        p.add_argument("--eps", type=_rational, required=True)
-        p.add_argument("--budget", type=_int_in(1), default=100_000)
-        p.add_argument("--seed", type=_seed, default=0)
-        p.add_argument("--q-min", type=_order, default=2)
-        p.add_argument("--q-max", type=_order, default=64)
-        p.add_argument(
-            "--mode", choices=("exhaustive", "randomized"), default="exhaustive", help=_MODE_HELP
-        )
-        p.add_argument("--out-game")
-        p.add_argument("--out-cert")
+    p = command("forge", cmd_forge, "end-to-end: game with no eps-WSNE of support <= k")
+    p.add_argument("--k", type=_int_in(1), required=True)
+    p.add_argument("--eps", type=_rational, required=True)
+    p.add_argument("--budget", type=_int_in(1), default=100_000)
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--q-min", type=_order, default=2)
+    p.add_argument("--q-max", type=_order, default=64)
+    p.add_argument("--mode", choices=("exhaustive", "randomized"), default="exhaustive", help=_MODE_HELP)
+    p.add_argument("--out-game")
+    p.add_argument("--out-cert")
 
     return parser
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = build_parser(argv[0] if argv else "")
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

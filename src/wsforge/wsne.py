@@ -616,27 +616,18 @@ def _scan(
     orbit. The first feasible pair in lexicographic order has such an R, so
     the witness is the same; ``pairs_refuted`` still counts every pair.
     """
-    found = _first_feasible(g, k, _systems(g, eps))
-    return NoWitness(_pair_count(g, k)) if found is None else found[1]
+    return _scan_systems(g, k, _systems(g, eps))
 
 
-def _first_feasible(
-    g: WinLoseGame,
-    k: int,
-    systems: tuple[_PlayerSystem, _PlayerSystem],
-    start: tuple[tuple[int, ...], tuple[int, ...]] = ((), ()),
-) -> Optional[tuple[tuple[tuple[int, ...], tuple[int, ...]], tuple[MixedStrategy, MixedStrategy]]]:
-    """The scan of :func:`_scan` on ``systems``, from the pair ``start`` on
-    (every pair, by default): the first feasible pair (R, C) at or after it
-    in the scan's order and its witness, as ((R, C), (p, q)), or None."""
+def _scan_systems(
+    g: WinLoseGame, k: int, systems: tuple[_PlayerSystem, _PlayerSystem]
+) -> Union[tuple[MixedStrategy, MixedStrategy], NoWitness]:
+    """The scan of :func:`_scan` on ``systems``, the one scan loop."""
     p_system, q_system = systems
     n = g.n
     symmetric = _shift_invariant(g)
     ok_rows_of: dict[tuple[int, ...], int] = {}
-    first_rows, first_cols = start
     for rows in _supports(range(g.m), k):
-        if rows < first_rows:
-            continue
         if symmetric:
             if rows[0]:
                 break  # every later support misses 0, so none is least
@@ -644,10 +635,7 @@ def _first_feasible(
                 continue
         row_mask = sum(1 << i for i in rows)
         ok_cols = p_system.singletons(rows)
-        col_supports = _supports([j for j in range(n) if ok_cols >> j & 1], k)
-        if rows == first_rows:
-            col_supports = (cols for cols in col_supports if cols >= first_cols)
-        for cols in col_supports:
+        for cols in _supports([j for j in range(n) if ok_cols >> j & 1], k):
             ok_rows = ok_rows_of.get(cols)
             if ok_rows is None:
                 # cols = rep + shift, and the shift carries rep's table along
@@ -660,39 +648,20 @@ def _first_feasible(
                 continue
             found = _witness(p_system, q_system, rows, cols)
             if found is not None:
-                return (rows, cols), found
-    return None
+                return found
+    return NoWitness(_pair_count(g, k))
 
 
 def _scan_two(
-    g: WinLoseGame, k: int, low: Fraction, high: Fraction
+    g: WinLoseGame, k: int, eps1: Fraction, eps2: Fraction
 ) -> tuple[Union[tuple[MixedStrategy, MixedStrategy], NoWitness], ...]:
-    """``(_scan(g, k, low), _scan(g, k, high))`` for low <= high, in one
-    pass. The two share the pattern tables, which depend on the masks and
-    the support, not on eps (:meth:`_PlayerSystem.at`); the singleton
-    tables and the solved systems are each eps's own.
-
-    ``high`` is scanned first, and ``low`` resumes where it stopped. Proof
-    that this gives the full scan's result at ``low``: each support system
-    bounds differences of payoffs by eps, so a point feasible at ``low`` is
-    feasible at ``high``. Hence every low-WSNE is a high-WSNE, each
-    singleton table at ``low`` is inside the one at ``high``, and the scan
-    at ``low``, in the same order and with the same orbit reduction, tests
-    a subset of the pairs that the scan at ``high`` tests.
-
-    - If ``high`` refutes every pair, so does ``low``: its result is the
-      same :class:`NoWitness`, and no second scan runs.
-    - Otherwise every pair before the witness pair (R, C) of ``high`` in
-      scan order is infeasible at ``high``, so at ``low``, and the first
-      pair feasible at ``low`` is (R, C) or a later one: the scan at
-      ``low`` starts at (R, C).
-    """
-    wide = _systems(g, high)
-    found_high = _first_feasible(g, k, wide)
-    found_low = None
-    if found_high is not None:
-        found_low = _first_feasible(g, k, tuple(s.at(low) for s in wide), found_high[0])
-    return tuple(NoWitness(_pair_count(g, k)) if f is None else f[1] for f in (found_low, found_high))
+    """``(_scan(g, k, eps1), _scan(g, k, eps2))``, the two scans sharing
+    the pattern tables, which depend on the masks and the support, not on
+    eps (:meth:`_PlayerSystem.at`); the singleton tables and the solved
+    systems are each eps's own."""
+    systems2 = _systems(g, eps2)
+    systems1 = tuple(s.at(eps1) for s in systems2)
+    return _scan_systems(g, k, systems1), _scan_systems(g, k, systems2)
 
 
 def crosscheck_characterization(g: WinLoseGame, k: int) -> CrosscheckReport:
@@ -704,10 +673,9 @@ def crosscheck_characterization(g: WinLoseGame, k: int) -> CrosscheckReport:
     reported in that order. The scan, not the lemma, which shares the
     characterization's domination scan.
 
-    The characterization does not depend on eps. The two scans are one
-    pass (:func:`_scan_two`): the pattern tables are built once and shared,
-    the singleton tables and solved systems are built per eps, and the eps1
-    scan starts at the pair where the eps2 scan stopped.
+    The characterization does not depend on eps, and neither do the
+    scans' pattern tables: :func:`_scan_two` builds them once for both
+    points, and the singleton tables and solved systems per eps.
     """
     _require_k(g, k)
     witness = char_decision(g, k)  # raises on out-degree violations

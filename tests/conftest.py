@@ -311,8 +311,7 @@ def crosscheck_digest(count: int) -> str:
 def reference_crosscheck(g: WinLoseGame, k: int) -> CrosscheckReport:
     """crosscheck_characterization as two independent scans, at eps1 and
     then at eps2, each building its systems from nothing: the reference for
-    the one-pass cross-check, which shares the pattern tables and resumes
-    the eps1 scan where the eps2 scan stopped."""
+    the cross-check, whose two scans share the pattern tables."""
     _require_k(g, k)
     witness = char_decision(g, k)
     points = []

@@ -6,7 +6,6 @@ failed.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import hashlib
 import io
@@ -18,7 +17,7 @@ import pytest
 
 from conftest import run_python
 from wsforge import Digraph, HaightCertificate, ResidueSet, SearchSpec, bipartify, cayley, power
-from wsforge.cli import build_parser, main
+from wsforge.cli import main
 from wsforge.formats import (
     MAX_ORDER,
     SCHEMA_TAG,
@@ -489,45 +488,6 @@ def test_reverify_all_emitted_kinds(forged_k1, tmp_path):
 def test_unknown_command_is_usage_error():
     assert run("frobnicate") == 2
     assert run() == 2
-
-
-HELP_AND_USAGE_ERRORS = [[], ["-h"], ["--help"], ["frobnicate"], ["--k", "1"], ["-h", "search"]]
-SUBCOMMANDS = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
-HELP_AND_USAGE_ERRORS += [[name, "--help"] for name in SUBCOMMANDS]
-HELP_AND_USAGE_ERRORS += [
-    ["search"],
-    ["search", "--kappa", "1", "--q-max", "5"],
-    ["search", "--kappa", "3", "--q-max", "5", "--mode", "fast"],
-    ["search", "--help", "--kappa", "1"],
-    ["cayley", "--q", "0"],
-    ["cayley", "--y", "1,x"],
-    ["power", "--in", "d.dg"],
-    ["power", "--in", "d.dg", "--t", "0"],
-    ["bipartify"],
-    ["certify", "--in", "d.dg", "--k", "0", "--l", "1"],
-    ["check", "--game", "g.wl"],
-    ["check", "--game", "g.wl", "--strategy", "s.json", "--eps", "0.5"],
-    ["exhaust", "--game", "g.wl", "--k", "1"],
-    ["reverify"],
-    ["reverify", "--cert", "c.json", "--bogus"],
-    ["forge", "--k", "1", "--eps", "1/x"],
-    ["forge", "--k", "1", "--eps", "1/2", "--seed", "-1"],
-]
-
-
-@pytest.mark.parametrize(
-    "argv", HELP_AND_USAGE_ERRORS, ids=lambda argv: " ".join(argv) or "no-arguments"
-)
-def test_help_and_usage_errors_match_the_full_parser(capsys, argv):
-    # main declares the options of the named subcommand alone; every help
-    # text, usage error and exit status is the parser's with all declared.
-    code = main(list(argv))
-    got = capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        build_parser().parse_args(list(argv))
-    want = capsys.readouterr()
-    assert (code, got.out, got.err) == (exc.value.code, want.out, want.err)
-    assert want.out or want.err
 
 
 def test_reverify_char_none_with_zero_out_degree_exits_4(forged_k1, tmp_path, capsys):

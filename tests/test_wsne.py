@@ -765,10 +765,9 @@ def test_crosscheck_points_pinned():
 
 
 def test_crosscheck_matches_two_independent_scans():
-    # The one-pass cross-check against its two-scan reference, report for
+    # The cross-check against its two-scan reference, report for
     # report: criterion 7's first 100 games, then the K3/K4-pool Cayley
-    # games (Paley-7 among them), whose scans are orbit-reduced, so the eps1
-    # scan resumes at a row support least among its rotations.
+    # games (Paley-7 among them), whose scans are orbit-reduced.
     games = list(criterion7_games(100))
     games += [
         bipartify(cayley(q, ResidueSet.from_members(q, ys)))
@@ -788,9 +787,9 @@ def test_crosscheck_matches_two_independent_scans():
 
 def test_two_eps_scan_matches_two_scans():
     # _scan_two at pairs low < high on random and circulant games, against
-    # two independent scans: a witness at both points, at high alone (the
-    # scan at low resumes and refutes the rest) and at neither. Zero-sum
-    # games (B the complement of A, both circulant when A is) refute often.
+    # two independent scans: a witness at both points, at high alone and at
+    # neither. Zero-sum games (B the complement of A, both circulant when A
+    # is) refute often.
     rng = random.Random(27)
     epsilons = [F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(1)]
     seen = Counter()
