@@ -354,7 +354,7 @@ def _pattern_table(
 
 
 class _PlayerSystem:
-    """The support systems on one player's mixture for one (game, eps).
+    """The support systems on one player's mixture in one game, at any eps.
 
     ``masks[t]`` holds the opponent's payoffs at its pure strategy t over
     this player's strategies: rows of A for the column player, columns of B
@@ -364,27 +364,20 @@ class _PlayerSystem:
     and by Fourier-Motzkin on larger ones, both on integers scaled by eps's
     denominator.
 
-    Only the solving depends on eps. The pattern tables (each support's
-    projections and maximal patterns, :func:`_pattern_table`) depend on the
-    masks and the support alone, so :meth:`at` gives the same player's
-    systems at another eps over the same tables. The solved systems are
-    cached per eps by pattern signature, which collapses most of the
-    enumeration in :func:`exhaustive_search`.
+    Only the solving depends on eps, which every solving call takes as an
+    argument, as its integer ratio (a, b) with eps = a / b. The pattern
+    tables (each support's projections and maximal patterns,
+    :func:`_pattern_table`) depend on the masks and the support alone, so
+    scans at several eps share them. The solved systems are cached by eps
+    and pattern signature, which collapses most of the enumeration in
+    :func:`exhaustive_search`.
     """
 
-    def __init__(self, masks: Sequence[int], size: int, eps: Fraction):
+    def __init__(self, masks: Sequence[int], size: int):
         self.masks = masks
         self.size = size
-        self._eps_ratio = eps.as_integer_ratio()
         self._tables: dict[tuple[int, ...], tuple[list[int], tuple[int, ...]]] = {}
         self._solved: dict[tuple, Optional[tuple[Fraction, ...]]] = {}
-
-    def at(self, eps: Fraction) -> "_PlayerSystem":
-        """This player's systems at ``eps``: the pattern tables shared with
-        this one, the solved systems cached apart."""
-        other = _PlayerSystem(self.masks, self.size, eps)
-        other._tables = self._tables
-        return other
 
     def _table(self, support: tuple[int, ...]):
         hit = self._tables.get(support)
@@ -393,18 +386,17 @@ class _PlayerSystem:
         return hit
 
     def point(
-        self, support: tuple[int, ...], opp_support: tuple[int, ...]
+        self, support: tuple[int, ...], opp_support: tuple[int, ...], eps: tuple[int, int]
     ) -> Optional[tuple[Fraction, ...]]:
         """Probabilities on ``support``, in its order, that make every
         opponent strategy in ``opp_support`` an eps-best response; None if
-        infeasible. Cached per system."""
+        infeasible. Cached per system and eps."""
         pats, maximal = self._table(support)
         support_pats = frozenset(pats[t] for t in opp_support)
-        key = (support, support_pats)
-        if key in self._solved:
-            return self._solved[key]
-        found = self._solved[key] = self._solve_system(len(support), support_pats, maximal)
-        return found
+        key = (eps, support, support_pats)
+        if key not in self._solved:
+            self._solved[key] = self._solve_system(len(support), support_pats, maximal, eps)
+        return self._solved[key]
 
     def strategy(self, support: tuple[int, ...], point: tuple[Fraction, ...]) -> MixedStrategy:
         """``point`` on ``support`` as a strategy over all of this player's
@@ -415,17 +407,17 @@ class _PlayerSystem:
         return MixedStrategy(tuple(probs))
 
     def _solve_system(
-        self, dim: int, support_pats: frozenset[int], maximal: tuple[int, ...]
+        self, dim: int, support_pats: frozenset[int], maximal: tuple[int, ...], eps: tuple[int, int]
     ) -> Optional[tuple[Fraction, ...]]:
         # Each opponent pattern mp that pays off outside a supported pattern sp
         # gives a row: sum of x over mp \ sp minus sum over sp \ mp <= eps.
         rows = [(mp & ~sp, sp & ~mp) for sp in support_pats for mp in maximal if mp & ~sp]
         if dim <= 2:
-            return self._solve_interval(dim, rows)
+            return self._solve_interval(dim, rows, eps)
         # In y = b x, with eps = a / b, every entry is an integer: sum y = b,
         # y >= 0, and each row's difference of y-sums <= a. FM's point scales
         # with the bounds, so y / b is the point it picks for x.
-        a, b = self._eps_ratio
+        a, b = eps
         cons = [((1,) * dim, b), ((-1,) * dim, -b)]
         cons += [(tuple(-(i == idx) for i in range(dim)), 0) for idx in range(dim)]
         for plus, minus in rows:
@@ -434,7 +426,7 @@ class _PlayerSystem:
         return None if point is None else tuple(y / b for y in point)
 
     def _solve_interval(
-        self, dim: int, rows: list[tuple[int, int]]
+        self, dim: int, rows: list[tuple[int, int]], eps: tuple[int, int]
     ) -> Optional[tuple[Fraction, ...]]:
         """The systems of one or two variables in closed form, with the point
         Fourier-Motzkin would pick: on x0 + x1 = 1 each row c.x <= eps reads
@@ -442,7 +434,7 @@ class _PlayerSystem:
         these leave of [0, 1]. With one variable, x1 = 0 and x0 = 1. In units
         of 1/(2b), with eps = a / b, each end is the integer 2 (a - c1 b) /
         (c0 - c1), as |c0 - c1| <= 2, so the midpoint is the one Fraction."""
-        a, b = self._eps_ratio
+        a, b = eps
         lo, hi = (2 * b if dim == 1 else 0), 2 * b
         for plus, minus in rows:
             c0 = (plus & 1) - (minus & 1)
@@ -459,9 +451,9 @@ class _PlayerSystem:
         x0 = Fraction(lo + hi, 4 * b)
         return (x0,) if dim == 1 else (x0, _ONE - x0)
 
-    def singletons(self, support: tuple[int, ...]) -> int:
+    def singletons(self, support: tuple[int, ...], eps: tuple[int, int]) -> int:
         """Bitmask of the opponent strategies t for which
-        ``point(support, (t,))`` is feasible.
+        ``point(support, (t,), eps)`` is feasible.
 
         Every t that pays 1 against some s in ``support`` is: with all mass
         on s, t earns 1, the most any strategy earns. The others share the
@@ -476,28 +468,32 @@ class _PlayerSystem:
                 uncovered |= 1 << t
         if uncovered:
             t = (uncovered & -uncovered).bit_length() - 1
-            if self.point(support, (t,)) is not None:
+            if self.point(support, (t,), eps) is not None:
                 covered |= uncovered
         return covered
 
 
-def _systems(g: WinLoseGame, eps: Fraction) -> tuple[_PlayerSystem, _PlayerSystem]:
+def _systems(g: WinLoseGame) -> tuple[_PlayerSystem, _PlayerSystem]:
     """The row player's and the column player's support systems for one
-    (game, eps). The well-supported conditions split: supported rows
+    game, at every eps. The well-supported conditions split: supported rows
     constrain only the column strategy and vice versa."""
-    return _PlayerSystem(g.b_col_masks, g.m, eps), _PlayerSystem(g.a_rows, g.n, eps)
+    return _PlayerSystem(g.b_col_masks, g.m), _PlayerSystem(g.a_rows, g.n)
 
 
 def _witness(
-    p_system: _PlayerSystem, q_system: _PlayerSystem, rows: tuple[int, ...], cols: tuple[int, ...]
+    p_system: _PlayerSystem,
+    q_system: _PlayerSystem,
+    rows: tuple[int, ...],
+    cols: tuple[int, ...],
+    eps: tuple[int, int],
 ) -> Optional[tuple[MixedStrategy, MixedStrategy]]:
     """Strategies (p, q) on ``rows`` and ``cols`` that form an eps-WSNE, or
     None if the pair is infeasible: the pair test of the support oracle.
     Only the pair returned becomes strategies."""
-    y = q_system.point(cols, rows)
+    y = q_system.point(cols, rows, eps)
     if y is None:
         return None
-    x = p_system.point(rows, cols)
+    x = p_system.point(rows, cols, eps)
     if x is None:
         return None
     return p_system.strategy(rows, x), q_system.strategy(cols, y)
@@ -515,7 +511,7 @@ def feasible_on_supports(
     eps = _exact_eps(eps)
     if pair.rows[-1] >= g.m or pair.cols[-1] >= g.n:
         raise ValueError("support pair exceeds game dimensions")
-    return _witness(*_systems(g, eps), pair.rows, pair.cols)
+    return _witness(*_systems(g), pair.rows, pair.cols, eps.as_integer_ratio())
 
 
 def _supports(indices: Iterable[int], k: int) -> Iterator[tuple[int, ...]]:
@@ -598,10 +594,9 @@ def _scan(
     g: WinLoseGame, k: int, eps: Fraction
 ) -> Union[tuple[MixedStrategy, MixedStrategy], NoWitness]:
     """:func:`exhaustive_search` by the support oracle alone, without the
-    constant-sum lemma. Its callers have checked k and eps. The singleton
-    tables and the solved systems are built for this eps; the pattern
-    tables do not depend on it, and :func:`_scan_two` shares them between
-    two eps.
+    constant-sum lemma. Its callers have checked k and eps. It builds the
+    game's support systems (:func:`_systems`) and scans them at ``eps``;
+    :func:`crosscheck_characterization` scans one game's systems at two eps.
 
     A pair (R, C) reaches the full systems only if every column of C is an
     eps-best response to some distribution on R, and every row of R to some
@@ -616,13 +611,14 @@ def _scan(
     orbit. The first feasible pair in lexicographic order has such an R, so
     the witness is the same; ``pairs_refuted`` still counts every pair.
     """
-    return _scan_systems(g, k, _systems(g, eps))
+    return _scan_systems(g, k, eps.as_integer_ratio(), _systems(g))
 
 
 def _scan_systems(
-    g: WinLoseGame, k: int, systems: tuple[_PlayerSystem, _PlayerSystem]
+    g: WinLoseGame, k: int, eps: tuple[int, int], systems: tuple[_PlayerSystem, _PlayerSystem]
 ) -> Union[tuple[MixedStrategy, MixedStrategy], NoWitness]:
-    """The scan of :func:`_scan` on ``systems``, the one scan loop."""
+    """The scan of :func:`_scan` on the game's ``systems`` at ``eps``, given
+    as its integer ratio: the one scan loop."""
     p_system, q_system = systems
     n = g.n
     symmetric = _shift_invariant(g)
@@ -634,7 +630,7 @@ def _scan_systems(
             if _least_rotation(rows, n)[0] != rows:
                 continue
         row_mask = sum(1 << i for i in rows)
-        ok_cols = p_system.singletons(rows)
+        ok_cols = p_system.singletons(rows, eps)
         for cols in _supports([j for j in range(n) if ok_cols >> j & 1], k):
             ok_rows = ok_rows_of.get(cols)
             if ok_rows is None:
@@ -642,26 +638,14 @@ def _scan_systems(
                 rep, shift = _least_rotation(cols, n) if symmetric else (cols, 0)
                 base = ok_rows_of.get(rep)
                 if base is None:
-                    base = ok_rows_of[rep] = q_system.singletons(rep)
+                    base = ok_rows_of[rep] = q_system.singletons(rep, eps)
                 ok_rows = ok_rows_of[cols] = _rot(base, shift, n)
             if row_mask & ~ok_rows:
                 continue
-            found = _witness(p_system, q_system, rows, cols)
+            found = _witness(p_system, q_system, rows, cols, eps)
             if found is not None:
                 return found
     return NoWitness(_pair_count(g, k))
-
-
-def _scan_two(
-    g: WinLoseGame, k: int, eps1: Fraction, eps2: Fraction
-) -> tuple[Union[tuple[MixedStrategy, MixedStrategy], NoWitness], ...]:
-    """``(_scan(g, k, eps1), _scan(g, k, eps2))``, the two scans sharing
-    the pattern tables, which depend on the masks and the support, not on
-    eps (:meth:`_PlayerSystem.at`); the singleton tables and the solved
-    systems are each eps's own."""
-    systems2 = _systems(g, eps2)
-    systems1 = tuple(s.at(eps1) for s in systems2)
-    return _scan_systems(g, k, systems1), _scan_systems(g, k, systems2)
 
 
 def crosscheck_characterization(g: WinLoseGame, k: int) -> CrosscheckReport:
@@ -674,15 +658,17 @@ def crosscheck_characterization(g: WinLoseGame, k: int) -> CrosscheckReport:
     characterization's domination scan.
 
     The characterization does not depend on eps, and neither do the
-    scans' pattern tables: :func:`_scan_two` builds them once for both
-    points, and the singleton tables and solved systems per eps.
+    game's support systems (:func:`_systems`): they are built once and
+    scanned at each point, eps an argument of the scan, so the pattern
+    tables serve both points and the solved systems are cached per eps.
     """
     _require_k(g, k)
     witness = char_decision(g, k)  # raises on out-degree violations
-    eps1, eps2 = _ONE - Fraction(1, k), _ONE - Fraction(1, 2 * k)
+    systems = _systems(g)
     points = []
     agree = True
-    for eps, result in zip((eps1, eps2), _scan_two(g, k, eps1, eps2)):
+    for eps in (_ONE - Fraction(1, k), _ONE - Fraction(1, 2 * k)):
+        result = _scan_systems(g, k, eps.as_integer_ratio(), systems)
         ok = isinstance(result, NoWitness) == (witness is None)
         points.append(CrosscheckPoint(eps, witness, result, ok))
         agree = agree and ok

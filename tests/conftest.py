@@ -310,8 +310,9 @@ def crosscheck_digest(count: int) -> str:
 
 def reference_crosscheck(g: WinLoseGame, k: int) -> CrosscheckReport:
     """crosscheck_characterization as two independent scans, at eps1 and
-    then at eps2, each building its systems from nothing: the reference for
-    the cross-check, whose two scans share the pattern tables."""
+    then at eps2, each building the game's systems from nothing: the
+    reference for the cross-check, which builds the systems once per game
+    and scans them at each eps."""
     _require_k(g, k)
     witness = char_decision(g, k)
     points = []

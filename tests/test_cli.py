@@ -203,6 +203,28 @@ def test_cayley_rejects_certificate_with_q_or_y(tmp_path, capsys, extra):
     assert not dg.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (("certify", "--in", "d.dg", "--k", "two", "--l", "1"), "argument --k: not an integer: 'two'"),
+        (("cayley", "--q", "5", "--y", "1,,2"), "argument --y: not a comma-separated integer list: '1,,2'"),
+    ],
+    ids=["k", "y"],
+)
+def test_malformed_numbers_are_usage_errors(capsys, argv, error):
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: wsforge {argv[0]} ")
+    assert err.endswith(f"\nwsforge {argv[0]}: error: {error}\n")
+
+
+def test_cayley_with_empty_y_builds_the_empty_set(tmp_path, capsys):
+    dg = tmp_path / "d.dg"
+    assert run("cayley", "--q", "5", "--y", "", "--out", str(dg)) == 0
+    assert capsys.readouterr() == ("", "")
+    assert read_digraph(dg) == Digraph(5, (0,) * 5)
+
+
 # ---------------------------------------------------------------------------
 # certify
 # ---------------------------------------------------------------------------
@@ -474,6 +496,17 @@ def test_check_dimension_mismatch_is_usage_error(witness_k2, tmp_path):
     other = tmp_path / "one.wl"
     other.write_text("1 1\n1\n\n1\n")
     assert run("check", "--game", str(other), "--strategy", str(wit), "--eps", "1/2") == 2
+
+
+def test_certificate_of_another_kind_is_a_usage_error(witness_k2, tmp_path, capsys):
+    game, wit = witness_k2
+    haight = tmp_path / "h.json"
+    assert run("search", "--kappa", "3", "--q-max", "7", "--out", str(haight)) == 0
+    capsys.readouterr()
+    assert run("cayley", "--cert", str(wit)) == 2
+    assert capsys.readouterr() == ("", f"error: {wit} is a wsne_witness certificate, expected haight\n")
+    assert run("check", "--game", str(game), "--strategy", str(haight), "--eps", "1/2") == 2
+    assert capsys.readouterr() == ("", f"error: {haight} is a haight certificate, expected wsne_witness\n")
 
 
 def test_reverify_all_emitted_kinds(forged_k1, tmp_path):

@@ -383,6 +383,35 @@ def test_min_out_degree():
     assert min_out_degree(TRIANGLE) == 1
     assert min_out_degree(PALEY7) == 3
     assert min_out_degree(Digraph(2, (0, 0))) == 0
+    assert min_out_degree(Digraph(0, ())) == 0
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Digraph(-1, ()), "vertex count must be >= 0"),
+        (lambda: Digraph(2, (0,)), "expected 2 adjacency rows, got 1"),
+        (lambda: Digraph(2, (0, 0, 0)), "expected 2 adjacency rows, got 3"),
+        (lambda: Digraph(2, (0, 4)), "adjacency row of vertex 1 has out-of-range neighbors"),
+        (lambda: Digraph(2, (-1, 0)), "adjacency row of vertex 0 has out-of-range neighbors"),
+        (lambda: Digraph.from_arcs(3, [(0, 1), (0, 3)]), "arc (0, 3) outside vertex range [0, 3)"),
+        (lambda: Digraph.from_arcs(3, [(-1, 0)]), "arc (-1, 0) outside vertex range [0, 3)"),
+        (lambda: find_undominated_set(TRIANGLE, 0), "need 1 <= l <= 3, got 0"),
+        (lambda: find_undominated_set(TRIANGLE, 4), "need 1 <= l <= 3, got 4"),
+        (lambda: certify_kl(TRIANGLE, 0, 1), "k must be >= 1, got 0"),
+        (lambda: certify_kl(TRIANGLE, 3, 0), "need 1 <= l <= 3, got 0"),
+        (lambda: certify_kl(TRIANGLE, 3, 4), "need 1 <= l <= 3, got 4"),
+    ],
+    ids=[
+        "negative-n", "too-few-rows", "too-many-rows", "row-past-n", "negative-row",
+        "arc-past-n", "negative-arc", "undominated-l-0", "undominated-l-past-n",
+        "certify-k-0", "certify-l-0", "certify-l-past-n",
+    ],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
 
 
 def test_certify_triangle():

@@ -168,6 +168,21 @@ def test_arity_mismatch_rejected():
 
 
 @pytest.mark.parametrize(
+    "cons, num_vars, message",
+    [
+        ([], 0, "need at least one variable"),
+        ([((), F(1))], 0, "need at least one variable"),
+        ([], -1, "need at least one variable"),
+    ],
+    ids=["no-variable", "no-variable-with-row", "negative-count"],
+)
+def test_input_checks(cons, num_vars, message):
+    with pytest.raises(ValueError) as excinfo:
+        feasible_point(cons, num_vars)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
     "cons",
     [
         [((1.0,), 0.5), ((-1.0,), 0.0)],

@@ -46,6 +46,25 @@ def test_from_matrices_rejects_bad_entries():
         WinLoseGame.from_matrices([[1]], [[1], [0]])
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: WinLoseGame(-1, 1, (), ()), "matrix dimensions must be >= 0"),
+        (lambda: WinLoseGame(1, -1, (0,), (0,)), "matrix dimensions must be >= 0"),
+        (lambda: WinLoseGame(2, 2, (0,), (0, 0)), "payoff matrices must have m rows each"),
+        (lambda: WinLoseGame(2, 2, (0, 0), (0, 0, 0)), "payoff matrices must have m rows each"),
+        (lambda: WinLoseGame(1, 2, (4,), (0,)), "A row 0 has entries outside column range"),
+        (lambda: WinLoseGame(2, 2, (0, 0), (0, -1)), "B row 1 has entries outside column range"),
+        (lambda: char_decision(bipartify(TRIANGLE), 0), "k must be >= 1, got 0"),
+    ],
+    ids=["negative-m", "negative-n", "short-a", "long-b", "a-row-past-n", "negative-b-row", "char-k-0"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
 def test_non_square_games_accepted():
     g = WinLoseGame.from_matrices([[1, 0, 1]], [[0, 1, 0]])
     assert (g.m, g.n) == (1, 3)

@@ -47,7 +47,7 @@ from wsforge import (
 from wsforge.digraph import _rot
 from wsforge.feasibility import feasible_point
 from wsforge.game import _first_undominated_side, _shift_invariant
-from wsforge.wsne import _below_half, _scaled, _scan, _scan_two, _supports
+from wsforge.wsne import _below_half, _scaled, _scan, _scan_systems, _supports, _systems
 
 F = Fraction
 TRIANGLE = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
@@ -785,14 +785,17 @@ def test_crosscheck_matches_two_independent_scans():
     assert set(seen) == {(s, (r, r)) for s in (False, True) for r in (False, True)}, seen
 
 
-def test_two_eps_scan_matches_two_scans():
-    # _scan_two at pairs low < high on random and circulant games, against
-    # two independent scans: a witness at both points, at high alone and at
-    # neither. Zero-sum games (B the complement of A, both circulant when A
-    # is) refute often.
+def test_two_eps_scan_matches_two_scans(oracle_counts):
+    # One game's systems scanned at low < high, in both orders, against two
+    # independent scans on random and circulant games: a witness at both
+    # points, at high alone and at neither. Zero-sum games (B the complement
+    # of A, both circulant when A is) refute often. The solved systems are
+    # cached per eps: a scan at a new eps solves what an independent scan
+    # solves, and a second scan at the same eps solves nothing.
     rng = random.Random(27)
     epsilons = [F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(1)]
     seen = Counter()
+    resolved = 0
     for _ in range(400):
         if rng.random() < 0.4:
             g = _circulant_game(rng, rng.randrange(2, 9))
@@ -804,11 +807,27 @@ def test_two_eps_scan_matches_two_scans():
             g = WinLoseGame(g.m, g.n, g.a_rows, tuple(~a & full for a in g.a_rows))
         k = rng.randrange(1, min(g.m, g.n, 3) + 1)
         low, high = sorted(rng.sample(epsilons, 2))
-        got, want = _scan_two(g, k, low, high), (_scan(g, k, low), _scan(g, k, high))
-        assert got == want and repr(got) == repr(want), (g, k, low, high)
-        seen[_shift_invariant(g), tuple(isinstance(r, NoWitness) for r in got)] += 1
+        want, solved = {}, {}
+        for eps in (low, high):
+            oracle_counts["systems"] = 0
+            want[eps] = _scan(g, k, eps)
+            solved[eps] = oracle_counts["systems"]
+        for order in ((low, high), (high, low)):
+            systems = _systems(g)
+            for eps in order:
+                for again in (False, True):
+                    oracle_counts["systems"] = 0
+                    got = _scan_systems(g, k, eps.as_integer_ratio(), systems)
+                    assert got == want[eps] and repr(got) == repr(want[eps]), (g, k, order, eps)
+                    assert oracle_counts["systems"] == (0 if again else solved[eps]), (
+                        g, k, order, eps, again
+                    )
+            resolved += solved[order[1]] > 0
+        seen[_shift_invariant(g), tuple(isinstance(want[eps], NoWitness) for eps in (low, high))] += 1
     assert not any(refuted == (False, True) for _, refuted in seen)
     assert min(seen.values()) >= 5 and len(seen) == 6, seen
+    # the second eps of a pair solves systems of its own, in every order
+    assert resolved == 2 * 400, resolved
 
 
 def test_crosscheck_builds_each_pattern_table_once(monkeypatch):
@@ -921,7 +940,7 @@ def test_exhaustive_search_matches_the_scan():
     assert cases[True, True] > 100 and cases[True, False] > 50 and cases[False, False] > 100
 
 
-def _singletons_one_system_per_pattern(system, support):
+def _singletons_one_system_per_pattern(system, support, eps):
     """The singleton table with one solved system per distinct opponent
     pattern, the rule the payoff-coverage shortcut replaces."""
     pats, _ = system._table(support)
@@ -929,26 +948,26 @@ def _singletons_one_system_per_pattern(system, support):
     mask = 0
     for t, pat in enumerate(pats):
         if pat not in verdicts:
-            verdicts[pat] = system.point(support, (t,)) is not None
+            verdicts[pat] = system.point(support, (t,), eps) is not None
         if verdicts[pat]:
             mask |= 1 << t
     return mask
 
 
 def test_singletons_match_one_system_per_pattern():
-    from wsforge.wsne import _PlayerSystem, _supports, _systems
+    from wsforge.wsne import _PlayerSystem
 
     rng = random.Random(93)
     decided = Counter()
     for _ in range(16):
         m, n = rng.randrange(2, 8), rng.randrange(2, 8)
         g = random_game(rng, m, n, p=rng.choice([0.2, 0.35, 0.5]), ensure_out_degree=False)
-        for eps in (F(0), F(1, 4), F(1, 2), F(2, 3), F(1)):
-            for system in _systems(g, eps):
-                reference = _PlayerSystem(system.masks, system.size, eps)
+        for system in _systems(g):
+            for eps in ((0, 1), (1, 4), (1, 2), (2, 3), (1, 1)):  # as integer ratios
+                reference = _PlayerSystem(system.masks, system.size)
                 for support in _supports(range(system.size), 3):
-                    got = system.singletons(support)
-                    assert got == _singletons_one_system_per_pattern(reference, support), (
+                    got = system.singletons(support, eps)
+                    assert got == _singletons_one_system_per_pattern(reference, support, eps), (
                         g, eps, support
                     )
                     bits = sum(1 << s for s in support)
@@ -986,12 +1005,13 @@ def test_closed_form_matches_fourier_motzkin_up_to_two_variables():
     )
     checked = infeasible = 0
     for dim in (1, 2):
+        system = _PlayerSystem((), dim)
         patterns = range(1 << dim)
         for support_pats in _nonempty_sets(patterns):
             for maximal in _nonempty_sets(patterns):
                 for eps in epsilons:
-                    system = _PlayerSystem((), dim, eps)
-                    got = system._solve_system(dim, frozenset(support_pats), maximal)
+                    pats = frozenset(support_pats)
+                    got = system._solve_system(dim, pats, maximal, eps.as_integer_ratio())
                     want = _fm_system(dim, support_pats, maximal, eps)
                     assert got == want, (dim, support_pats, maximal, eps)
                     if got is None:
@@ -1006,17 +1026,17 @@ def test_closed_form_matches_fourier_motzkin_up_to_two_variables():
 def _lexicographic_scan(g, k, eps):
     """Every support pair in lexicographic order through the full pair test,
     with no singleton tables."""
-    from wsforge.wsne import _systems, _witness
+    from wsforge.wsne import _witness
 
     def supports(count):
         return sorted(s for size in range(1, k + 1) for s in combinations(range(count), size))
 
-    systems = _systems(g, eps)
+    systems, ratio = _systems(g), eps.as_integer_ratio()
     col_supports = supports(g.n)
     refuted = 0
     for rows in supports(g.m):
         for cols in col_supports:
-            found = _witness(*systems, rows, cols)
+            found = _witness(*systems, rows, cols, ratio)
             if found is not None:
                 return found
             refuted += 1
