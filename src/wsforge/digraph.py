@@ -190,12 +190,16 @@ def _shortest_return(d: Digraph, v: int, bound: int, alive: int) -> Optional[lis
     return None
 
 
-def _girth_and_start(d: Digraph) -> Optional[tuple[int, int, list[int]]]:
+def _girth_and_start(d: Digraph, symmetric: bool) -> Optional[tuple[int, int, list[int]]]:
     """(girth, start, layers): the start vertex that ``shortest_cycle`` uses
-    and the layers of its backward search, or None if acyclic."""
+    and the layers of its backward search, or None if acyclic.
+
+    ``symmetric`` says that every cycle has a translate of the same length
+    through vertex 0, as on a nonempty circulant digraph (see girth). Then
+    vertex 0's search, the first one, finds the girth, and it is the only
+    one made."""
     alive = (1 << d.n) - 1
-    if d.n and _circulant(d.out):
-        # Vertex 0's search is the first one and finds the girth: see girth.
+    if symmetric:
         layers = _shortest_return(d, 0, d.n + 1, alive)
         return None if layers is None else (len(layers), 0, layers)
     best: Optional[tuple[int, int, list[int]]] = None
@@ -247,7 +251,7 @@ def girth(d: Digraph) -> Optional[int]:
     vertex, is the start the full search would keep, with the same layers
     since nothing has been dropped before it.
     """
-    found = _girth_and_start(d)
+    found = _girth_and_start(d, d.n > 0 and _circulant(d.out))
     return None if found is None else found[0]
 
 
@@ -261,7 +265,13 @@ def shortest_cycle(d: Digraph) -> Optional[list[int]]:
     cycle through the start visits, so the cycle is the one a search over
     all vertices would give.
     """
-    found = _girth_and_start(d)
+    return _shortest_cycle(d, d.n > 0 and _circulant(d.out))
+
+
+def _shortest_cycle(d: Digraph, symmetric: bool) -> Optional[list[int]]:
+    """:func:`shortest_cycle`, with ``symmetric`` as in
+    :func:`_girth_and_start`."""
+    found = _girth_and_start(d, symmetric)
     if found is None:
         return None
     g, v, layers = found

@@ -10,9 +10,9 @@ each arc across the bipartition, and adding the diagonal arcs r_i -> c_i.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
-from .digraph import Digraph, _circulant, _first_undominated, _transpose, shortest_cycle
+from .digraph import Digraph, _circulant, _first_undominated, _rot, _shortest_cycle, _transpose
 
 __all__ = [
     "WinLoseGame",
@@ -91,9 +91,43 @@ class WinLoseGame:
         return [[self.b(i, j) for j in range(self.n)] for i in range(self.m)]
 
     @cached_property
+    def shift_invariant(self) -> bool:
+        """Whether the shift (i, j) -> (i + 1, j + 1) mod n of rows and
+        columns maps both payoff matrices to themselves, as on a bipartified
+        Cayley digraph: A and B are square, n >= 2, and circulant."""
+        return self.m == self.n >= 2 and _circulant(self.a_rows) and _circulant(self.b_rows)
+
+    @cached_property
+    def a_col_masks(self) -> tuple[int, ...]:
+        """Bitmask over rows per column: bit i of entry j is A[i][j]."""
+        return self._columns(self.a_rows)
+
+    @cached_property
     def b_col_masks(self) -> tuple[int, ...]:
         """Bitmask over rows per column: bit i of entry j is B[i][j]."""
-        return _transpose(self.b_rows, self.n)
+        return self._columns(self.b_rows)
+
+    def _columns(self, rows: tuple[int, ...]) -> tuple[int, ...]:
+        """The row bitmasks ``rows`` of one payoff matrix, transposed. On a
+        shift-invariant game column j is column 0 rotated by j, so only
+        column 0 is read from the rows."""
+        if self.shift_invariant:
+            first = sum((mask & 1) << i for i, mask in enumerate(rows))
+            return tuple(_rot(first, j, self.n) for j in range(self.n))
+        return _transpose(rows, self.n)
+
+    @cached_property
+    def bipartite_cycle(self) -> Optional[tuple[int, ...]]:
+        """``digraph.shortest_cycle`` of the game's bipartite digraph, or
+        None if it is acyclic, searched for once per game.
+
+        On a shift-invariant game the shift by one maps the bipartite
+        digraph to itself, and every cycle, which visits some row r_i, has a
+        translate of the same length through r_0, vertex 0. So vertex 0's
+        backward search, the first of the full search, finds the girth, and
+        it is the only one made."""
+        cycle = _shortest_cycle(to_bipartite_digraph(self), self.shift_invariant)
+        return None if cycle is None else tuple(cycle)
 
 
 class CycleWitness(NamedTuple):
@@ -153,24 +187,18 @@ def char_decision(
     most 2k or a one-sided undominated set of cardinality k.
 
     Prefers the cycle witness, returning the shortest cycle with
-    deterministic tie-breaking; the undominated search scans row-side index
-    sets lexicographically, then column-side. Requires minimum out-degree
-    at least one and rejects other games with a diagnostic.
+    deterministic tie-breaking (the game's ``bipartite_cycle``, which does
+    not depend on k); the undominated search scans row-side index sets
+    lexicographically, then column-side. Requires minimum out-degree at
+    least one and rejects other games with a diagnostic.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     _require_out_degree(g)
-    cyc = shortest_cycle(to_bipartite_digraph(g))
+    cyc = g.bipartite_cycle
     if cyc is not None and len(cyc) <= 2 * k:
-        return CycleWitness(tuple(cyc))
+        return CycleWitness(cyc)
     return _first_undominated_side(g, k)
-
-
-def _shift_invariant(g: WinLoseGame) -> bool:
-    """Whether the shift (i, j) -> (i + 1, j + 1) mod n of rows and columns
-    maps both payoff matrices to themselves, as on a bipartified Cayley
-    digraph: A and B are square, n >= 2, and circulant."""
-    return g.m == g.n >= 2 and _circulant(g.a_rows) and _circulant(g.b_rows)
 
 
 def _first_undominated_side(g: WinLoseGame, k: int) -> Union[UndominatedWitness, None]:
@@ -183,9 +211,9 @@ def _first_undominated_side(g: WinLoseGame, k: int) -> Union[UndominatedWitness,
     j. On a shift-invariant game both are circulant, so each side tries only
     the sets through index 0 (``digraph._first_undominated``).
     """
-    circulant = _shift_invariant(g)
+    circulant = g.shift_invariant
     combo = _first_undominated(g.b_rows, k, circulant)
     if combo is not None:
         return UndominatedWitness("row", combo)
-    combo = _first_undominated(_transpose(g.a_rows, g.n), k, circulant)
+    combo = _first_undominated(g.a_col_masks, k, circulant)
     return None if combo is None else UndominatedWitness("col", combo)

@@ -22,7 +22,6 @@ from .game import (
     WinLoseGame,
     _first_undominated_side,
     _require_out_degree,
-    _shift_invariant,
     char_decision,
     to_bipartite_digraph,
 )
@@ -329,14 +328,6 @@ def wsne_from_cycle(
 # ---------------------------------------------------------------------------
 
 
-def _project(mask: int, positions: Sequence[int]) -> int:
-    pat = 0
-    for idx, j in enumerate(positions):
-        if mask >> j & 1:
-            pat |= 1 << idx
-    return pat
-
-
 def _maximal_patterns(patterns: Iterable[int]) -> tuple[int, ...]:
     distinct = set(patterns)
     return tuple(
@@ -344,45 +335,69 @@ def _maximal_patterns(patterns: Iterable[int]) -> tuple[int, ...]:
     )
 
 
-def _pattern_table(
-    masks: Sequence[int], support: tuple[int, ...]
+def _support_table(
+    payers: Sequence[int], width: int, support: tuple[int, ...]
 ) -> tuple[list[int], tuple[int, ...]]:
-    """Each opponent strategy's payoff pattern on ``support``, and the
-    pointwise-maximal patterns among them. Independent of eps."""
-    pats = [_project(mask, support) for mask in masks]
-    return pats, _maximal_patterns(pats)
+    """Each of the ``width`` opponent strategies' payoff patterns on
+    ``support``, and the pointwise-maximal patterns among them. Independent
+    of eps. Bit idx of opponent t's pattern is bit t of the payer mask
+    ``payers[support[idx]]``.
+
+    Each payer mask in turn splits the mask of all opponents into classes
+    of one pattern, at most 2^|support| of them; the maximal patterns are
+    read from the classes, and each opponent's pattern from its class."""
+    classes = {0: (1 << width) - 1}
+    for idx, s in enumerate(support):
+        paid, bit = payers[s], 1 << idx
+        split = {}
+        for pat, members in classes.items():
+            hit = members & paid
+            if hit:
+                split[pat | bit] = hit
+            if hit != members:
+                split[pat] = members ^ hit
+        classes = split
+    pats = [0] * width
+    for pat, members in classes.items():
+        if pat:
+            while members:
+                pats[(members & -members).bit_length() - 1] = pat
+                members &= members - 1
+    return pats, _maximal_patterns(classes)
 
 
 class _PlayerSystem:
     """The support systems on one player's mixture in one game, at any eps.
 
-    ``masks[t]`` holds the opponent's payoffs at its pure strategy t over
-    this player's strategies: rows of A for the column player, columns of B
-    for the row player. Each system is exact feasibility over the support's
-    simplex, reduced to distinct support patterns against pointwise-maximal
-    opponent patterns, then solved in closed form on supports of size <= 2
-    and by Fourier-Motzkin on larger ones, both on integers scaled by eps's
-    denominator.
+    ``payers[s]`` is the bitmask of the ``width`` opponent strategies that
+    this player's pure strategy s pays 1: the rows of B for the row player,
+    the columns of A for the column player. On a support S, opponent t's
+    payoff pattern has bit idx set when S[idx] pays t. Each system is exact
+    feasibility over the support's simplex, reduced to distinct support
+    patterns against pointwise-maximal opponent patterns, then solved in
+    closed form on supports of size <= 2 and by Fourier-Motzkin on larger
+    ones, both on integers scaled by eps's denominator.
 
     Only the solving depends on eps, which every solving call takes as an
     argument, as its integer ratio (a, b) with eps = a / b. The pattern
-    tables (each support's projections and maximal patterns,
-    :func:`_pattern_table`) depend on the masks and the support alone, so
-    scans at several eps share them. The solved systems are cached by eps
-    and pattern signature, which collapses most of the enumeration in
+    tables (each support's patterns and maximal patterns,
+    :func:`_support_table`) depend on the payer masks and the support alone,
+    so scans at several eps share them. The solved systems are cached by
+    eps and pattern signature, which collapses most of the enumeration in
     :func:`exhaustive_search`.
     """
 
-    def __init__(self, masks: Sequence[int], size: int):
-        self.masks = masks
-        self.size = size
+    def __init__(self, payers: Sequence[int], width: int):
+        self.payers = payers
+        self.width = width
+        self.size = len(payers)
         self._tables: dict[tuple[int, ...], tuple[list[int], tuple[int, ...]]] = {}
         self._solved: dict[tuple, Optional[tuple[Fraction, ...]]] = {}
 
     def _table(self, support: tuple[int, ...]):
         hit = self._tables.get(support)
         if hit is None:
-            hit = self._tables[support] = _pattern_table(self.masks, support)
+            hit = self._tables[support] = _support_table(self.payers, self.width, support)
         return hit
 
     def point(
@@ -455,17 +470,14 @@ class _PlayerSystem:
         """Bitmask of the opponent strategies t for which
         ``point(support, (t,), eps)`` is feasible.
 
-        Every t that pays 1 against some s in ``support`` is: with all mass
-        on s, t earns 1, the most any strategy earns. The others share the
-        all-zero pattern, so one system decides them all.
+        Every t that some s in ``support`` pays 1 is: with all mass on s, t
+        earns 1, the most any strategy earns. The others share the all-zero
+        pattern, so one system decides them all.
         """
-        support_bits = sum(1 << s for s in support)
-        covered = uncovered = 0
-        for t, mask in enumerate(self.masks):
-            if mask & support_bits:
-                covered |= 1 << t
-            else:
-                uncovered |= 1 << t
+        covered = 0
+        for s in support:
+            covered |= self.payers[s]
+        uncovered = ((1 << self.width) - 1) & ~covered
         if uncovered:
             t = (uncovered & -uncovered).bit_length() - 1
             if self.point(support, (t,), eps) is not None:
@@ -477,7 +489,7 @@ def _systems(g: WinLoseGame) -> tuple[_PlayerSystem, _PlayerSystem]:
     """The row player's and the column player's support systems for one
     game, at every eps. The well-supported conditions split: supported rows
     constrain only the column strategy and vice versa."""
-    return _PlayerSystem(g.b_col_masks, g.m), _PlayerSystem(g.a_rows, g.n)
+    return _PlayerSystem(g.b_rows, g.n), _PlayerSystem(g.a_col_masks, g.m)
 
 
 def _witness(
@@ -604,11 +616,11 @@ def _scan(
     tables, so the scan visits only the column supports inside R's table.
 
     On a shift-invariant game (each row of A and of B its predecessor
-    rotated by one, as in every bipartified Cayley digraph; tested on ``g``
-    at every call) the pair (R + t, C + t) mod n is feasible exactly when
-    (R, C) is. So the scan visits only the row supports R that are least
-    among their rotations, and builds a column table once per rotation
-    orbit. The first feasible pair in lexicographic order has such an R, so
+    rotated by one, as in every bipartified Cayley digraph; read once per
+    game, ``g.shift_invariant``) the pair (R + t, C + t) mod n is feasible
+    exactly when (R, C) is. So the scan visits only the row supports R that
+    are least among their rotations, and builds a column table once per
+    rotation orbit. The first feasible pair in lexicographic order has such an R, so
     the witness is the same; ``pairs_refuted`` still counts every pair.
     """
     return _scan_systems(g, k, eps.as_integer_ratio(), _systems(g))
@@ -621,7 +633,7 @@ def _scan_systems(
     as its integer ratio: the one scan loop."""
     p_system, q_system = systems
     n = g.n
-    symmetric = _shift_invariant(g)
+    symmetric = g.shift_invariant
     ok_rows_of: dict[tuple[int, ...], int] = {}
     for rows in _supports(range(g.m), k):
         if symmetric:

@@ -1,7 +1,8 @@
 """Seeded generators, pinned search results, the previous Haight search
-kernel, the full undominated-set and girth scans, Fraction references for
-the equilibrium check, the two-scan cross-check and a fresh-interpreter
-runner shared across the suite."""
+kernel, the full undominated-set and girth scans, the cell-by-cell shift
+test, the projected pattern tables, Fraction references for the
+equilibrium check, the two-scan cross-check and a fresh-interpreter runner
+shared across the suite."""
 
 from __future__ import annotations
 
@@ -21,14 +22,17 @@ from wsforge import (
     Digraph,
     MixedStrategy,
     NoWitness,
+    ResidueSet,
     WinLoseGame,
     WsneVerdict,
+    bipartify,
+    cayley,
     char_decision,
     crosscheck_characterization,
     girth,
     to_bipartite_digraph,
 )
-from wsforge.digraph import _shortest_return
+from wsforge.digraph import _rot, _shortest_return
 from wsforge.game import UndominatedWitness
 from wsforge.wsne import CrosscheckPoint, CrosscheckReport, Violation, _require_k, _scan
 
@@ -152,7 +156,8 @@ def reference_girth_and_start(d: Digraph):
     """(girth, start, layers), or None if acyclic, by a search from every
     vertex not yet peeled, circulant or not: the reference for
     ``digraph._girth_and_start``, which searches from vertex 0 alone on
-    circulant digraphs."""
+    circulant digraphs and on the bipartite digraphs of shift-invariant
+    games."""
     best = None
     alive = (1 << d.n) - 1
     for v in range(d.n):
@@ -222,6 +227,51 @@ def random_game(
             if not any(b_rows[i] >> j & 1 for i in range(m)):
                 b_rows[rng.randrange(m)] |= 1 << j
     return WinLoseGame(m, n, tuple(a_rows), tuple(b_rows))
+
+
+def random_circulant_game(rng: random.Random, n: int) -> WinLoseGame:
+    """A seeded shift-invariant n x n game: random first rows of A and B
+    rotated, or a bipartified Cayley digraph of a random generator set."""
+    if rng.random() < 0.5:
+        a0, b0 = rng.getrandbits(n), rng.getrandbits(n)
+        rotated = [tuple(_rot(first, i, n) for i in range(n)) for first in (a0, b0)]
+        return WinLoseGame(n, n, *rotated)
+    ys = [y for y in range(1, n) if rng.random() < 0.4]
+    return bipartify(cayley(n, ResidueSet.from_members(n, ys)))
+
+
+def reference_shift_invariant(g: WinLoseGame) -> bool:
+    """Whether A and B are square, n >= 2, and A[i][j] = A[i + 1][j + 1] and
+    B[i][j] = B[i + 1][j + 1] mod n in every cell: the reference for
+    ``WinLoseGame.shift_invariant``, which compares each row with its
+    predecessor rotated."""
+    n = g.n
+    if g.m != n or n < 2:
+        return False
+    return all(
+        matrix[i][j] == matrix[(i + 1) % n][(j + 1) % n]
+        for matrix in (g.a_matrix(), g.b_matrix())
+        for i in range(n)
+        for j in range(n)
+    )
+
+
+def reference_pattern_table(masks, support):
+    """Each opponent strategy's payoff pattern on ``support``, projected
+    from its mask over this player's strategies one position at a time
+    (bit idx is bit ``support[idx]`` of the mask), and the pointwise-maximal
+    patterns among them: the reference for ``wsne._support_table``, which
+    splits the opponents by this player's payer masks."""
+    pats = []
+    for mask in masks:
+        pat = 0
+        for idx, j in enumerate(support):
+            if mask >> j & 1:
+                pat |= 1 << idx
+        pats.append(pat)
+    distinct = set(pats)
+    maximal = {p for p in distinct if not any(q != p and p & ~q == 0 for q in distinct)}
+    return pats, maximal
 
 
 def fraction_payoffs(g: WinLoseGame, p: MixedStrategy, q: MixedStrategy):

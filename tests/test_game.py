@@ -3,11 +3,21 @@
 from __future__ import annotations
 
 import random
+import time
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from conftest import random_digraph, random_digraph_with_cycle, random_game
+from conftest import (
+    random_circulant_game,
+    random_digraph,
+    random_digraph_with_cycle,
+    random_game,
+    reference_girth_and_start,
+    reference_shift_invariant,
+)
+from test_acceptance import K3_POOL, K4_POOL
 from wsforge import (
     CycleWitness,
     Digraph,
@@ -19,8 +29,10 @@ from wsforge import (
     char_decision,
     girth,
     is_dominated,
+    shortest_cycle,
     to_bipartite_digraph,
 )
+from wsforge.digraph import _girth_and_start, _transpose
 
 TRIANGLE = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
 
@@ -166,6 +178,66 @@ def test_bipartify_undominated_transfer():
                 assert row_side == in_d
                 if col_side:
                     assert in_d
+
+
+def _games_with_and_without_shift(rng: random.Random) -> list[WinLoseGame]:
+    """The K3 and K4 pools' bipartified Cayley games, seeded shift-invariant
+    games of order 1..13, each with a copy that has one bit of B flipped
+    (not shift-invariant), and seeded non-square and square random games."""
+    games = [
+        bipartify(cayley(q, ResidueSet.from_members(q, ys)))
+        for pool in (K3_POOL, K4_POOL) for q, ys in pool.items()
+    ]
+    for _ in range(200):
+        g = random_circulant_game(rng, rng.randrange(1, 14))
+        b_rows = list(g.b_rows)
+        b_rows[rng.randrange(g.n)] ^= 1 << rng.randrange(g.n)
+        games += [g, WinLoseGame(g.n, g.n, g.a_rows, tuple(b_rows))]
+    for _ in range(100):
+        m, n = rng.randrange(1, 10), rng.randrange(1, 10)
+        games.append(random_game(rng, m, n, p=rng.choice([0.2, 0.35, 0.5])))
+    return games
+
+
+def test_column_masks_and_shift_invariance_match_the_references():
+    # A shift-invariant game rotates column 0 to get each column; every
+    # other game transposes its rows.
+    seen = Counter()
+    for g in _games_with_and_without_shift(random.Random(37)):
+        assert g.a_col_masks == _transpose(g.a_rows, g.n), g
+        assert g.b_col_masks == _transpose(g.b_rows, g.n), g
+        assert g.shift_invariant == reference_shift_invariant(g), g
+        seen[g.shift_invariant, g.m == g.n, min(g.n, 3)] += 1
+    assert seen[True, True, 2] > 10 and seen[True, True, 3] > 100, seen
+    assert seen[False, True, 1] > 10 and seen[False, True, 3] > 100 and seen[False, False, 3] > 50, seen
+
+
+def test_bipartite_cycle_matches_the_full_girth_search():
+    # On a shift-invariant game the girth search behind char_decision runs
+    # from r_0 alone; the reference searches from every vertex. The girth,
+    # the start and the layers agree, and so does the cycle.
+    seen = Counter()
+    for g in _games_with_and_without_shift(random.Random(38)):
+        h = to_bipartite_digraph(g)
+        want = reference_girth_and_start(h)
+        assert _girth_and_start(h, g.shift_invariant) == want, g
+        cycle = shortest_cycle(h)
+        assert g.bipartite_cycle == (None if cycle is None else tuple(cycle)), g
+        seen[g.shift_invariant, want is None] += 1
+    assert min(seen.values()) > 10 and len(seen) == 4, seen
+
+
+def test_char_decision_on_a_long_shift_invariant_game_searches_from_r0():
+    # Girth 512 on 2048 bipartite vertices: one backward search, where the
+    # full search takes 0.4-0.5 s.
+    g = bipartify(cayley(1024, ResidueSet.from_members(1024, [1, 513])))
+    start = time.perf_counter()
+    witness = char_decision(g, 2)
+    assert time.perf_counter() - start < 0.1
+    assert witness == UndominatedWitness("row", (0, 1))
+    h = to_bipartite_digraph(g)
+    assert _girth_and_start(h, True) == reference_girth_and_start(h)
+    assert len(g.bipartite_cycle) == 512
 
 
 # ---------------------------------------------------------------------------

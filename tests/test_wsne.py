@@ -20,9 +20,11 @@ from conftest import (
     fraction_check_wsne,
     fraction_payoffs,
     random_digraph,
+    random_circulant_game,
     random_game,
     reference_crosscheck,
     reference_first_undominated_side,
+    reference_pattern_table,
 )
 from test_acceptance import K3_POOL, K4_POOL
 from wsforge import (
@@ -44,9 +46,8 @@ from wsforge import (
     wsne_from_cycle,
     wsne_from_undominated,
 )
-from wsforge.digraph import _rot
 from wsforge.feasibility import feasible_point
-from wsforge.game import _first_undominated_side, _shift_invariant
+from wsforge.game import _first_undominated_side
 from wsforge.wsne import _below_half, _scaled, _scan, _scan_systems, _supports, _systems
 
 F = Fraction
@@ -671,9 +672,9 @@ def oracle_counts(monkeypatch):
 
 
 def test_shift_invariance_detection():
-    assert _shift_invariant(PALEY7) and _shift_invariant(K4_Q29)
-    assert not _shift_invariant(PALEY7_SWAPPED) and not _shift_invariant(K4_Q29_SWAPPED)
-    assert not _shift_invariant(ONES)  # n = 1: no orbit to reduce
+    assert PALEY7.shift_invariant and K4_Q29.shift_invariant
+    assert not PALEY7_SWAPPED.shift_invariant and not K4_Q29_SWAPPED.shift_invariant
+    assert not ONES.shift_invariant  # n = 1: no orbit to reduce
 
 
 def test_oracle_solves_each_cached_system_once(oracle_counts):
@@ -780,7 +781,7 @@ def test_crosscheck_matches_two_independent_scans():
             got, want = crosscheck_characterization(g, k), reference_crosscheck(g, k)
             assert got == want and repr(got) == repr(want), (g, k)
             refuted = tuple(isinstance(pt.search_result, NoWitness) for pt in got.points)
-            seen[_shift_invariant(g), refuted] += 1
+            seen[g.shift_invariant, refuted] += 1
     # the characterization holds at both points, so they never differ here
     assert set(seen) == {(s, (r, r)) for s in (False, True) for r in (False, True)}, seen
 
@@ -798,7 +799,7 @@ def test_two_eps_scan_matches_two_scans(oracle_counts):
     resolved = 0
     for _ in range(400):
         if rng.random() < 0.4:
-            g = _circulant_game(rng, rng.randrange(2, 9))
+            g = random_circulant_game(rng, rng.randrange(2, 9))
         else:
             m, n = rng.randrange(1, 8), rng.randrange(1, 8)
             g = random_game(rng, m, n, p=rng.choice([0.2, 0.35, 0.5]), ensure_out_degree=False)
@@ -823,7 +824,7 @@ def test_two_eps_scan_matches_two_scans(oracle_counts):
                         g, k, order, eps, again
                     )
             resolved += solved[order[1]] > 0
-        seen[_shift_invariant(g), tuple(isinstance(want[eps], NoWitness) for eps in (low, high))] += 1
+        seen[g.shift_invariant, tuple(isinstance(want[eps], NoWitness) for eps in (low, high))] += 1
     assert not any(refuted == (False, True) for _, refuted in seen)
     assert min(seen.values()) >= 5 and len(seen) == 6, seen
     # the second eps of a pair solves systems of its own, in every order
@@ -837,13 +838,13 @@ def test_crosscheck_builds_each_pattern_table_once(monkeypatch):
     import wsforge.wsne as wsne
 
     builds = Counter()
-    original = wsne._pattern_table
+    original = wsne._support_table
 
-    def counted(masks, support):
-        builds[id(masks), support] += 1
-        return original(masks, support)
+    def counted(payers, width, support):
+        builds[id(payers), support] += 1
+        return original(payers, width, support)
 
-    monkeypatch.setattr(wsne, "_pattern_table", counted)
+    monkeypatch.setattr(wsne, "_support_table", counted)
     one_pass = two_scans = 0
     for g in criterion7_games(30):
         for k in (1, 2, 3):
@@ -855,6 +856,26 @@ def test_crosscheck_builds_each_pattern_table_once(monkeypatch):
             reference_crosscheck(g, k)
             two_scans += builds.total()
     assert two_scans > 1.3 * one_pass, (one_pass, two_scans)
+
+
+def test_crosscheck_searches_for_the_cycle_once_per_game(monkeypatch):
+    # char_decision's shortest bipartite cycle does not depend on k: the
+    # cross-checks of one game at k = 1, 2, 3 search for it once.
+    import wsforge.game as game
+
+    searches = [0]
+    original = game._shortest_cycle
+
+    def counted(d, symmetric):
+        searches[0] += 1
+        return original(d, symmetric)
+
+    monkeypatch.setattr(game, "_shortest_cycle", counted)
+    for g in criterion7_games(20):
+        searches[0] = 0
+        for k in (1, 2, 3):
+            crosscheck_characterization(g, k)
+        assert searches[0] == 1, g
 
 
 def test_supports_are_the_sorted_combinations():
@@ -940,10 +961,22 @@ def test_exhaustive_search_matches_the_scan():
     assert cases[True, True] > 100 and cases[True, False] > 50 and cases[False, False] > 100
 
 
-def _singletons_one_system_per_pattern(system, support, eps):
+def _opponent_masks(g):
+    """For the row player, then the column player: each opponent strategy's
+    payoffs over this player's strategies, read from the game's matrices
+    (B's columns, then A's rows)."""
+    a, b = g.a_matrix(), g.b_matrix()
+    return (
+        [sum(b[i][j] << i for i in range(g.m)) for j in range(g.n)],
+        [sum(a[i][j] << j for j in range(g.n)) for i in range(g.m)],
+    )
+
+
+def _singletons_one_system_per_pattern(system, masks, support, eps):
     """The singleton table with one solved system per distinct opponent
-    pattern, the rule the payoff-coverage shortcut replaces."""
-    pats, _ = system._table(support)
+    pattern, the rule the payoff-coverage shortcut replaces; the patterns
+    are projected from the opponent's payoff ``masks``."""
+    pats, _ = reference_pattern_table(masks, support)
     verdicts = {}
     mask = 0
     for t, pat in enumerate(pats):
@@ -962,20 +995,52 @@ def test_singletons_match_one_system_per_pattern():
     for _ in range(16):
         m, n = rng.randrange(2, 8), rng.randrange(2, 8)
         g = random_game(rng, m, n, p=rng.choice([0.2, 0.35, 0.5]), ensure_out_degree=False)
-        for system in _systems(g):
+        for system, masks in zip(_systems(g), _opponent_masks(g)):
             for eps in ((0, 1), (1, 4), (1, 2), (2, 3), (1, 1)):  # as integer ratios
-                reference = _PlayerSystem(system.masks, system.size)
+                reference = _PlayerSystem(system.payers, system.width)
                 for support in _supports(range(system.size), 3):
                     got = system.singletons(support, eps)
-                    assert got == _singletons_one_system_per_pattern(reference, support, eps), (
+                    assert got == _singletons_one_system_per_pattern(reference, masks, support, eps), (
                         g, eps, support
                     )
                     bits = sum(1 << s for s in support)
-                    uncovered = [t for t, mask in enumerate(system.masks) if not mask & bits]
+                    uncovered = [t for t, mask in enumerate(masks) if not mask & bits]
                     if uncovered:
                         decided[all(got >> t & 1 for t in uncovered)] += 1
     # the one system per support decides both ways
     assert decided[True] > 1000 and decided[False] > 500
+
+
+def test_support_tables_match_the_projected_tables():
+    # Each player's table on every support of size <= 3, split from its
+    # payer masks, against the projections of the opponent's payoff masks
+    # read from the game's matrices: every opponent strategy's pattern and
+    # the maximal set. Non-square games, with rows of A and B all zero or
+    # all one, so that some payer masks are empty or cover every opponent.
+    rng = random.Random(94)
+    seen = Counter()
+    for _ in range(60):
+        m = rng.randrange(1, 10)
+        n = rng.choice([x for x in range(1, 10) if x != m])
+        g = random_game(rng, m, n, p=rng.choice([0.2, 0.35, 0.5]), ensure_out_degree=False)
+        full = (1 << n) - 1
+        a_rows, b_rows = (
+            tuple(rng.choice([0, full, row, row]) for row in rows) for rows in (g.a_rows, g.b_rows)
+        )
+        g = WinLoseGame(m, n, a_rows, b_rows)
+        for player, system, masks in zip(("row", "col"), _systems(g), _opponent_masks(g)):
+            for support in _supports(range(system.size), 3):
+                pats, maximal = system._table(support)
+                want_pats, want_maximal = reference_pattern_table(masks, support)
+                assert pats == want_pats, (g, player, support)
+                assert sorted(maximal) == sorted(want_maximal), (g, player, support)
+                seen[player, len(support)] += 1
+                seen[player, "several maximal"] += len(maximal) > 1
+        seen["zero rows"] += 0 in a_rows + b_rows
+        seen["full rows"] += full in a_rows + b_rows
+    assert seen["zero rows"] > 20 and seen["full rows"] > 20, seen
+    assert min(seen[player, size] for player in ("row", "col") for size in (1, 2, 3)) > 100, seen
+    assert min(seen[player, "several maximal"] for player in ("row", "col")) > 50, seen
 
 
 def _fm_system(dim, support_pats, maximal, eps):
@@ -1076,17 +1141,6 @@ def test_table_scan_matches_lexicographic_scan():
     assert witnesses > 500 and refuted > 30
 
 
-def _circulant_game(rng, n):
-    """A seeded shift-invariant n x n game: random first rows of A and B
-    rotated, or a bipartified Cayley digraph of a random generator set."""
-    if rng.random() < 0.5:
-        a0, b0 = rng.getrandbits(n), rng.getrandbits(n)
-        rotated = [tuple(_rot(first, i, n) for i in range(n)) for first in (a0, b0)]
-        return WinLoseGame(n, n, *rotated)
-    ys = [y for y in range(1, n) if rng.random() < 0.4]
-    return bipartify(cayley(n, ResidueSet.from_members(n, ys)))
-
-
 def test_orbit_scan_matches_lexicographic_scan():
     # Shift-invariant games, and copies with one bit of B's last row flipped,
     # which must take the full scan. Even n gives supports such as (0, n/2)
@@ -1096,11 +1150,11 @@ def test_orbit_scan_matches_lexicographic_scan():
     witnesses = refuted = 0
     for n in range(2, 10):
         for _ in range(6):
-            g = _circulant_game(rng, n)
+            g = random_circulant_game(rng, n)
             b_rows = list(g.b_rows)
             b_rows[-1] ^= 1 << rng.randrange(n)
             near = WinLoseGame(n, n, g.a_rows, tuple(b_rows))
-            assert _shift_invariant(g) and not _shift_invariant(near)
+            assert g.shift_invariant and not near.shift_invariant
             k = rng.randrange(1, min(n, 3 if n <= 6 else 2) + 1)
             for game in (g, near):
                 for eps in (F(0), F(1, 4), F(1, 2), F(2, 3), F(1)):
@@ -1123,20 +1177,20 @@ def test_game_domination_scan_matches_the_full_scan():
         for pool in (K3_POOL, K4_POOL) for q, ys in pool.items()
     ]
     for _ in range(80):
-        g = _circulant_game(rng, rng.randrange(2, 13))
+        g = random_circulant_game(rng, rng.randrange(2, 13))
         b_rows = list(g.b_rows)
         b_rows[-1] ^= 1 << rng.randrange(g.n)
         games += [g, WinLoseGame(g.n, g.n, g.a_rows, tuple(b_rows))]
     seen = Counter()
     for g in games:
-        invariant = _shift_invariant(g)
+        invariant = g.shift_invariant
         disjoint = not any(a & b for a, b in zip(g.a_rows, g.b_rows))
         for k in range(1, min(g.n, 3) + 1):
             want = reference_first_undominated_side(g, k)
             assert _first_undominated_side(g, k) == want, (g, k)
             assert _below_half(g, k) == (disjoint and want is None), (g, k)
             seen[invariant, None if want is None else want.side] += 1
-    assert not _shift_invariant(PALEY7_SWAPPED) and not _shift_invariant(K4_Q29_SWAPPED)
+    assert not PALEY7_SWAPPED.shift_invariant and not K4_Q29_SWAPPED.shift_invariant
     assert min(seen.values()) >= 10 and len(seen) == 6, seen
 
 
