@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import comb, lcm
 from pathlib import Path
 from typing import IO, NamedTuple, Optional, Union
@@ -251,20 +251,25 @@ def _payoff_rows(rows: tuple[int, ...], n: int) -> list[str]:
     return [bin(mask | 1 << n)[3:][::-1] for mask in rows]
 
 
-def _parse_payoff_row(n: int, row: str) -> int:
-    """The bitmask of a 0/1 row string of length n. The FormatError for a
-    malformed row does not say where the row is; the caller adds that."""
-    if type(row) is not str:
-        raise FormatError("expected a 0/1 string")
-    if len(row) != n:
-        raise FormatError(f"row has length {len(row)}, expected {n}")
+def _parse_payoff_rows(n: int, rows: list, error: type, name: str, first: int = 0) -> tuple[int, ...]:
+    """The bitmasks of 0/1 row strings of length n. The first malformed row
+    raises ``error``, naming it ``name.format(first + position)``."""
     # What strip leaves starts at the first character other than 0 or 1. The
     # check comes first: int() would also take '_', spaces, signs and
     # non-ASCII digits.
-    illegal = row.strip("01")
-    if illegal:
-        raise FormatError(f"illegal character {illegal[0]!r}")
-    return int(row[::-1], 2)
+    masks = []
+    for pos, row in enumerate(rows, first):
+        if type(row) is not str:
+            detail = "expected a 0/1 string"
+        elif len(row) != n:
+            detail = f"row has length {len(row)}, expected {n}"
+        elif illegal := row.strip("01"):
+            detail = f"illegal character {illegal[0]!r}"
+        else:
+            masks.append(int(row[::-1], 2))
+            continue
+        raise error(f"{name.format(pos)}: {detail}")
+    return tuple(masks)
 
 
 def write_game(g: game.WinLoseGame, dest: Source) -> None:
@@ -285,13 +290,9 @@ def read_game(src: Source) -> game.WinLoseGame:
         raise FormatError(f"expected {2 * m + 2} lines (header, A, blank, B), found {len(lines)}")
     if lines[m + 1].strip():
         raise FormatError(f"line {m + 2}: expected a blank separator line")
-    rows = []
-    for no in (*range(2, m + 2), *range(m + 3, 2 * m + 3)):
-        try:
-            rows.append(_parse_payoff_row(n, lines[no - 1]))
-        except FormatError as exc:
-            raise FormatError(f"line {no}: {exc}") from exc
-    return game.WinLoseGame(m, n, tuple(rows[:m]), tuple(rows[m:]))
+    a_rows = _parse_payoff_rows(n, lines[1 : m + 1], FormatError, "line {}", 2)
+    b_rows = _parse_payoff_rows(n, lines[m + 2 :], FormatError, "line {}", m + 3)
+    return game.WinLoseGame(m, n, a_rows, b_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -345,19 +346,12 @@ def _require_rational(payload: dict, field: str) -> Fraction:
     return parsed
 
 
-def _require_list(payload: dict, field: str, length: int, noun: str, parse) -> tuple:
-    """The ``length`` items of list ``field``, each parsed by ``parse``,
-    whose FormatError is re-raised naming the item's position."""
+def _require_list(payload: dict, field: str, length: int, noun: str) -> list:
+    """List ``field``, of ``length`` items."""
     value = _require(payload, field, list)
     if len(value) != length:
         raise CertificateError(f"payload.{field}: expected {length} {noun}, got {len(value)}")
-    items = []
-    for pos, item in enumerate(value):
-        try:
-            items.append(parse(item))
-        except FormatError as exc:
-            raise CertificateError(f"payload.{field}[{pos}]: {exc}") from exc
-    return tuple(items)
+    return value
 
 
 def game_payload(g: game.WinLoseGame) -> dict:
@@ -367,14 +361,20 @@ def game_payload(g: game.WinLoseGame) -> dict:
 def _game_from_payload(payload: dict) -> game.WinLoseGame:
     m = _require_order(payload, "m")
     n = _require_order(payload, "n")
-    parse_row = partial(_parse_payoff_row, n)
-    a_rows = _require_list(payload, "a", m, "rows", parse_row)
-    b_rows = _require_list(payload, "b", m, "rows", parse_row)
+    a_rows, b_rows = (
+        _parse_payoff_rows(n, _require_list(payload, f, m, "rows"), CertificateError, f"payload.{f}[{{}}]")
+        for f in "ab"
+    )
     return game.WinLoseGame(m, n, a_rows, b_rows)
 
 
 def _strategy_from_payload(payload: dict, field: str, length: int) -> wsne.MixedStrategy:
-    probs = _require_list(payload, field, length, "entries", parse_rational)
+    probs = []
+    for pos, item in enumerate(_require_list(payload, field, length, "entries")):
+        try:
+            probs.append(parse_rational(item))
+        except FormatError as exc:
+            raise CertificateError(f"payload.{field}[{pos}]: {exc}") from exc
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     # A denominator has no more digits than its literal has characters, so
     # literals of at most MAX_STRATEGY_LITERALS * digits characters in all
@@ -388,7 +388,7 @@ def _strategy_from_payload(payload: dict, field: str, length: int) -> wsne.Mixed
                 if den.bit_length() > cap:
                     raise CertificateError(f"payload.{field}: common denominator over {cap} bits")
     try:
-        return wsne.MixedStrategy(probs)
+        return wsne.MixedStrategy(tuple(probs))
     except ValueError as exc:
         raise CertificateError(f"payload.{field}: {exc}") from exc
 
@@ -592,13 +592,7 @@ def make_envelope(kind: str, payload: dict, replay: str) -> CertificateEnvelope:
 
 def write_certificate(env: CertificateEnvelope, dest: Source) -> None:
     """Write ``env``, as :func:`make_envelope` built and validated it."""
-    doc = {
-        "schema": SCHEMA_TAG,
-        "kind": env.kind,
-        "toolchain": env.toolchain,
-        "replay": env.replay,
-        "payload": env.payload,
-    }
+    doc = {"schema": SCHEMA_TAG, **env._asdict()}
     _write_text(dest, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 

@@ -54,7 +54,7 @@ def as_exact(value: Union[int, str, Fraction]) -> Fraction:
     """Coerce to an exact rational; floats are rejected, never rounded."""
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}: exact rationals only")
-    return Fraction(value)
+    return value if type(value) is Fraction else Fraction(value)
 
 
 def _exact_eps(eps: Union[int, str, Fraction]) -> Fraction:
@@ -67,8 +67,12 @@ def _exact_eps(eps: Union[int, str, Fraction]) -> Fraction:
 def _scaled(probs: Sequence[Fraction]) -> tuple[list[int], int]:
     """The entries as integer numerators over their common denominator, the
     lcm of theirs: ``probs[i] == nums[i] / den``."""
-    den = lcm(*[p.denominator for p in probs])
-    return [p.numerator * (den // p.denominator) for p in probs], den
+    ratios = [p.as_integer_ratio() for p in probs]
+    den = 1
+    for _, d in ratios:
+        if den % d:
+            den = lcm(den, d)
+    return [x * (den // d) for x, d in ratios], den
 
 
 class MixedStrategy(_Frozen):
@@ -83,13 +87,18 @@ class MixedStrategy(_Frozen):
     def __init__(self, probs: tuple[Fraction, ...]) -> None:
         if not probs:
             raise ValueError("strategy over zero pure strategies")
+        total, den = 0, 1  # the sum so far is total / den
         for i, p in enumerate(probs):
             if not isinstance(p, Fraction):
                 raise TypeError(f"entry {i} is {type(p).__name__}, expected Fraction")
-            if p.numerator < 0:
+            x, d = p.as_integer_ratio()
+            if x < 0:
                 raise ValueError(f"entry {i} is negative: {p}")
-        nums, den = _scaled(probs)
-        total = sum(nums)
+            if x:
+                if den % d:
+                    grown = lcm(den, d)
+                    total, den = total * (grown // den), grown
+                total += x * (den // d)
         if total != den:
             try:
                 wrong = f"entries sum to {Fraction(total, den)}"
@@ -101,7 +110,7 @@ class MixedStrategy(_Frozen):
 
     @classmethod
     def from_probs(cls, values: Iterable[Union[int, str, Fraction]]) -> "MixedStrategy":
-        return cls(tuple(as_exact(v) for v in values))
+        return cls(tuple(map(as_exact, values)))
 
     @classmethod
     def uniform_on(cls, indices: Iterable[int], length: int) -> "MixedStrategy":
@@ -225,8 +234,7 @@ def payoffs(
 ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Exact (Aq, p^T B): per-row payoffs against q and per-column payoffs
     against p."""
-    row, col = (tuple(Fraction(x, den) for x in pay) for _, pay, den in _scaled_payoffs(g, p, q))
-    return row, col
+    return tuple(tuple(Fraction(x, den) for x in pay) for _, pay, den in _scaled_payoffs(g, p, q))
 
 
 def check_wsne(
@@ -328,16 +336,9 @@ def wsne_from_cycle(
 # ---------------------------------------------------------------------------
 
 
-def _maximal_patterns(patterns: Iterable[int]) -> tuple[int, ...]:
-    distinct = set(patterns)
-    return tuple(
-        p for p in distinct if not any(q != p and p & ~q == 0 for q in distinct)
-    )
-
-
 def _support_table(
     payers: Sequence[int], width: int, support: tuple[int, ...]
-) -> tuple[list[int], tuple[int, ...]]:
+) -> tuple[list[int], frozenset[int]]:
     """Each of the ``width`` opponent strategies' payoff patterns on
     ``support``, and the pointwise-maximal patterns among them. Independent
     of eps. Bit idx of opponent t's pattern is bit t of the payer mask
@@ -363,7 +364,7 @@ def _support_table(
             while members:
                 pats[(members & -members).bit_length() - 1] = pat
                 members &= members - 1
-    return pats, _maximal_patterns(classes)
+    return pats, frozenset(p for p in classes if not any(q != p and p & ~q == 0 for q in classes))
 
 
 class _PlayerSystem:
@@ -378,20 +379,19 @@ class _PlayerSystem:
     closed form on supports of size <= 2 and by Fourier-Motzkin on larger
     ones, both on integers scaled by eps's denominator.
 
-    Only the solving depends on eps, which every solving call takes as an
-    argument, as its integer ratio (a, b) with eps = a / b. The pattern
-    tables (each support's patterns and maximal patterns,
-    :func:`_support_table`) depend on the payer masks and the support alone,
-    so scans at several eps share them. The solved systems are cached by
-    eps and pattern signature, which collapses most of the enumeration in
-    :func:`exhaustive_search`.
+    Only the solving depends on eps, an argument of every solving call, as
+    its integer ratio (a, b) with eps = a / b; scans at several eps share
+    the pattern tables (:func:`_support_table`). The solved systems are
+    cached by eps and system (size, patterns, maximal patterns), not by
+    support, since both solvers' points depend on the rows' half-spaces
+    alone. That collapses most of the enumeration in :func:`exhaustive_search`.
     """
 
     def __init__(self, payers: Sequence[int], width: int):
         self.payers = payers
         self.width = width
         self.size = len(payers)
-        self._tables: dict[tuple[int, ...], tuple[list[int], tuple[int, ...]]] = {}
+        self._tables: dict[tuple[int, ...], tuple[list[int], frozenset[int]]] = {}
         self._solved: dict[tuple, Optional[tuple[Fraction, ...]]] = {}
 
     def _table(self, support: tuple[int, ...]):
@@ -408,7 +408,7 @@ class _PlayerSystem:
         infeasible. Cached per system and eps."""
         pats, maximal = self._table(support)
         support_pats = frozenset(pats[t] for t in opp_support)
-        key = (eps, support, support_pats)
+        key = (eps, len(support), support_pats, maximal)
         if key not in self._solved:
             self._solved[key] = self._solve_system(len(support), support_pats, maximal, eps)
         return self._solved[key]
@@ -422,7 +422,7 @@ class _PlayerSystem:
         return MixedStrategy(tuple(probs))
 
     def _solve_system(
-        self, dim: int, support_pats: frozenset[int], maximal: tuple[int, ...], eps: tuple[int, int]
+        self, dim: int, support_pats: frozenset[int], maximal: frozenset[int], eps: tuple[int, int]
     ) -> Optional[tuple[Fraction, ...]]:
         # Each opponent pattern mp that pays off outside a supported pattern sp
         # gives a row: sum of x over mp \ sp minus sum over sp \ mp <= eps.
@@ -448,7 +448,7 @@ class _PlayerSystem:
         (c0 - c1) x0 <= eps - c1, and x0 is the midpoint of the interval
         these leave of [0, 1]. With one variable, x1 = 0 and x0 = 1. In units
         of 1/(2b), with eps = a / b, each end is the integer 2 (a - c1 b) /
-        (c0 - c1), as |c0 - c1| <= 2, so the midpoint is the one Fraction."""
+        (c0 - c1), as |c0 - c1| <= 2, and x0 = (lo + hi) / 4b."""
         a, b = eps
         lo, hi = (2 * b if dim == 1 else 0), 2 * b
         for plus, minus in rows:
@@ -464,7 +464,7 @@ class _PlayerSystem:
         if lo > hi:
             return None
         x0 = Fraction(lo + hi, 4 * b)
-        return (x0,) if dim == 1 else (x0, _ONE - x0)
+        return (x0,) if dim == 1 else (x0, Fraction(4 * b - lo - hi, 4 * b))
 
     def singletons(self, support: tuple[int, ...], eps: tuple[int, int]) -> int:
         """Bitmask of the opponent strategies t for which
@@ -678,10 +678,8 @@ def crosscheck_characterization(g: WinLoseGame, k: int) -> CrosscheckReport:
     witness = char_decision(g, k)  # raises on out-degree violations
     systems = _systems(g)
     points = []
-    agree = True
     for eps in (_ONE - Fraction(1, k), _ONE - Fraction(1, 2 * k)):
         result = _scan_systems(g, k, eps.as_integer_ratio(), systems)
         ok = isinstance(result, NoWitness) == (witness is None)
         points.append(CrosscheckPoint(eps, witness, result, ok))
-        agree = agree and ok
-    return CrosscheckReport(k, agree, tuple(points))
+    return CrosscheckReport(k, all(pt.agree for pt in points), tuple(points))

@@ -1,8 +1,8 @@
 """Seeded generators, pinned search results, the previous Haight search
 kernel, the full undominated-set and girth scans, the cell-by-cell shift
-test, the projected pattern tables, Fraction references for the
-equilibrium check, the two-scan cross-check and a fresh-interpreter runner
-shared across the suite."""
+test, the projected pattern tables, the support-keyed system cache,
+Fraction references for the equilibrium check, the two-scan cross-check
+and a fresh-interpreter runner shared across the suite."""
 
 from __future__ import annotations
 
@@ -34,7 +34,14 @@ from wsforge import (
 )
 from wsforge.digraph import _rot, _shortest_return
 from wsforge.game import UndominatedWitness
-from wsforge.wsne import CrosscheckPoint, CrosscheckReport, Violation, _require_k, _scan
+from wsforge.wsne import (
+    CrosscheckPoint,
+    CrosscheckReport,
+    Violation,
+    _PlayerSystem,
+    _require_k,
+    _scan,
+)
 
 SRC = str(Path(wsforge.__file__).resolve().parents[1])
 
@@ -272,6 +279,21 @@ def reference_pattern_table(masks, support):
     distinct = set(pats)
     maximal = {p for p in distinct if not any(q != p and p & ~q == 0 for q in distinct)}
     return pats, maximal
+
+
+class SupportKeyedSystem(_PlayerSystem):
+    """A player's support systems with the solved systems cached by eps,
+    support and the opponent support's patterns, so that no two supports
+    share a solve: the reference for ``wsne._PlayerSystem.point``, which
+    caches by eps and the system (size, patterns and maximal patterns)."""
+
+    def point(self, support, opp_support, eps):
+        pats, maximal = self._table(support)
+        support_pats = frozenset(pats[t] for t in opp_support)
+        key = (eps, support, support_pats)
+        if key not in self._solved:
+            self._solved[key] = self._solve_system(len(support), support_pats, maximal, eps)
+        return self._solved[key]
 
 
 def fraction_payoffs(g: WinLoseGame, p: MixedStrategy, q: MixedStrategy):

@@ -285,3 +285,54 @@ def test_oracle_shaped_systems_match_reference(eps):
             assert tuple(v / b for v in y) == point
             feasible += 1
     assert feasible > 0 and (feasible < 60 or eps >= 1)  # eps >= 1 admits every point
+
+
+def test_point_ignores_row_order_and_positive_scaling():
+    # The support oracle caches a solved system by its set of rows, in any
+    # order: the point depends only on the half-spaces. Each system, with
+    # one of its rows repeated at another scale, against its rows shuffled
+    # and each multiplied by a positive int or Fraction.
+    rng = random.Random(44)
+    feasible = 0
+    for _ in range(150):
+        num_vars = rng.randrange(1, 5)
+        cons = [((1,) * num_vars, 1), ((-1,) * num_vars, -1)]
+        cons += [(tuple(-(i == idx) for i in range(num_vars)), 0) for idx in range(num_vars)]
+        cons += [
+            (tuple(rng.choice((-1, 0, 0, 1)) for _ in range(num_vars)), F(rng.randrange(0, 5), 4))
+            for _ in range(rng.randrange(0, 7))
+        ]
+        coeffs, bound = rng.choice(cons)
+        cons.append((tuple(3 * c for c in coeffs), 3 * bound))
+        want = feasible_point(cons, num_vars)
+        feasible += want is not None
+        for _ in range(4):
+            shuffled = rng.sample(cons, len(cons))
+            scales = [rng.choice((1, 2, 3, F(1, 2), F(5, 3))) for _ in shuffled]
+            scaled = [(tuple(s * c for c in coeffs), s * bound)
+                      for (coeffs, bound), s in zip(shuffled, scales)]
+            assert feasible_point(shuffled, num_vars) == want, (cons, shuffled)
+            assert feasible_point(scaled, num_vars) == want, (cons, scaled)
+    assert 30 < feasible < 150
+
+
+def test_interval_solver_ignores_row_order():
+    # The closed form for supports of size <= 2 takes the extreme bounds of
+    # its rows, so any order of the rows gives the same point.
+    from wsforge.wsne import _PlayerSystem
+
+    system = _PlayerSystem((0, 0), 1)
+    rng = random.Random(45)
+    feasible = 0
+    for _ in range(400):
+        dim = rng.choice((1, 2))
+        eps = F(rng.randrange(0, 9), rng.choice((1, 2, 4, 100))).as_integer_ratio()
+        rows = []
+        for _ in range(rng.randrange(0, 8)):
+            plus = rng.randrange(1 << dim)
+            rows.append((plus, rng.randrange(1 << dim) & ~plus))
+        want = system._solve_interval(dim, rows, eps)
+        feasible += want is not None
+        for _ in range(4):
+            assert system._solve_interval(dim, rng.sample(rows, len(rows)), eps) == want
+    assert 50 < feasible < 400

@@ -395,6 +395,65 @@ def test_row_errors_name_the_certificate_field_or_the_file_line():
         assert str(info.value) == f"line 4: illegal character {illegal!r}"
 
 
+ROW_ERRORS = [
+    (1010111, "expected a 0/1 string"),
+    (None, "expected a 0/1 string"),
+    ("101", "row has length 3, expected 7"),
+    ("10101110", "row has length 8, expected 7"),
+    ("1010121", "illegal character '2'"),
+    ("10 0101", "illegal character ' '"),
+]
+
+
+@pytest.mark.parametrize("bad, detail", ROW_ERRORS, ids=str)
+@pytest.mark.parametrize("field", ["a", "b"])
+@pytest.mark.parametrize("pos", [0, 4, 6])
+def test_each_row_error_names_its_row(bad, detail, field, pos):
+    # The list decoder's errors, for rows of A and of B at first, middle and
+    # last positions: payload.<field>[pos] in a certificate, and the line
+    # number in a game file. A later bad row, and a bad row of B after a bad
+    # row of A, are not the ones named.
+    payload = game_payload(PALEY7_GAME)
+    payload.update({"p": ["1"] + ["0"] * 6, "q": ["1"] + ["0"] * 6, "eps": "1/2"})
+    payload[field][pos] = bad
+    if pos < 6:
+        payload[field][6] = "2" * 7
+    if field == "a":
+        payload["b"][0] = "x"
+    with pytest.raises(CertificateError) as info:
+        make_envelope("wsne_witness", payload, "x")
+    assert str(info.value) == f"payload.{field}[{pos}]: {detail}"
+    if isinstance(bad, str):
+        text = "\n".join(["7 7", *payload["a"], "", *payload["b"]]) + "\n"
+        with pytest.raises(FormatError) as info:
+            read_game(io.StringIO(text))
+        line = pos + 2 if field == "a" else pos + 10
+        assert str(info.value) == f"line {line}: {detail}"
+
+
+@pytest.mark.parametrize("field", ["a", "b"])
+@pytest.mark.parametrize("rows", [6, 8])
+def test_wrong_row_count_is_named_before_any_row(field, rows):
+    # A certificate's A or B with a row too few or too many is refused by
+    # its count before any of its rows, and A before B; a game file by its
+    # line count.
+    payload = game_payload(PALEY7_GAME)
+    payload.update({"p": ["1"] + ["0"] * 6, "q": ["1"] + ["0"] * 6, "eps": "1/2"})
+    payload[field] = (payload[field] + ["2" * 7])[:rows]
+    payload[field][0] = "x"
+    if field == "a":
+        payload["b"] = payload["b"][:3]
+    with pytest.raises(CertificateError) as info:
+        make_envelope("wsne_witness", payload, "x")
+    assert str(info.value) == f"payload.{field}: expected 7 rows, got {rows}"
+    good = game_payload(PALEY7_GAME)
+    good[field] = (good[field] + ["1" * 7])[:rows]
+    text = "\n".join(["7 7", *good["a"], "", *good["b"]]) + "\n"
+    with pytest.raises(FormatError) as info:
+        read_game(io.StringIO(text))
+    assert str(info.value) == f"expected 16 lines (header, A, blank, B), found {rows + 9}"
+
+
 @pytest.mark.parametrize("field, bad", [("p", ("x", "0.5")), ("a", ("2" * 7, "10"))])
 def test_list_errors_name_the_first_bad_position(field, bad):
     payload = game_payload(PALEY7_GAME)

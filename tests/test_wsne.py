@@ -25,6 +25,7 @@ from conftest import (
     reference_crosscheck,
     reference_first_undominated_side,
     reference_pattern_table,
+    SupportKeyedSystem,
 )
 from test_acceptance import K3_POOL, K4_POOL
 from wsforge import (
@@ -680,48 +681,87 @@ def test_shift_invariance_detection():
 def test_oracle_solves_each_cached_system_once(oracle_counts):
     # Pins the support oracle's cache keys on the full scan of a game that is
     # not shift-invariant: a key that stops matching shows here as extra
-    # solved systems, not only as a slower benchmark. The scan itself, since
-    # exhaustive_search refutes these games by the constant-sum lemma below 1/2.
+    # solved systems, not only as a slower benchmark. The solved systems are
+    # keyed by the system (size, patterns, maximal patterns), not by the
+    # support, so the many supports of one system solve it once. The scan
+    # itself, since exhaustive_search refutes these games by the
+    # constant-sum lemma below 1/2.
     g = PALEY7_SWAPPED
     assert _scan(g, 2, F(1, 4)) == NoWitness(784)
-    assert oracle_counts == {"systems": 77, "fm": 0, "pairs": 84}
+    assert oracle_counts == {"systems": 5, "fm": 0, "pairs": 84}
     oracle_counts.update(systems=0, fm=0, pairs=0)
     p, q = _scan(g, 2, F(1, 2))
     assert check_wsne(g, p, q, F(1, 2)).valid
-    assert oracle_counts == {"systems": 13, "fm": 0, "pairs": 1}
+    assert oracle_counts == {"systems": 6, "fm": 0, "pairs": 1}
     oracle_counts.update(systems=0, fm=0, pairs=0)
     assert _scan(g, 3, F(1, 4)) == NoWitness(63**2)
-    assert oracle_counts == {"systems": 987, "fm": 889, "pairs": 1204}
+    assert oracle_counts == {"systems": 40, "fm": 34, "pairs": 1204}
 
 
 def test_orbit_scan_solves_one_row_support_per_orbit(oracle_counts):
     # Paley-7 itself is shift-invariant: 4 of its 28 row supports of size
     # <= 2 are least in their orbit, and a column table is built once per
-    # orbit, for the same verdicts as the full scan above.
+    # orbit, for the same verdicts as the full scan above. The orbit cuts
+    # the pairs tested, not the systems solved: both scans meet as many
+    # distinct systems.
     assert _scan(PALEY7, 2, F(1, 4)) == NoWitness(784)
-    assert oracle_counts == {"systems": 18, "fm": 0, "pairs": 12}
+    assert oracle_counts == {"systems": 5, "fm": 0, "pairs": 12}
     oracle_counts.update(systems=0, fm=0, pairs=0)
     p, q = _scan(PALEY7, 2, F(1, 2))
     assert (p.support, q.support) == ((0, 1), (1, 3))
     assert check_wsne(PALEY7, p, q, F(1, 2)).valid
-    assert oracle_counts == {"systems": 8, "fm": 0, "pairs": 1}
+    assert oracle_counts == {"systems": 6, "fm": 0, "pairs": 1}
     oracle_counts.update(systems=0, fm=0, pairs=0)
     assert _scan(PALEY7, 3, F(1, 4)) == NoWitness(63**2)
-    assert oracle_counts == {"systems": 164, "fm": 131, "pairs": 172}
+    assert oracle_counts == {"systems": 40, "fm": 34, "pairs": 172}
 
 
 def test_k4_pool_game_refutes_k2(oracle_counts):
     # The paper's k = 2 instance: the q = 29 Haight set of kappa 4, bipartified,
-    # first relabelled so that the full scan runs, then as built.
+    # first relabelled so that the full scan runs, then as built. The orbit
+    # scan's pair tests meet 5 distinct systems; keyed by the support, they
+    # would be 59.
     assert _scan(K4_Q29_SWAPPED, 2, F(1, 4)) == NoWitness(435**2)
     assert oracle_counts["pairs"] == 1218  # pairs passing every singleton condition
     p, q = _scan(K4_Q29_SWAPPED, 2, F(1, 2))
     assert check_wsne(K4_Q29_SWAPPED, p, q, F(1, 2)).valid
     oracle_counts.update(systems=0, fm=0, pairs=0)
     assert _scan(K4_Q29, 2, F(1, 4)) == NoWitness(435**2)
-    assert oracle_counts == {"systems": 59, "fm": 0, "pairs": 42}
+    assert oracle_counts == {"systems": 5, "fm": 0, "pairs": 42}
     p, q = _scan(K4_Q29, 2, F(1, 2))
     assert check_wsne(K4_Q29, p, q, F(1, 2)).valid
+
+
+def test_point_matches_the_support_keyed_cache():
+    # Each player's points, cached by the system, against a cache keyed by
+    # the support, which solves every support's system afresh: random games,
+    # Paley-7 and the K4-pool games, at several eps. Supports are visited in
+    # a random order, so that a point is often read from the cache after a
+    # different support of the same system put it there.
+    rng = random.Random(30)
+    games = [random_game(rng, rng.randrange(1, 8), rng.randrange(1, 8), ensure_out_degree=False)
+             for _ in range(30)]
+    games += [random_circulant_game(rng, rng.randrange(2, 9)) for _ in range(10)]
+    games += [PALEY7, PALEY7_SWAPPED]
+    games += [bipartify(cayley(q, ResidueSet.from_members(q, ys))) for q, ys in K4_POOL.items()]
+    shared = compared = 0
+    for g in games:
+        for system, (payers, width) in zip(_systems(g), ((g.b_rows, g.n), (g.a_col_masks, g.m))):
+            reference = SupportKeyedSystem(payers, width)
+            own = list(_supports(range(system.size), 3))
+            opp = list(_supports(range(width), 3))
+            pairs = [(rng.choice(own), rng.choice(opp)) for _ in range(100)]
+            for eps in (F(0), F(1, 4), F(49, 100), F(1, 2), F(2, 3), F(1)):
+                key = eps.as_integer_ratio()
+                for support, opp_support in pairs:
+                    got = system.point(support, opp_support, key)
+                    assert got == reference.point(support, opp_support, key), (
+                        g, support, opp_support, eps
+                    )
+                    compared += 1
+            shared += len(reference._solved) - len(system._solved)
+    # the reference solved more than ten thousand systems that point shared
+    assert compared == 55_200 and shared > 10_000, (compared, shared)
 
 
 @pytest.mark.parametrize(
@@ -912,9 +952,21 @@ PALEY19 = bipartify(cayley(19, ResidueSet.from_members(19, [1, 4, 5, 6, 7, 9, 11
 def test_paley19_scan_refutes_k3_at_49_100(oracle_counts):
     # No 49/100-WSNE with supports <= 3 on the 3-paradoxical Paley-19, decided
     # by the scan alone (exhaustive_search would apply the constant-sum
-    # lemma), with most systems solved by Fourier-Motzkin.
+    # lemma). Its 24,375 pair tests meet 38 distinct systems, 32 of them
+    # solved by Fourier-Motzkin; keyed by the support, they would be 8,589.
     assert _scan(PALEY19, 3, F(49, 100)) == NoWitness(1343281)
-    assert oracle_counts == {"systems": 8589, "fm": 8344, "pairs": 24375}
+    assert oracle_counts == {"systems": 38, "fm": 32, "pairs": 24375}
+
+
+PALEY23 = bipartify(cayley(23, ResidueSet.from_members(23, {x * x % 23 for x in range(1, 23)})))
+
+
+def test_paley23_scan_refutes_k3_at_49_100(oracle_counts):
+    # The same claim on Paley-23, a larger orbit scan: a cache key that
+    # missed would solve thousands of systems here (16,825 keyed by the
+    # support), not 38.
+    assert _scan(PALEY23, 3, F(49, 100)) == NoWitness(4190209)
+    assert oracle_counts == {"systems": 38, "fm": 32, "pairs": 62964}
 
 
 def _random_tournament_game(rng, n):
