@@ -17,22 +17,20 @@ _SUBMODULES = ("residues", "digraph", "game", "feasibility", "wsne", "pipeline",
 # public name -> the submodule that defines it
 _HOME = {
     **dict.fromkeys((
-        "HaightCertificate", "ResidueSet", "SearchExhausted", "SearchSpec", "difference_set",
-        "is_complete_difference_set", "iterated_sumset", "satisfies_haight", "search_haight_set",
-        "shift_set",
+        "HaightCertificate", "ResidueSet", "SearchExhausted", "SearchSpec", "is_complete_difference_set",
+        "satisfies_haight", "search_haight_set",
     ), "residues"),
     **dict.fromkeys((
         "Digraph", "KLCertificate", "KLFailure", "all_subsets_dominated", "cayley", "certify_kl",
-        "find_undominated_set", "girth", "is_dominated", "min_out_degree", "power", "shortest_cycle",
+        "find_undominated_set", "girth", "is_dominated", "power", "shortest_cycle",
     ), "digraph"),
     **dict.fromkeys((
         "CycleWitness", "UndominatedWitness", "WinLoseGame", "bipartify", "char_decision",
         "to_bipartite_digraph",
     ), "game"),
     **dict.fromkeys((
-        "CrosscheckReport", "MixedStrategy", "NoWitness", "SupportPair", "WsneVerdict", "check_wsne",
-        "crosscheck_characterization", "exhaustive_search", "feasible_on_supports", "payoffs",
-        "wsne_from_cycle", "wsne_from_undominated",
+        "CrosscheckReport", "MixedStrategy", "NoWitness", "WsneVerdict", "check_wsne",
+        "crosscheck_characterization", "exhaustive_search", "wsne_from_cycle", "wsne_from_undominated",
     ), "wsne"),
     **dict.fromkeys(("Stage", "forge"), "pipeline"),
 }

@@ -26,7 +26,6 @@ __all__ = [
     "all_subsets_dominated",
     "find_undominated_set",
     "power",
-    "min_out_degree",
     "certify_kl",
 ]
 
@@ -190,19 +189,47 @@ def _shortest_return(d: Digraph, v: int, bound: int, alive: int) -> Optional[lis
     return None
 
 
-def _girth_and_start(d: Digraph, symmetric: bool) -> Optional[tuple[int, int, list[int]]]:
-    """(girth, start, layers): the start vertex that ``shortest_cycle`` uses
-    and the layers of its backward search, or None if acyclic.
+def girth(d: Digraph) -> Optional[int]:
+    """Length of the shortest directed cycle (self-loop = 1), or None if
+    the digraph is acyclic: the length of :func:`shortest_cycle`."""
+    cycle = shortest_cycle(d)
+    return None if cycle is None else len(cycle)
 
-    ``symmetric`` says that every cycle has a translate of the same length
-    through vertex 0, as on a nonempty circulant digraph (see girth). Then
-    vertex 0's search, the first one, finds the girth, and it is the only
-    one made."""
+
+def shortest_cycle(d: Digraph) -> Optional[list[int]]:
+    """A shortest directed cycle as a vertex list, or None if acyclic.
+
+    Searches backward for the shortest return path to each vertex v in turn,
+    inside the vertices not yet dropped, and only up to the girth found so
+    far. After v's search, v is dropped, and so is every vertex left with no
+    out-arc or no in-arc among the rest (a worklist peels them). Every
+    shortest cycle through the least vertex on any shortest cycle avoids
+    smaller vertices, so the girth, the start vertex and its search's layers
+    are those of a search over all vertices, while a long path or cycle is
+    walked once instead of once per vertex. Once a 2-cycle is found nothing
+    more is peeled: each later search then stops after its first step.
+
+    Deterministic: starts at the smallest vertex achieving the girth g and
+    greedily takes the smallest next vertex that stays on a shortest route:
+    after t arcs, a vertex of the start's layer g - t - 1.
+
+    On a circulant digraph (row i + 1 is row i rotated by one, as on every
+    Cayley digraph) only vertex 0 is searched. Translating a cycle by t is a
+    cycle of the same length, so every shortest cycle has a translate
+    through 0; the girth is that of vertex 0's search, and 0, the least
+    vertex, is the start the full search would keep, with the same layers
+    since nothing has been dropped before it.
+    """
+    return _shortest_cycle(d, d.n > 0 and _circulant(d.out))
+
+
+def _shortest_cycle(d: Digraph, symmetric: bool) -> Optional[list[int]]:
+    """:func:`shortest_cycle`. ``symmetric`` says that every cycle has a
+    translate of the same length through vertex 0, as on a nonempty
+    circulant digraph. Then vertex 0's search, the first one, finds the
+    girth, and it is the only one made."""
     alive = (1 << d.n) - 1
-    if symmetric:
-        layers = _shortest_return(d, 0, d.n + 1, alive)
-        return None if layers is None else (len(layers), 0, layers)
-    best: Optional[tuple[int, int, list[int]]] = None
+    best: Optional[tuple[int, int, list[int]]] = None  # (girth, start, layers)
     for v in range(d.n):
         if not alive >> v & 1:
             continue
@@ -211,6 +238,8 @@ def _girth_and_start(d: Digraph, symmetric: bool) -> Optional[tuple[int, int, li
             best = (len(layers), v, layers)
             if best[0] == 1:
                 break
+        if symmetric:
+            break
         if best is not None and best[0] == 2:
             continue  # each later search stops after its first step
         # Drop v, then peel each vertex left with no out-arc or no in-arc
@@ -226,55 +255,9 @@ def _girth_and_start(d: Digraph, symmetric: bool) -> Optional[tuple[int, int, li
                 if not d.out[u] & alive or not d.in_masks[u] & alive:
                     alive &= ~(1 << u)
                     work.append(u)
-    return best
-
-
-def girth(d: Digraph) -> Optional[int]:
-    """Length of the shortest directed cycle (self-loop = 1), or None if
-    the digraph is acyclic.
-
-    Searches backward for the shortest return path to each vertex v in turn,
-    inside the vertices not yet dropped, and only up to the girth found so
-    far. After v's search, v is dropped, and so is every vertex left with no
-    out-arc or no in-arc among the rest (a worklist peels them). Every
-    shortest cycle through the least vertex on any shortest cycle avoids
-    smaller vertices, so the girth and the start vertex that
-    ``shortest_cycle`` uses are those of a search over all vertices, while a
-    long path or cycle is walked once instead of once per vertex. Once a
-    2-cycle is found nothing more is peeled: each later search then stops
-    after its first step.
-
-    On a circulant digraph (row i + 1 is row i rotated by one, as on every
-    Cayley digraph) only vertex 0 is searched. Translating a cycle by t is a
-    cycle of the same length, so every shortest cycle has a translate
-    through 0; the girth is that of vertex 0's search, and 0, the least
-    vertex, is the start the full search would keep, with the same layers
-    since nothing has been dropped before it.
-    """
-    found = _girth_and_start(d, d.n > 0 and _circulant(d.out))
-    return None if found is None else found[0]
-
-
-def shortest_cycle(d: Digraph) -> Optional[list[int]]:
-    """A shortest directed cycle as a vertex list, or None if acyclic.
-
-    Deterministic: starts at the smallest vertex achieving the girth g and
-    greedily takes the smallest next vertex that stays on a shortest route:
-    after t arcs, a vertex of the girth search's layer g - t - 1. Those
-    layers skip the vertices dropped before that search, which no shortest
-    cycle through the start visits, so the cycle is the one a search over
-    all vertices would give.
-    """
-    return _shortest_cycle(d, d.n > 0 and _circulant(d.out))
-
-
-def _shortest_cycle(d: Digraph, symmetric: bool) -> Optional[list[int]]:
-    """:func:`shortest_cycle`, with ``symmetric`` as in
-    :func:`_girth_and_start`."""
-    found = _girth_and_start(d, symmetric)
-    if found is None:
+    if best is None:
         return None
-    g, v, layers = found
+    g, v, layers = best
     cycle = [v]
     for t in range(1, g):
         m = d.out[cycle[-1]] & layers[g - t - 1]
@@ -377,12 +360,6 @@ def power(d: Digraph, t: int) -> Digraph:
             reach |= frontier
         rows.append(reach & ~(1 << v))
     return Digraph(d.n, tuple(rows))
-
-
-def min_out_degree(d: Digraph) -> int:
-    if d.n == 0:
-        return 0
-    return min(mask.bit_count() for mask in d.out)
 
 
 def certify_kl(d: Digraph, k: int, l: int) -> Union[KLCertificate, KLFailure]:

@@ -228,6 +228,8 @@ def read_digraph(src: Source) -> digraph.Digraph:
         raise FormatError("empty digraph file")
     no, header = data[0]
     n, m = _read_header(no, header, "n m")
+    if n < 1:
+        raise FormatError(f"line {no}: vertex count must be >= 1, got {n}")
     if n > MAX_ORDER:
         raise FormatError(f"line {no}: vertex count {n} exceeds {MAX_ORDER}")
     if len(data) - 1 != m:
@@ -284,6 +286,8 @@ def read_game(src: Source) -> game.WinLoseGame:
     if not lines:
         raise FormatError("empty game file")
     m, n = _read_header(1, lines[0], "m n")
+    if min(m, n) < 1:
+        raise FormatError(f"line 1: a {m} x {n} game needs at least one row and one column")
     if max(m, n) > MAX_ORDER:
         raise FormatError(f"line 1: a {m} x {n} game exceeds {MAX_ORDER} rows or columns")
     if len(lines) != 2 * m + 2:

@@ -1,11 +1,12 @@
-"""Exact arithmetic over Z_q: difference sets, iterated sumsets, and a
-budgeted search for generator sets whose differences cover all of Z_q while
-every small sumset avoids zero.
+"""Exact arithmetic over Z_q: the Haight conditions (Y - Y covers Z_q,
+and no small sumset of Y holds zero) and a budgeted search for generator
+sets that meet them.
 
 A subset of Z_q is stored as a characteristic bit-vector packed into one
-Python int, so difference sets and sumsets reduce to shift-and-or
-convolutions: O(q^2 / wordsize) per sumset level. A sumset step doubles its
-accumulator to 2q bits once, so each member costs one shift and one OR.
+Python int, so the difference set and the sumset levels that the
+conditions test reduce to shift-and-or convolutions: O(q^2 / wordsize) per
+sumset level. A sumset step doubles its accumulator to 2q bits once, so
+each member costs one shift and one OR.
 
 The search is depth-first: it adds members in list order and updates Y,
 -Y, Y - Y and the levels (s)Y, at O(kappa q / 64) word operations per member
@@ -36,11 +37,8 @@ __all__ = [
     "HaightCertificate",
     "SearchSpec",
     "SearchExhausted",
-    "difference_set",
-    "iterated_sumset",
     "is_complete_difference_set",
     "satisfies_haight",
-    "shift_set",
     "search_haight_set",
 ]
 
@@ -179,32 +177,9 @@ def _sumset_step(acc: int, bits: int, q: int, sign: int = 1) -> int:
     return out & ((1 << q) - 1)
 
 
-def _diff_bits(bits: int, q: int) -> int:
-    return _sumset_step(bits, bits, q, -1)
-
-
-def difference_set(y: ResidueSet) -> ResidueSet:
-    """Return { (a - b) mod q : a, b in Y }; empty for empty Y."""
-    return ResidueSet(y.modulus, _diff_bits(y.bits, y.modulus))
-
-
-def iterated_sumset(y: ResidueSet, s: int) -> ResidueSet:
-    """Return (s)Y, all sums of s members with repetition, reduced mod q.
-
-    Computed iteratively as (s)Y = (s-1)Y (+) Y. Rejects s = 0, which is
-    undefined here.
-    """
-    if s < 1:
-        raise ValueError(f"sumset order must be >= 1, got {s}")
-    acc = y.bits
-    for _ in range(s - 1):
-        acc = _sumset_step(acc, y.bits, y.modulus)
-    return ResidueSet(y.modulus, acc)
-
-
 def is_complete_difference_set(y: ResidueSet) -> bool:
     """True iff Y - Y covers every residue of Z_q."""
-    return _diff_bits(y.bits, y.modulus) == (1 << y.modulus) - 1
+    return _sumset_step(y.bits, y.bits, y.modulus, -1) == (1 << y.modulus) - 1
 
 
 def satisfies_haight(y: ResidueSet, kappa: int) -> bool:
@@ -222,13 +197,6 @@ def satisfies_haight(y: ResidueSet, kappa: int) -> bool:
             return False
         level = _sumset_step(level, y.bits, y.modulus)
     return not level & 1
-
-
-def shift_set(x: ResidueSet, y: int) -> ResidueSet:
-    """Return { (a - y) mod q : a in X }; preserves the difference set exactly."""
-    if not 0 <= y < x.modulus:
-        raise ValueError(f"shift {y} outside [0, {x.modulus})")
-    return ResidueSet(x.modulus, _sumset_step(x.bits, 1 << y, x.modulus, -1))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from math import comb, lcm
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import feasibility
-from .digraph import _rot, is_dominated
+from .digraph import _rot
 from .game import (
     CycleWitness,
     UndominatedWitness,
@@ -31,16 +31,13 @@ __all__ = [
     "MixedStrategy",
     "Violation",
     "WsneVerdict",
-    "SupportPair",
     "NoWitness",
     "CrosscheckPoint",
     "CrosscheckReport",
     "as_exact",
-    "payoffs",
     "check_wsne",
     "wsne_from_undominated",
     "wsne_from_cycle",
-    "feasible_on_supports",
     "exhaustive_search",
     "crosscheck_characterization",
 ]
@@ -149,22 +146,6 @@ class WsneVerdict(NamedTuple):
     violations: tuple[Violation, ...]
 
 
-class SupportPair(_Frozen):
-    """Candidate supports: row indices and column indices, both nonempty."""
-
-    __slots__ = ("rows", "cols")
-
-    def __init__(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> None:
-        for name, idx in (("rows", rows), ("cols", cols)):
-            if not idx:
-                raise ValueError(f"{name} must be nonempty")
-            if list(idx) != sorted(set(idx)):
-                raise ValueError(f"{name} must be strictly increasing")
-            if idx[0] < 0:
-                raise ValueError(f"{name} contains a negative index")
-        super().__init__(rows, cols)
-
-
 class NoWitness(_Frozen):
     """Exhaustive refutation: every support pair, by the lemma or by the
     scan, is infeasible.
@@ -229,14 +210,6 @@ def _scaled_payoffs(
     return (p_nums, row_pay, q_den), (q_nums, col_pay, p_den)
 
 
-def payoffs(
-    g: WinLoseGame, p: MixedStrategy, q: MixedStrategy
-) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Exact (Aq, p^T B): per-row payoffs against q and per-column payoffs
-    against p."""
-    return tuple(tuple(Fraction(x, den) for x in pay) for _, pay, den in _scaled_payoffs(g, p, q))
-
-
 def check_wsne(
     g: WinLoseGame,
     p: MixedStrategy,
@@ -288,10 +261,15 @@ def wsne_from_undominated(
     if chosen[0] < 0 or chosen[-1] >= count:
         raise ValueError(f"indices outside [0, {count})")
     _require_out_degree(g)
-    h = to_bipartite_digraph(g)
-    offset = 0 if side == "row" else g.m
-    dominator = is_dominated(h, [offset + i for i in chosen])
-    if dominator is not None:
+    # The members' in-masks in the bipartite digraph, as in
+    # game._first_undominated_side: B's rows for rows, whose dominators are
+    # the columns (ids from m), and A's columns for columns.
+    in_masks, offset = (g.b_rows, g.m) if side == "row" else (g.a_col_masks, 0)
+    common = -1
+    for i in chosen:
+        common &= in_masks[i]
+    if common:
+        dominator = offset + (common & -common).bit_length() - 1
         raise ValueError(f"set is dominated (by bipartite vertex {dominator})")
     k = len(chosen)
     eps = _ONE - Fraction(1, k)
@@ -509,21 +487,6 @@ def _witness(
     if x is None:
         return None
     return p_system.strategy(rows, x), q_system.strategy(cols, y)
-
-
-def feasible_on_supports(
-    g: WinLoseGame, pair: SupportPair, eps: Union[int, str, Fraction]
-) -> Optional[tuple[MixedStrategy, MixedStrategy]]:
-    """Exact feasibility of an eps-WSNE with supports inside ``pair``.
-
-    The conditions are imposed on all of P and Q; a feasible point whose
-    support is a strict subset is still a valid eps-WSNE, so the extra
-    constraints only shrink the feasible region. Returns exact witnesses.
-    """
-    eps = _exact_eps(eps)
-    if pair.rows[-1] >= g.m or pair.cols[-1] >= g.n:
-        raise ValueError("support pair exceeds game dimensions")
-    return _witness(*_systems(g), pair.rows, pair.cols, eps.as_integer_ratio())
 
 
 def _supports(indices: Iterable[int], k: int) -> Iterator[tuple[int, ...]]:

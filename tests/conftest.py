@@ -1,8 +1,9 @@
 """Seeded generators, pinned search results, the previous Haight search
-kernel, the full undominated-set and girth scans, the cell-by-cell shift
-test, the projected pattern tables, the support-keyed system cache,
-Fraction references for the equilibrium check, the two-scan cross-check
-and a fresh-interpreter runner shared across the suite."""
+kernel, Python-set sumsets and differences, the full undominated-set and
+shortest-cycle scans, the cell-by-cell shift test, the projected pattern
+tables, the support-keyed system cache, Fraction references for the
+equilibrium check, the two-scan cross-check and a fresh-interpreter runner
+shared across the suite."""
 
 from __future__ import annotations
 
@@ -159,23 +160,23 @@ def reference_first_undominated_side(g: WinLoseGame, k: int):
     return None
 
 
-def reference_girth_and_start(d: Digraph):
-    """(girth, start, layers), or None if acyclic, by a search from every
-    vertex not yet peeled, circulant or not: the reference for
-    ``digraph._girth_and_start``, which searches from vertex 0 alone on
-    circulant digraphs and on the bipartite digraphs of shift-invariant
-    games."""
+def reference_shortest_cycle(d: Digraph):
+    """The shortest cycle, or None if acyclic, by a search from every vertex
+    not yet peeled, circulant or not, walked as ``shortest_cycle`` walks the
+    start's layers: the reference for ``digraph._shortest_cycle``, which
+    searches from vertex 0 alone on circulant digraphs and on the bipartite
+    digraphs of shift-invariant games."""
     best = None
     alive = (1 << d.n) - 1
     for v in range(d.n):
         if not alive >> v & 1:
             continue
-        layers = _shortest_return(d, v, d.n + 1 if best is None else best[0], alive)
+        layers = _shortest_return(d, v, d.n + 1 if best is None else len(best[1]), alive)
         if layers is not None:
-            best = (len(layers), v, layers)
-            if best[0] == 1:
+            best = (v, layers)
+            if len(layers) == 1:
                 break
-        if best is not None and best[0] == 2:
+        if best is not None and len(best[1]) == 2:
             continue
         alive &= ~(1 << v)
         work = [v]
@@ -188,7 +189,28 @@ def reference_girth_and_start(d: Digraph):
                 if not d.out[u] & alive or not d.in_masks[u] & alive:
                     alive &= ~(1 << u)
                     work.append(u)
-    return best
+    if best is None:
+        return None
+    v, layers = best
+    cycle = [v]
+    for layer in reversed(layers[:-1]):
+        m = d.out[cycle[-1]] & layer
+        cycle.append((m & -m).bit_length() - 1)
+    return cycle
+
+
+def sumset(q: int, members, s: int) -> set[int]:
+    """(s)Y as a Python set: every sum of s members of Y, with repetition,
+    mod q, one level at a time."""
+    level = set(members)
+    for _ in range(s - 1):
+        level = {(a + y) % q for a in level for y in members}
+    return level
+
+
+def difference(q: int, members) -> set[int]:
+    """Y - Y as a Python set: every (a - b) mod q for a, b in Y."""
+    return {(a - b) % q for a in members for b in members}
 
 
 def random_digraph(
@@ -298,7 +320,7 @@ class SupportKeyedSystem(_PlayerSystem):
 
 def fraction_payoffs(g: WinLoseGame, p: MixedStrategy, q: MixedStrategy):
     """(Aq, p^T B) by adding Fractions one entry at a time: the reference
-    for wsne.payoffs, which sums integer numerators."""
+    for the payoffs behind ``check_wsne``, which sums integer numerators."""
     row_pay = []
     for i in range(g.m):
         total = Fraction(0)

@@ -15,7 +15,14 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
-from conftest import crosscheck_digest, random_digraph, random_digraph_with_cycle, random_game
+from conftest import (
+    crosscheck_digest,
+    fraction_payoffs,
+    random_digraph,
+    random_digraph_with_cycle,
+    random_game,
+    sumset,
+)
 from wsforge import (
     Digraph,
     KLCertificate,
@@ -27,8 +34,6 @@ from wsforge import (
     girth,
     is_complete_difference_set,
     is_dominated,
-    iterated_sumset,
-    payoffs,
     power,
     satisfies_haight,
     shortest_cycle,
@@ -119,7 +124,7 @@ def test_criterion_2_cayley_sumset_bridge():
             for bits in range(1, 1 << q):
                 y = ResidueSet(q, bits)
                 expected = next(
-                    s for s in range(1, q + 1) if 0 in iterated_sumset(y, s)
+                    s for s in range(1, q + 1) if 0 in sumset(q, y.members(), s)
                 )
                 assert girth(cayley(q, y)) == expected
                 cases += 1
@@ -299,7 +304,7 @@ def _first_one_sided_undominated(g, h, max_size=3):
 def _assert_tightness_contract(g, p, q, eps):
     verdict = check_wsne(g, p, q, eps)
     assert verdict.valid
-    row_pay, col_pay = payoffs(g, p, q)
+    row_pay, col_pay = fraction_payoffs(g, p, q)
     tight = any(row_pay[i] == verdict.row_best - eps for i in p.support) or any(
         col_pay[j] == verdict.col_best - eps for j in q.support
     )

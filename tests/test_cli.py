@@ -180,6 +180,19 @@ def test_cayley_power_bipartify_pipeline(tmp_path):
     assert read_game(wl) == bipartify(expected)
 
 
+def test_bipartify_and_exhaust_refuse_empty_inputs(tmp_path, capsys):
+    # A 0-vertex digraph once became a "0 0" game file that exhaust then
+    # refused for its line count; both headers are now refused as read.
+    dg, wl = tmp_path / "empty.dg", tmp_path / "empty.wl"
+    dg.write_text("0 0\n")
+    assert run("bipartify", "--in", str(dg), "--out", str(wl)) == 2
+    assert "error: line 1: vertex count must be >= 1, got 0" in capsys.readouterr().err
+    assert not wl.exists()
+    wl.write_text("0 0\n\n")
+    assert run("exhaust", "--game", str(wl), "--k", "1", "--eps", "1/2") == 2
+    assert "error: line 1: a 0 x 0 game needs at least one row and one column" in capsys.readouterr().err
+
+
 def test_cayley_from_certificate(tmp_path):
     cert = tmp_path / "h.json"
     dg = tmp_path / "d.dg"

@@ -14,7 +14,7 @@ from math import comb
 
 import pytest
 
-from conftest import random_digraph, reference_first_undominated, reference_girth_and_start
+from conftest import random_digraph, reference_first_undominated, reference_shortest_cycle, sumset
 from test_acceptance import K3_POOL, K4_POOL
 from wsforge import (
     Digraph,
@@ -28,12 +28,10 @@ from wsforge import (
     girth,
     is_complete_difference_set,
     is_dominated,
-    iterated_sumset,
-    min_out_degree,
     power,
     shortest_cycle,
 )
-from wsforge.digraph import _circulant, _girth_and_start
+from wsforge.digraph import _circulant, _shortest_cycle
 
 TRIANGLE = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
 FIVE_CYCLE = Digraph.from_arcs(5, [(i, (i + 1) % 5) for i in range(5)])
@@ -184,11 +182,12 @@ def circulant_digraphs(rng: random.Random) -> list[Digraph]:
 
 
 def test_circulant_scans_match_the_full_scans(sets_tried):
-    # On a circulant digraph girth searches from vertex 0 alone and the
-    # domination scan tries only the sets through 0, C(n - 1, l - 1) of
-    # them when all are dominated. A copy with one arc flipped is not
-    # circulant and takes the full scans. Both must return what the full
-    # scans return: the layers of the start's search too.
+    # On a circulant digraph the shortest-cycle search runs from vertex 0
+    # alone and the domination scan tries only the sets through 0,
+    # C(n - 1, l - 1) of them when all are dominated. A copy with one arc
+    # flipped is not circulant and takes the full scans. Both must return
+    # what the full scans return: the same cycle, walked from the same
+    # start's layers.
     rng = random.Random(25)
     seen = Counter()
     for d in circulant_digraphs(rng):
@@ -199,8 +198,8 @@ def test_circulant_scans_match_the_full_scans(sets_tried):
             cases.append((Digraph(d.n, tuple(out)), False))
         for h, circulant in cases:
             assert _circulant(h.out) is circulant
-            found = _girth_and_start(h, circulant)
-            assert found == reference_girth_and_start(h), h
+            found = _shortest_cycle(h, circulant)
+            assert found == reference_shortest_cycle(h), h
             seen[circulant, "girth", found is None] += 1
             for l in range(1, min(h.n, 3) + 1):
                 want = reference_first_undominated(h.in_masks, range(h.n), l)
@@ -219,7 +218,7 @@ def test_cayley_sumset_bridge_small():
             y = ResidueSet(q, bits)
             d = cayley(q, y)
             expected = next(
-                (s for s in range(1, q * len(y) + 1) if 0 in iterated_sumset(y, s)), None
+                (s for s in range(1, q * len(y) + 1) if 0 in sumset(q, y.members(), s)), None
             )
             assert girth(d) == expected
 
@@ -377,13 +376,6 @@ def test_power_matches_walk_definition():
 # ---------------------------------------------------------------------------
 # certification
 # ---------------------------------------------------------------------------
-
-
-def test_min_out_degree():
-    assert min_out_degree(TRIANGLE) == 1
-    assert min_out_degree(PALEY7) == 3
-    assert min_out_degree(Digraph(2, (0, 0))) == 0
-    assert min_out_degree(Digraph(0, ())) == 0
 
 
 @pytest.mark.parametrize(

@@ -179,6 +179,13 @@ def test_digraph_malformed_rejected():
             read_digraph(io.StringIO(text))
 
 
+@pytest.mark.parametrize("text", ["0 0\n", "0 1\n0 0\n"])
+def test_digraph_with_no_vertices_is_refused_at_its_header(text):
+    with pytest.raises(FormatError) as info:
+        read_digraph(io.StringIO(text))
+    assert str(info.value) == "line 1: vertex count must be >= 1, got 0"
+
+
 def test_digraph_roundtrip_random():
     rng = random.Random(71)
     for _ in range(40):
@@ -219,6 +226,14 @@ def test_game_malformed_rejected():
     ):
         with pytest.raises(FormatError):
             read_game(io.StringIO(text))
+
+
+@pytest.mark.parametrize("text", ["0 0\n", "0 3\n\n", "2 0\n\n\n\n\n\n"])
+def test_game_with_no_rows_or_columns_is_refused_at_its_header(text):
+    m, n = text.split("\n")[0].split()
+    with pytest.raises(FormatError) as info:
+        read_game(io.StringIO(text))
+    assert str(info.value) == f"line 1: a {m} x {n} game needs at least one row and one column"
 
 
 def test_game_at_max_order_parses_quickly():

@@ -14,7 +14,7 @@ from conftest import (
     random_digraph,
     random_digraph_with_cycle,
     random_game,
-    reference_girth_and_start,
+    reference_shortest_cycle,
     reference_shift_invariant,
 )
 from test_acceptance import K3_POOL, K4_POOL
@@ -32,7 +32,7 @@ from wsforge import (
     shortest_cycle,
     to_bipartite_digraph,
 )
-from wsforge.digraph import _girth_and_start, _transpose
+from wsforge.digraph import _shortest_cycle, _transpose
 
 TRIANGLE = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
 
@@ -213,16 +213,15 @@ def test_column_masks_and_shift_invariance_match_the_references():
 
 
 def test_bipartite_cycle_matches_the_full_girth_search():
-    # On a shift-invariant game the girth search behind char_decision runs
-    # from r_0 alone; the reference searches from every vertex. The girth,
-    # the start and the layers agree, and so does the cycle.
+    # On a shift-invariant game the shortest-cycle search behind
+    # char_decision runs from r_0 alone; the reference searches from every
+    # vertex. The cycles agree, and so does the game's cached one.
     seen = Counter()
     for g in _games_with_and_without_shift(random.Random(38)):
         h = to_bipartite_digraph(g)
-        want = reference_girth_and_start(h)
-        assert _girth_and_start(h, g.shift_invariant) == want, g
-        cycle = shortest_cycle(h)
-        assert g.bipartite_cycle == (None if cycle is None else tuple(cycle)), g
+        want = reference_shortest_cycle(h)
+        assert _shortest_cycle(h, g.shift_invariant) == want == shortest_cycle(h), g
+        assert g.bipartite_cycle == (None if want is None else tuple(want)), g
         seen[g.shift_invariant, want is None] += 1
     assert min(seen.values()) > 10 and len(seen) == 4, seen
 
@@ -236,7 +235,7 @@ def test_char_decision_on_a_long_shift_invariant_game_searches_from_r0():
     assert time.perf_counter() - start < 0.1
     assert witness == UndominatedWitness("row", (0, 1))
     h = to_bipartite_digraph(g)
-    assert _girth_and_start(h, True) == reference_girth_and_start(h)
+    assert _shortest_cycle(h, True) == reference_shortest_cycle(h)
     assert len(g.bipartite_cycle) == 512
 
 

@@ -1,46 +1,50 @@
 """Difference sets, sumsets, the zero-free condition, and the searcher.
 
-Brute-force enumeration over ordered tuples is the oracle for the bitset
-convolutions throughout.
+Python-set sums and differences (``conftest.sumset`` and ``difference``) are
+the oracle for the bitset convolutions throughout: the sumset step that
+``is_complete_difference_set`` and ``satisfies_haight`` run.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from itertools import product
 from math import gcd
 
 import pytest
 
-from conftest import SEARCH_PINS, reference_dfs
+from conftest import SEARCH_PINS, difference, reference_dfs, sumset
 from wsforge import (
     HaightCertificate,
     ResidueSet,
     SearchExhausted,
     SearchSpec,
-    difference_set,
     is_complete_difference_set,
-    iterated_sumset,
     satisfies_haight,
     search_haight_set,
-    shift_set,
 )
 from wsforge import residues
 from wsforge.formats import MAX_ORDER
 from wsforge.residues import _dfs, _member_table, _sumset_step
 
 
-def brute_difference(q: int, members: tuple[int, ...]) -> set[int]:
-    return {(a - b) % q for a in members for b in members}
-
-
-def brute_sumset(q: int, members: tuple[int, ...], s: int) -> set[int]:
-    return {sum(t) % q for t in product(members, repeat=s)}
-
-
 def members_of(q: int, bits: int) -> tuple[int, ...]:
     return tuple(r for r in range(q) if bits >> r & 1)
+
+
+def kernel_difference(q: int, members) -> tuple[int, ...]:
+    """Y - Y by one sumset step at sign -1, as is_complete_difference_set
+    computes it."""
+    bits = sum(1 << r for r in set(members))
+    return members_of(q, _sumset_step(bits, bits, q, -1))
+
+
+def kernel_sumset(q: int, members, s: int) -> tuple[int, ...]:
+    """(s)Y by s - 1 sumset steps, as satisfies_haight computes its levels."""
+    bits = level = sum(1 << r for r in set(members))
+    for _ in range(s - 1):
+        level = _sumset_step(level, bits, q)
+    return members_of(q, level)
 
 
 # ---------------------------------------------------------------------------
@@ -68,21 +72,20 @@ def test_out_of_range_member_rejected():
 
 
 # ---------------------------------------------------------------------------
-# difference_set
+# difference sets
 # ---------------------------------------------------------------------------
 
 
 def test_difference_singleton():
-    assert difference_set(ResidueSet.from_members(7, [3])).members() == (0,)
+    assert kernel_difference(7, [3]) == (0,)
 
 
 def test_difference_empty():
-    assert difference_set(ResidueSet(5, 0)).members() == ()
+    assert kernel_difference(5, []) == ()
 
 
 def test_difference_full_example():
-    y = ResidueSet.from_members(7, [1, 2, 4])
-    assert difference_set(y).members() == (0, 1, 2, 3, 4, 5, 6)
+    assert kernel_difference(7, [1, 2, 4]) == (0, 1, 2, 3, 4, 5, 6)
 
 
 def test_difference_matches_brute_force():
@@ -90,8 +93,8 @@ def test_difference_matches_brute_force():
     for _ in range(200):
         q = rng.randrange(1, 16)
         members = tuple(sorted(rng.sample(range(q), rng.randrange(0, min(q, 6) + 1))))
-        got = set(difference_set(ResidueSet.from_members(q, members)).members())
-        assert got == brute_difference(q, members)
+        got = set(kernel_difference(q, members))
+        assert got == difference(q, members)
 
 
 def test_difference_contains_zero_and_negations():
@@ -99,30 +102,27 @@ def test_difference_contains_zero_and_negations():
     for _ in range(100):
         q = rng.randrange(2, 14)
         members = tuple(rng.sample(range(q), rng.randrange(1, q + 1)))
-        d = difference_set(ResidueSet.from_members(q, members))
+        d = kernel_difference(q, members)
         assert 0 in d
-        for r in d.members():
+        for r in d:
             assert (q - r) % q in d
 
 
 # ---------------------------------------------------------------------------
-# iterated_sumset
+# sumsets
 # ---------------------------------------------------------------------------
 
 
 def test_sumset_identity_case():
-    y = ResidueSet.from_members(7, [1, 2, 4])
-    assert iterated_sumset(y, 1) == y
+    assert kernel_sumset(7, [1, 2, 4], 1) == (1, 2, 4)
 
 
 def test_sumset_pairs_example():
-    y = ResidueSet.from_members(7, [1, 2, 4])
-    assert iterated_sumset(y, 2).members() == (1, 2, 3, 4, 5, 6)
+    assert kernel_sumset(7, [1, 2, 4], 2) == (1, 2, 3, 4, 5, 6)
 
 
 def test_sumset_triples_hit_zero():
-    y = ResidueSet.from_members(7, [1, 2, 4])
-    assert 0 in iterated_sumset(y, 3)  # 1 + 2 + 4 = 7
+    assert 0 in kernel_sumset(7, [1, 2, 4], 3)  # 1 + 2 + 4 = 7
 
 
 def test_sumset_step_matches_brute_force_at_both_signs():
@@ -140,13 +140,8 @@ def test_sumset_step_matches_brute_force_at_both_signs():
     for q in range(1, 13):
         for bits in range(1 << q):
             members = members_of(q, bits)
-            assert set(members_of(q, _sumset_step(bits, bits, q))) == brute_sumset(q, members, 2)
-            assert set(members_of(q, _sumset_step(bits, bits, q, -1))) == brute_difference(q, members)
-
-
-def test_sumset_rejects_zero_order():
-    with pytest.raises(ValueError):
-        iterated_sumset(ResidueSet.from_members(3, [1]), 0)
+            assert set(members_of(q, _sumset_step(bits, bits, q))) == sumset(q, members, 2)
+            assert set(members_of(q, _sumset_step(bits, bits, q, -1))) == difference(q, members)
 
 
 def test_sumset_matches_brute_force():
@@ -155,12 +150,12 @@ def test_sumset_matches_brute_force():
         q = rng.randrange(1, 21)
         members = tuple(sorted(rng.sample(range(q), rng.randrange(0, min(q, 5) + 1))))
         s = rng.randrange(1, 5)
-        got = set(iterated_sumset(ResidueSet.from_members(q, members), s).members())
-        assert got == brute_sumset(q, members, s)
+        got = set(kernel_sumset(q, members, s))
+        assert got == sumset(q, members, s)
 
 
 # ---------------------------------------------------------------------------
-# completeness, the zero-free condition, shifts
+# completeness and the zero-free condition
 # ---------------------------------------------------------------------------
 
 
@@ -191,25 +186,6 @@ def test_haight_monotone_in_kappa():
         if satisfies_haight(y, kappa):
             for smaller in range(2, kappa):
                 assert satisfies_haight(y, smaller)
-
-
-def test_shift_examples():
-    y = ResidueSet.from_members(7, [1, 2, 4])
-    assert shift_set(y, 0) == y
-    assert shift_set(y, 1).members() == (0, 1, 3)
-    assert shift_set(ResidueSet.from_members(5, [0]), 2).members() == (3,)
-    for shift in (-1, 7):
-        with pytest.raises(ValueError, match=rf"^shift {shift} outside \[0, 7\)$"):
-            shift_set(y, shift)
-
-
-def test_shift_preserves_difference_set():
-    rng = random.Random(15)
-    for _ in range(100):
-        q = rng.randrange(2, 14)
-        x = ResidueSet.from_members(q, rng.sample(range(q), rng.randrange(1, q + 1)))
-        for y in range(q):
-            assert difference_set(shift_set(x, y)) == difference_set(x)
 
 
 def test_unit_scaling_preserves_haight():
@@ -425,9 +401,9 @@ def test_satisfies_haight_matches_definition():
         for bits in range(1 << q):
             members = tuple(r for r in range(q) if bits >> r & 1)
             y = ResidueSet(q, bits)
-            complete = len(brute_difference(q, members)) == q
+            complete = len(difference(q, members)) == q
             first_zero = 1
-            while first_zero < 6 and 0 not in brute_sumset(q, members, first_zero):
+            while first_zero < 6 and 0 not in sumset(q, members, first_zero):
                 first_zero += 1
             for kappa in range(2, 7):
                 want = complete and kappa <= first_zero

@@ -33,15 +33,12 @@ from wsforge import (
     MixedStrategy,
     NoWitness,
     ResidueSet,
-    SupportPair,
     WinLoseGame,
     bipartify,
     cayley,
     check_wsne,
     crosscheck_characterization,
     exhaustive_search,
-    feasible_on_supports,
-    payoffs,
     shortest_cycle,
     to_bipartite_digraph,
     wsne_from_cycle,
@@ -49,7 +46,16 @@ from wsforge import (
 )
 from wsforge.feasibility import feasible_point
 from wsforge.game import _first_undominated_side
-from wsforge.wsne import _below_half, _scaled, _scan, _scan_systems, _supports, _systems
+from wsforge.wsne import (
+    _below_half,
+    _scaled,
+    _scaled_payoffs,
+    _scan,
+    _scan_systems,
+    _supports,
+    _systems,
+    _witness,
+)
 
 F = Fraction
 TRIANGLE = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
@@ -176,10 +182,7 @@ def test_strategy_support():
         (lambda: MixedStrategy.uniform_on([], 3), "uniform strategy needs a nonempty index set"),
         (lambda: MixedStrategy.uniform_on([0, 3], 3), "indices outside [0, 3)"),
         (lambda: MixedStrategy.uniform_on([-1], 3), "indices outside [0, 3)"),
-        (lambda: SupportPair((), (0,)), "rows must be nonempty"),
-        (lambda: SupportPair((0,), ()), "cols must be nonempty"),
-        (lambda: SupportPair((-1, 0), (0,)), "rows contains a negative index"),
-        (lambda: payoffs(TRI_GAME, MixedStrategy.point_mass(0, 3), MixedStrategy.point_mass(0, 2)),
+        (lambda: check_wsne(TRI_GAME, MixedStrategy.point_mass(0, 3), MixedStrategy.point_mass(0, 2), 0),
          "column strategy has 2 entries, game has 3 columns"),
         (lambda: wsne_from_undominated(TRI_GAME, "both", [0]), "side must be 'row' or 'col', got 'both'"),
         (lambda: wsne_from_undominated(TRI_GAME, "row", []), "undominated set must be nonempty"),
@@ -187,10 +190,6 @@ def test_strategy_support():
         (lambda: wsne_from_undominated(TRI_GAME, "row", [-1]), "indices outside [0, 3)"),
         (lambda: wsne_from_cycle(TRI_GAME, [6, 0]), "vertex 6 outside bipartite digraph"),
         (lambda: wsne_from_cycle(TRI_GAME, [-1, 0]), "vertex -1 outside bipartite digraph"),
-        (lambda: feasible_on_supports(TRI_GAME, SupportPair((3,), (0,)), 0),
-         "support pair exceeds game dimensions"),
-        (lambda: feasible_on_supports(TRI_GAME, SupportPair((0,), (0, 3)), 0),
-         "support pair exceeds game dimensions"),
     ],
 )
 def test_input_checks_name_the_fault(call, message):
@@ -204,15 +203,21 @@ def test_input_checks_name_the_fault(call, message):
 # ---------------------------------------------------------------------------
 
 
+def exact_payoffs(g: WinLoseGame, p: MixedStrategy, q: MixedStrategy):
+    """(Aq, p^T B) as Fractions, from the integer numerators and common
+    denominators that check_wsne computes."""
+    return tuple(tuple(F(x, den) for x in pay) for _, pay, den in _scaled_payoffs(g, p, q))
+
+
 def test_payoffs_pure_1x1():
-    row, col = payoffs(ONES, MixedStrategy.point_mass(0, 1), MixedStrategy.point_mass(0, 1))
+    row, col = exact_payoffs(ONES, MixedStrategy.point_mass(0, 1), MixedStrategy.point_mass(0, 1))
     assert row == (F(1),) and col == (F(1),)
 
 
 def test_payoffs_triangle_example():
     p = MixedStrategy.uniform_on([0, 2], 3)
     q = MixedStrategy.uniform_on([1, 2], 3)
-    row, col = payoffs(TRI_GAME, p, q)
+    row, col = exact_payoffs(TRI_GAME, p, q)
     assert row == (F(1, 2), F(1), F(1, 2))
     assert col == (F(0), F(1, 2), F(1, 2))
 
@@ -224,13 +229,13 @@ def test_payoffs_point_mass_reads_column():
         j = rng.randrange(g.n)
         q = MixedStrategy.point_mass(j, g.n)
         p = MixedStrategy.uniform_on(range(g.m), g.m)
-        row, _ = payoffs(g, p, q)
+        row, _ = exact_payoffs(g, p, q)
         assert row == tuple(F(g.a(i, j)) for i in range(g.m))
 
 
 def test_payoffs_dimension_mismatch():
     with pytest.raises(ValueError, match=r"^row strategy has 2 entries, game has 3 rows$"):
-        payoffs(TRI_GAME, MixedStrategy.point_mass(0, 2), MixedStrategy.point_mass(0, 3))
+        check_wsne(TRI_GAME, MixedStrategy.point_mass(0, 2), MixedStrategy.point_mass(0, 3), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +296,7 @@ def test_check_matches_fraction_reference_seeded():
         p = _mixed_denominator_strategy(rng, g.m)
         q = _mixed_denominator_strategy(rng, g.n)
         ref_row, ref_col = fraction_payoffs(g, p, q)
-        row, col = payoffs(g, p, q)
+        row, col = exact_payoffs(g, p, q)
         assert (row, col) == (ref_row, ref_col)
         assert all(type(x) is F for x in row + col)
         gaps = [max(ref_row) - ref_row[i] for i in p.support]
@@ -374,6 +379,16 @@ def test_undominated_singleton_gives_exact_equilibrium():
 def test_undominated_rejects_dominated_set():
     with pytest.raises(ValueError, match="dominated"):
         wsne_from_undominated(TRI_GAME, "row", [0])  # singleton rows are dominated
+
+
+@pytest.mark.parametrize("side, indices, dominator", [("row", [0], 8), ("col", [0], 0), ("col", [1, 3], 3)])
+def test_undominated_names_the_least_dominator(side, indices, dominator):
+    # Bipartified Paley-7: r_i's in-neighbours are the columns c_j with
+    # B[i][j] = 1 (ids 7 + j), c_j's the rows r_i with A[i][j] = 1.
+    g = bipartify(cayley(7, ResidueSet.from_members(7, [1, 2, 4])))
+    with pytest.raises(ValueError) as info:
+        wsne_from_undominated(g, side, indices)
+    assert str(info.value) == f"set is dominated (by bipartite vertex {dominator})"
 
 
 def test_undominated_column_side_mirror():
@@ -462,16 +477,26 @@ def test_cycle_uniform_guarantee_seeded():
 
 
 # ---------------------------------------------------------------------------
-# feasible_on_supports
+# the support-pair test
 # ---------------------------------------------------------------------------
 
 
+def pair_witness(g: WinLoseGame, rows: tuple[int, ...], cols: tuple[int, ...], eps):
+    """The scan's test of one support pair at eps: a witness pair of
+    strategies, or None."""
+    return _witness(*_systems(g), rows, cols, F(eps).as_integer_ratio())
+
+
+def random_support(rng: random.Random, count: int, most: int) -> tuple[int, ...]:
+    return tuple(sorted(rng.sample(range(count), rng.randrange(1, min(count, most) + 1))))
+
+
 def test_feasibility_pure_pair_infeasible():
-    assert feasible_on_supports(TRI_GAME, SupportPair((0,), (0,)), F(99, 100)) is None
+    assert pair_witness(TRI_GAME, (0,), (0,), F(99, 100)) is None
 
 
 def test_feasibility_cycle_supports_feasible():
-    found = feasible_on_supports(TRI_GAME, SupportPair((0, 2), (1, 2)), F(1, 2))
+    found = pair_witness(TRI_GAME, (0, 2), (1, 2), F(1, 2))
     assert found is not None
     p, q = found
     assert set(p.support) <= {0, 2} and set(q.support) <= {1, 2}
@@ -482,11 +507,7 @@ def test_feasibility_trivial_at_eps_one():
     rng = random.Random(55)
     for _ in range(20):
         g = random_game(rng, rng.randrange(1, 6), rng.randrange(1, 6), ensure_out_degree=False)
-        pair = SupportPair(
-            tuple(sorted(rng.sample(range(g.m), rng.randrange(1, min(g.m, 3) + 1)))),
-            tuple(sorted(rng.sample(range(g.n), rng.randrange(1, min(g.n, 3) + 1)))),
-        )
-        found = feasible_on_supports(g, pair, 1)
+        found = pair_witness(g, random_support(rng, g.m, 3), random_support(rng, g.n, 3), 1)
         assert found is not None
         p, q = found
         assert check_wsne(g, p, q, 1).valid
@@ -496,29 +517,24 @@ def test_feasibility_monotone_in_eps():
     rng = random.Random(56)
     for _ in range(60):
         g = random_game(rng, rng.randrange(2, 7), rng.randrange(2, 7), ensure_out_degree=False)
-        pair = SupportPair(
-            tuple(sorted(rng.sample(range(g.m), rng.randrange(1, 3)))),
-            tuple(sorted(rng.sample(range(g.n), rng.randrange(1, 3)))),
-        )
+        rows = tuple(sorted(rng.sample(range(g.m), rng.randrange(1, 3))))
+        cols = tuple(sorted(rng.sample(range(g.n), rng.randrange(1, 3))))
         eps = F(rng.randrange(0, 4), 4)
-        if feasible_on_supports(g, pair, eps) is not None:
-            assert feasible_on_supports(g, pair, eps + F(1, 4)) is not None
+        if pair_witness(g, rows, cols, eps) is not None:
+            assert pair_witness(g, rows, cols, eps + F(1, 4)) is not None
 
 
 def test_feasibility_witness_is_valid_wsne():
     rng = random.Random(57)
     for _ in range(80):
         g = random_game(rng, rng.randrange(2, 7), rng.randrange(2, 7), ensure_out_degree=False)
-        pair = SupportPair(
-            tuple(sorted(rng.sample(range(g.m), rng.randrange(1, min(g.m, 3) + 1)))),
-            tuple(sorted(rng.sample(range(g.n), rng.randrange(1, min(g.n, 3) + 1)))),
-        )
+        rows, cols = random_support(rng, g.m, 3), random_support(rng, g.n, 3)
         eps = F(rng.randrange(0, 5), 6)
-        found = feasible_on_supports(g, pair, eps)
+        found = pair_witness(g, rows, cols, eps)
         if found is not None:
             p, q = found
-            assert set(p.support) <= set(pair.rows)
-            assert set(q.support) <= set(pair.cols)
+            assert set(p.support) <= set(rows)
+            assert set(q.support) <= set(cols)
             assert check_wsne(g, p, q, eps).valid
 
 
