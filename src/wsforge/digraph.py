@@ -347,11 +347,17 @@ def power(d: Digraph, t: int) -> Digraph:
     loop-free. A breadth-first search from each vertex, one level per walk
     length, expands each vertex at most once and stops at the first level
     that adds nothing, so any t costs at most n expansions per vertex.
+
+    On a circulant digraph (row i + 1 is row i rotated by one, as on every
+    Cayley digraph and every power of one) only vertex 0 is searched: the
+    shift by v maps walks from 0 to walks from v, so row v is row 0 rotated
+    by v.
     """
     if t < 1:
         raise ValueError(f"power exponent must be >= 1, got {t}")
+    circulant = d.n > 0 and _circulant(d.out)
     rows = []
-    for v in range(d.n):
+    for v in range(1 if circulant else d.n):
         reach = frontier = d.out[v]
         for _ in range(t - 1):
             frontier = _image(d.out, frontier) & ~reach
@@ -359,6 +365,8 @@ def power(d: Digraph, t: int) -> Digraph:
                 break
             reach |= frontier
         rows.append(reach & ~(1 << v))
+    if circulant:
+        rows = [_rot(rows[0], v, d.n) for v in range(d.n)]
     return Digraph(d.n, tuple(rows))
 
 

@@ -22,9 +22,10 @@ import json
 import re
 import sys
 from functools import lru_cache
+from itertools import compress
 from math import comb, lcm
 from pathlib import Path
-from typing import IO, NamedTuple, Optional, Union
+from typing import IO, Iterable, NamedTuple, Optional, Union
 
 from . import __version__, digraph, game, residues, wsne
 
@@ -179,11 +180,16 @@ def _read_text(src: Source) -> str:
     return src.read()
 
 
-def _write_text(dest: Source, text: str) -> None:
+def _write_text(dest: Source, text: Union[str, Iterable[str]]) -> None:
+    """Write ``text``, one string or an iterable of chunks, to a path or a
+    text stream."""
+    chunks = (text,) if isinstance(text, str) else text
     if isinstance(dest, (str, Path)):
-        Path(dest).write_text(text, encoding="utf-8", newline="\n")
+        with open(dest, "w", encoding="utf-8", newline="\n") as f:
+            f.writelines(chunks)
     else:
-        dest.write(text)
+        for chunk in chunks:
+            dest.write(chunk)
 
 
 def _read_header(no: int, line: str, names: str) -> tuple[int, int]:
@@ -212,10 +218,25 @@ def _digraph_from_arcs(n: int, arcs: list[tuple[str, int, int]], error: type) ->
     return digraph.Digraph(n, tuple(rows))
 
 
+# Maps the '0' and '1' of a binary numeral to false and true bytes.
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
 def write_digraph(d: digraph.Digraph, dest: Source) -> None:
-    lines = [f"{d.n} {d.arc_count()}"]
-    lines.extend(f"{u} {v}" for u, v in d.arcs())
-    _write_text(dest, "\n".join(lines) + "\n")
+    """Write ``d`` one row of arcs at a time. A row's heads are read off its
+    binary numeral in one pass, so a complete digraph at MAX_ORDER (16.8
+    million arcs) is written with one row's lines in memory."""
+    heads = [str(v) for v in range(d.n)]
+
+    def chunks():
+        yield f"{d.n} {d.arc_count()}\n"
+        for u, mask in enumerate(d.out):
+            if mask:
+                tail = f"{u} "
+                flags = format(mask, "b")[::-1].encode().translate(_BIT_FLAGS)
+                yield tail + f"\n{tail}".join(compress(heads, flags)) + "\n"
+
+    _write_text(dest, chunks())
 
 
 def read_digraph(src: Source) -> digraph.Digraph:

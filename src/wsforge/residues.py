@@ -9,15 +9,23 @@ sumset level. A sumset step doubles its accumulator to 2q bits once, so
 each member costs one shift and one OR.
 
 The search is depth-first: it adds members in list order and updates Y,
--Y, Y - Y and the levels (s)Y, at O(kappa q / 64) word operations per member
-tried. Its rules are proven and do not depend on the order, so a finished
-tree proves that Z_q holds no set. Exhaustive mode runs it once per modulus
+-Y, Y - Y, the levels (s)Y and the reflected levels -(s)Y. A member that
+the mask of the reflected levels rejects costs one AND; one that passes
+costs O(kappa q / 64) word operations, and a descent into it as much again.
+Its rules are proven and do not depend on the order, so a finished tree
+proves that Z_q holds no set. Exhaustive mode runs it once per modulus
 with the members in increasing order; randomized mode runs seeded restarts
 of it on shuffled members (Gomes, Selman and Kautz 1998). Both modes skip
 the q that the size bounds rule out.
 - Members have order >= kappa: y of order s puts s*y = 0 in (s)Y.
 - A member that puts 0 in a level ends its branch: (s)Y grows with Y, and
   0 enters (s)Y' = (s)Y | ((s-1)Y' + y) iff -y is in (s-1)Y'.
+- A member y in -(s)Y for some 1 <= s <= kappa - 2 ends its branch too:
+  0 is in (s)Y + y, which lies in (s+1)Y', and s + 1 <= kappa - 1. Each
+  open node keeps the union of these -(s)Y as one mask, and a descent grows
+  them as -(s)Y' = -(s)Y | (-(s-1)Y' - y) from -(0)Y' = {0}. The mask is
+  only a necessary test: 0 can also enter through two or more copies of y
+  (as when -2y is in Y), which the level update finds.
 - |Y| >= _min_size(q): the |Y|(|Y| - 1) nonzero differences cover q - 1.
 - |Y| <= m = (q - 1) // (kappa - 1): Cay(Z_q, Y) has out-degree |Y| and
   girth >= kappa, and Hamidoune proved Caccetta-Haggkvist for such
@@ -253,24 +261,29 @@ def _dfs(q: int, kappa: int, table: list[tuple[int, int, int, int]], limit: int)
     """
     most, mask = (q - 1) // (kappa - 1), (1 << q) - 1
     end, evaluated = len(table), 0
-    # The open node: Y, -Y, Y - Y, the levels (s)Y for 1 <= s <= kappa - 2,
-    # the index in table of its next child, left = most - |Y|, and twice
-    # |Y| plus one. The stack holds its open ancestors, each with the index
-    # of its own next child: a parent is pushed only when the search descends
-    # into a child, so a sibling tried costs no stack operation.
-    bits, neg, diffs, levels, i, left, odd = 0, 0, 1, (0,) * (kappa - 2), 0, most, 1
+    # The open node: Y, -Y, Y - Y, the levels (s)Y and the reflected levels
+    # -(s)Y for 1 <= s <= kappa - 2, their union ``forbid``, the index in
+    # table of its next child, left = most - |Y|, and twice |Y| plus one. The
+    # stack holds its open ancestors, each with the index of its own next
+    # child: a parent is pushed only when the search descends into a child,
+    # so a sibling tried costs no stack operation.
+    bits, neg, diffs, forbid, i, left, odd = 0, 0, 1, 0, 0, most, 1
+    levels = back = (0,) * (kappa - 2)
     stack = []
     push, pop = stack.append, stack.pop
     while True:
         while i == end:
             if not stack:
                 return 0, evaluated
-            bits, neg, diffs, levels, i, left, odd = pop()
+            bits, neg, diffs, levels, back, forbid, i, left, odd = pop()
         if evaluated >= limit:
             return None, evaluated
         evaluated += 1
         y, ny, ybit, nbit = table[i]
         i += 1
+        # y in -(s)Y puts 0 in (s + 1)Y', which the level loop would find.
+        if forbid & ybit:
+            continue
         # (s)Y' = (s)Y | ((s-1)Y' + y), from (0)Y' = {0}; 0 enters (s)Y' iff
         # -y is in (s-1)Y'.
         grown, prev = [], 1
@@ -288,8 +301,15 @@ def _dfs(q: int, kappa: int, table: list[tuple[int, int, int, int]], limit: int)
             # A child with |Y| + 1 members has left - 1 to go: its bound
             # r(2c + r - 1) is (left - 1)(odd + left - 1).
             if missing <= (left - 1) * (odd + left - 1):
-                push((bits, neg, diffs, levels, i, left, odd))
-                bits, neg, diffs, levels, left, odd = child, cneg, cdiffs, grown, left - 1, odd + 2
+                push((bits, neg, diffs, levels, back, forbid, i, left, odd))
+                # -(s)Y' = -(s)Y | (-(s-1)Y' - y), from -(0)Y' = {0}.
+                reflected, prev, forbid = [], 1, 0
+                for lev in back:
+                    prev = lev | (prev >> y | prev << ny) & mask
+                    forbid |= prev
+                    reflected.append(prev)
+                bits, neg, diffs, levels, back = child, cneg, cdiffs, grown, reflected
+                left, odd = left - 1, odd + 2
 
 
 def search_haight_set(spec: SearchSpec) -> Union[HaightCertificate, SearchExhausted]:

@@ -199,6 +199,25 @@ def reference_shortest_cycle(d: Digraph):
     return cycle
 
 
+def reference_power(d: Digraph, t: int) -> Digraph:
+    """``digraph.power`` as it was before its circulant path: a breadth-first
+    search from every vertex, one level per walk length, on any digraph."""
+    rows = []
+    for v in range(d.n):
+        reach = frontier = d.out[v]
+        for _ in range(t - 1):
+            step = 0
+            for u in range(d.n):
+                if frontier >> u & 1:
+                    step |= d.out[u]
+            frontier = step & ~reach
+            if not frontier:
+                break
+            reach |= frontier
+        rows.append(reach & ~(1 << v))
+    return Digraph(d.n, tuple(rows))
+
+
 def sumset(q: int, members, s: int) -> set[int]:
     """(s)Y as a Python set: every sum of s members of Y, with repetition,
     mod q, one level at a time."""

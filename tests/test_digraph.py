@@ -14,7 +14,13 @@ from math import comb
 
 import pytest
 
-from conftest import random_digraph, reference_first_undominated, reference_shortest_cycle, sumset
+from conftest import (
+    random_digraph,
+    reference_first_undominated,
+    reference_power,
+    reference_shortest_cycle,
+    sumset,
+)
 from test_acceptance import K3_POOL, K4_POOL
 from wsforge import (
     Digraph,
@@ -371,6 +377,44 @@ def test_power_matches_walk_definition():
         for u in range(n):
             for w in range(n):
                 assert p.has_arc(u, w) == (u != w and reach[u][w])
+
+
+def test_power_matches_the_all_vertices_reference():
+    # On a circulant digraph only vertex 0 is searched and its row rotated to
+    # every vertex; a copy with one arc flipped, a random digraph and the
+    # empty digraph take the search from every vertex. Both must match it.
+    rng = random.Random(32)
+    seen = Counter()
+    cases = [Digraph(0, ())] + [random_digraph(rng, rng.randrange(1, 12), p=0.2) for _ in range(40)]
+    for d in circulant_digraphs(rng):
+        cases.append(d)
+        if d.n >= 2:
+            out = list(d.out)
+            out[rng.randrange(d.n)] ^= 1 << rng.randrange(d.n)
+            cases.append(Digraph(d.n, tuple(out)))
+    for d in cases:
+        circulant = d.n > 0 and _circulant(d.out)
+        for t in {1, 2, 3, rng.randrange(1, d.n + 2), 10**9}:
+            assert power(d, t) == reference_power(d, t), (d, t)
+        seen[circulant] += 1
+    assert min(seen.values()) >= 40, seen
+
+
+def test_power_of_a_long_circulant_searches_from_vertex_0_only():
+    # The 4096-cycle closes at t = 4095. A search from every vertex took
+    # about 21 s on a 2-core host, and 7-12 s for Cay(Z_4096, {1, 5, 77})
+    # at t = 50.
+    cycle = cayley(4096, ResidueSet.from_members(4096, [1]))
+    spread = cayley(4096, ResidueSet.from_members(4096, [1, 5, 77]))
+    start = time.perf_counter()
+    closed, fifty = power(cycle, 10**9), power(spread, 50)
+    assert time.perf_counter() - start < 1
+    full = (1 << 4096) - 1
+    assert closed.out == tuple(full & ~(1 << v) for v in range(4096))
+    # Vertex 0 reaches -r for every sum r of 1 to 50 generators.
+    sums = set().union(*(sumset(4096, [1, 5, 77], s) for s in range(1, 51)))
+    assert fifty.out[0] == sum(1 << (-r % 4096) for r in sums if r)
+    assert _circulant(fifty.out)
 
 
 # ---------------------------------------------------------------------------

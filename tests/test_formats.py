@@ -164,6 +164,23 @@ def test_digraph_write_is_sorted_and_stable():
     assert buf.getvalue() == "3 3\n0 1\n1 2\n2 0\n"
 
 
+def test_digraph_write_matches_its_arc_list(tmp_path):
+    # The writer reads each row's heads off its binary numeral, one row at a
+    # time; the text is still the header and one "u v" line per arc, in the
+    # order of d.arcs(), to a stream or to a path.
+    rng = random.Random(32)
+    for trial in range(60):
+        n = rng.randrange(70)
+        d = Digraph(n, tuple(rng.getrandbits(n) & rng.getrandbits(n) for _ in range(n)))
+        want = "".join(f"{line}\n" for line in [f"{d.n} {d.arc_count()}", *(f"{u} {v}" for u, v in d.arcs())])
+        buf = io.StringIO()
+        write_digraph(d, buf)
+        assert buf.getvalue() == want, d
+        path = tmp_path / f"{trial}.dg"
+        write_digraph(d, path)
+        assert path.read_bytes() == want.encode()
+
+
 def test_digraph_malformed_rejected():
     for text in (
         "",

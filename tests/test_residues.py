@@ -342,6 +342,11 @@ def test_kappa5_search_settles_25_to_33():
     assert search_haight_set(SearchSpec(5, 25, 33, budget=10**7)) == SearchExhausted(205868)
 
 
+def test_kappa5_search_settles_25_to_40():
+    # The settled range that ROADMAP item 1 quotes: 0.7-1.1 s in-process.
+    assert search_haight_set(SearchSpec(5, 25, 40, budget=10**7)) == SearchExhausted(1330592)
+
+
 @pytest.mark.parametrize("spec", [
     SearchSpec(5, 4000, MAX_ORDER, budget=10**5, mode="randomized"),
     SearchSpec(6, 4090, MAX_ORDER, budget=10**5),
