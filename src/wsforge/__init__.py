@@ -4,7 +4,8 @@ well-supported equilibria, and verify every step with exact arithmetic.
 Importing the package registers every submodule without running it; a
 submodule's code runs when one of its attributes is first read, so a CLI
 subcommand compiles only the layers it calls. The public names below are
-read from their modules on access.
+read from their modules on access. The package also defines ``_Frozen``,
+the base of the value types of several layers.
 """
 
 import sys
@@ -35,6 +36,46 @@ _HOME = {
     **dict.fromkeys(("Stage", "forge"), "pipeline"),
 }
 __all__ = list(_HOME)
+
+
+class _Frozen:
+    """Base of wsforge's validated immutable values, whose fields are their
+    ``__slots__``: equal (same class) and hashed by field values, shown as
+    ``Name(field=value, ...)``. Assigning or deleting a field raises
+    AttributeError; a subclass's ``__init__`` validates its arguments, then
+    passes them to this ``__init__``, which stores them in slot order. It
+    lives in the package itself, which every process has run, so that no
+    module loads only for it."""
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
 
 
 def _register_lazy(name: str):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .digraph import Digraph, _circulant, _first_undominated, _rot, _shortest_cycle, _transpose
+from . import digraph
 
 __all__ = [
     "WinLoseGame",
@@ -95,7 +95,9 @@ class WinLoseGame:
         """Whether the shift (i, j) -> (i + 1, j + 1) mod n of rows and
         columns maps both payoff matrices to themselves, as on a bipartified
         Cayley digraph: A and B are square, n >= 2, and circulant."""
-        return self.m == self.n >= 2 and _circulant(self.a_rows) and _circulant(self.b_rows)
+        return (
+            self.m == self.n >= 2 and digraph._circulant(self.a_rows) and digraph._circulant(self.b_rows)
+        )
 
     @cached_property
     def a_col_masks(self) -> tuple[int, ...]:
@@ -113,8 +115,8 @@ class WinLoseGame:
         column 0 is read from the rows."""
         if self.shift_invariant:
             first = sum((mask & 1) << i for i, mask in enumerate(rows))
-            return tuple(_rot(first, j, self.n) for j in range(self.n))
-        return _transpose(rows, self.n)
+            return tuple(digraph._rot(first, j, self.n) for j in range(self.n))
+        return digraph._transpose(rows, self.n)
 
     @cached_property
     def bipartite_cycle(self) -> Optional[tuple[int, ...]]:
@@ -126,7 +128,7 @@ class WinLoseGame:
         translate of the same length through r_0, vertex 0. So vertex 0's
         backward search, the first of the full search, finds the girth, and
         it is the only one made."""
-        cycle = _shortest_cycle(to_bipartite_digraph(self), self.shift_invariant)
+        cycle = digraph._shortest_cycle(to_bipartite_digraph(self), self.shift_invariant)
         return None if cycle is None else tuple(cycle)
 
 
@@ -145,15 +147,15 @@ class UndominatedWitness(NamedTuple):
     indices: tuple[int, ...]
 
 
-def to_bipartite_digraph(g: WinLoseGame) -> Digraph:
+def to_bipartite_digraph(g: WinLoseGame) -> digraph.Digraph:
     """Digraph on m + n vertices, rows first: r_i -> c_j iff A[i][j] = 1 and
     c_j -> r_i iff B[i][j] = 1."""
     rows = [mask << g.m for mask in g.a_rows]
     rows.extend(g.b_col_masks)
-    return Digraph(g.m + g.n, tuple(rows))
+    return digraph.Digraph(g.m + g.n, tuple(rows))
 
 
-def bipartify(d: Digraph) -> WinLoseGame:
+def bipartify(d: digraph.Digraph) -> WinLoseGame:
     """Square game whose bipartite digraph mirrors ``d`` on both sides.
 
     A[i][j] = 1 iff i = j or (v_i, v_j) is an arc; B[i][j] = 1 iff
@@ -212,8 +214,8 @@ def _first_undominated_side(g: WinLoseGame, k: int) -> Union[UndominatedWitness,
     the sets through index 0 (``digraph._first_undominated``).
     """
     circulant = g.shift_invariant
-    combo = _first_undominated(g.b_rows, k, circulant)
+    combo = digraph._first_undominated(g.b_rows, k, circulant)
     if combo is not None:
         return UndominatedWitness("row", combo)
-    combo = _first_undominated(g.a_col_masks, k, circulant)
+    combo = digraph._first_undominated(g.a_col_masks, k, circulant)
     return None if combo is None else UndominatedWitness("col", combo)

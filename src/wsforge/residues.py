@@ -40,6 +40,8 @@ import random
 from math import gcd, isqrt
 from typing import Iterable, NamedTuple, Union
 
+from . import _Frozen
+
 __all__ = [
     "ResidueSet",
     "HaightCertificate",
@@ -49,45 +51,6 @@ __all__ = [
     "satisfies_haight",
     "search_haight_set",
 ]
-
-
-class _Frozen:
-    """Base of wsforge's validated immutable values, whose fields are their
-    ``__slots__``: equal (same class) and hashed by field values, shown as
-    ``Name(field=value, ...)``. Assigning or deleting a field raises
-    AttributeError; a subclass's ``__init__`` validates its arguments, then
-    passes them to this ``__init__``, which stores them in slot order. It
-    lives in this bottom layer so that no module loads only for it."""
-
-    __slots__ = ()
-
-    def __init__(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{self.__class__.__qualname__}({fields})"
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return self.__class__, self._values()
 
 
 class ResidueSet(_Frozen):

@@ -11,11 +11,11 @@ minus epsilon) are accepted. No floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, lcm
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
-from . import feasibility
-from .digraph import _rot
+from . import _Frozen, digraph, feasibility
 from .game import (
     CycleWitness,
     UndominatedWitness,
@@ -25,7 +25,6 @@ from .game import (
     char_decision,
     to_bipartite_digraph,
 )
-from .residues import _Frozen
 
 __all__ = [
     "MixedStrategy",
@@ -316,15 +315,16 @@ def wsne_from_cycle(
 
 def _support_table(
     payers: Sequence[int], width: int, support: tuple[int, ...]
-) -> tuple[list[int], frozenset[int]]:
-    """Each of the ``width`` opponent strategies' payoff patterns on
-    ``support``, and the pointwise-maximal patterns among them. Independent
-    of eps. Bit idx of opponent t's pattern is bit t of the payer mask
-    ``payers[support[idx]]``.
+) -> tuple[frozenset[int], dict[int, int]]:
+    """The pointwise-maximal payoff patterns of the ``width`` opponent
+    strategies on ``support``, and the classes of opponents that share a
+    pattern: pattern -> bitmask of its opponents. Independent of eps. Bit idx
+    of opponent t's pattern is bit t of the payer mask ``payers[support[idx]]``.
 
     Each payer mask in turn splits the mask of all opponents into classes
-    of one pattern, at most 2^|support| of them; the maximal patterns are
-    read from the classes, and each opponent's pattern from its class."""
+    of one pattern, at most 2^|support| of them, and the maximal patterns are
+    read from the classes. Each opponent's own pattern is read from its
+    class only when a pair test needs it (:func:`_opponent_patterns`)."""
     classes = {0: (1 << width) - 1}
     for idx, s in enumerate(support):
         paid, bit = payers[s], 1 << idx
@@ -336,13 +336,24 @@ def _support_table(
             if hit != members:
                 split[pat] = members ^ hit
         classes = split
+    return frozenset(p for p in classes if not any(q != p and p & ~q == 0 for q in classes)), classes
+
+
+def _opponent_patterns(classes: dict[int, int], width: int) -> list[int]:
+    """Each of the ``width`` opponent strategies' patterns, from the classes
+    of :func:`_support_table`: one step per opponent outside the all-zero
+    class."""
     pats = [0] * width
     for pat, members in classes.items():
         if pat:
             while members:
                 pats[(members & -members).bit_length() - 1] = pat
                 members &= members - 1
-    return pats, frozenset(p for p in classes if not any(q != p and p & ~q == 0 for q in classes))
+    return pats
+
+
+# The patterns of the opponents that no supported strategy pays: all zero.
+_UNPAID = frozenset({0})
 
 
 class _PlayerSystem:
@@ -359,24 +370,49 @@ class _PlayerSystem:
 
     Only the solving depends on eps, an argument of every solving call, as
     its integer ratio (a, b) with eps = a / b; scans at several eps share
-    the pattern tables (:func:`_support_table`). The solved systems are
-    cached by eps and system (size, patterns, maximal patterns), not by
-    support, since both solvers' points depend on the rows' half-spaces
-    alone. That collapses most of the enumeration in :func:`exhaustive_search`.
+    the pattern tables. Each support's classes and maximal patterns
+    (:func:`_support_table`) are split once; its per-opponent pattern list
+    is filled from those classes on the first :meth:`point` call, which
+    only a pair test makes, since :meth:`singletons` needs the maximal
+    patterns alone. The solved systems are cached by eps and system (size,
+    patterns, maximal patterns), not by support, since both solvers' points
+    depend on the rows' half-spaces alone. That collapses most of the
+    enumeration in :func:`exhaustive_search`.
     """
 
     def __init__(self, payers: Sequence[int], width: int):
         self.payers = payers
         self.width = width
         self.size = len(payers)
-        self._tables: dict[tuple[int, ...], tuple[list[int], frozenset[int]]] = {}
+        self._tables: dict[tuple[int, ...], tuple[frozenset[int], dict[int, int]]] = {}
+        self._pats: dict[tuple[int, ...], list[int]] = {}
+        self._maximal: dict[frozenset[int], frozenset[int]] = {}
         self._solved: dict[tuple, Optional[tuple[Fraction, ...]]] = {}
 
-    def _table(self, support: tuple[int, ...]):
+    def _table(self, support: tuple[int, ...]) -> tuple[frozenset[int], dict[int, int]]:
         hit = self._tables.get(support)
         if hit is None:
-            hit = self._tables[support] = _support_table(self.payers, self.width, support)
+            maximal, classes = _support_table(self.payers, self.width, support)
+            # many supports share one maximal set: keep one copy of it
+            hit = self._tables[support] = (self._maximal.setdefault(maximal, maximal), classes)
         return hit
+
+    def _patterns(self, support: tuple[int, ...]) -> list[int]:
+        hit = self._pats.get(support)
+        if hit is None:
+            hit = self._pats[support] = _opponent_patterns(self._table(support)[1], self.width)
+        return hit
+
+    def _system_point(
+        self, support: tuple[int, ...], support_pats: frozenset[int], eps: tuple[int, int]
+    ) -> Optional[tuple[Fraction, ...]]:
+        """The point of the system of ``support`` with the opponents'
+        patterns ``support_pats``, solved once per system and eps."""
+        maximal = self._table(support)[0]
+        key = (eps, len(support), support_pats, maximal)
+        if key not in self._solved:
+            self._solved[key] = self._solve_system(len(support), support_pats, maximal, eps)
+        return self._solved[key]
 
     def point(
         self, support: tuple[int, ...], opp_support: tuple[int, ...], eps: tuple[int, int]
@@ -384,12 +420,8 @@ class _PlayerSystem:
         """Probabilities on ``support``, in its order, that make every
         opponent strategy in ``opp_support`` an eps-best response; None if
         infeasible. Cached per system and eps."""
-        pats, maximal = self._table(support)
-        support_pats = frozenset(pats[t] for t in opp_support)
-        key = (eps, len(support), support_pats, maximal)
-        if key not in self._solved:
-            self._solved[key] = self._solve_system(len(support), support_pats, maximal, eps)
-        return self._solved[key]
+        pats = self._patterns(support)
+        return self._system_point(support, frozenset(pats[t] for t in opp_support), eps)
 
     def strategy(self, support: tuple[int, ...], point: tuple[Fraction, ...]) -> MixedStrategy:
         """``point`` on ``support`` as a strategy over all of this player's
@@ -450,16 +482,16 @@ class _PlayerSystem:
 
         Every t that some s in ``support`` pays 1 is: with all mass on s, t
         earns 1, the most any strategy earns. The others share the all-zero
-        pattern, so one system decides them all.
+        pattern, so one system decides them all, the system that
+        ``point(support, (t,), eps)`` solves for each of them; it needs the
+        support's maximal patterns, not the opponents' pattern list.
         """
         covered = 0
         for s in support:
             covered |= self.payers[s]
         uncovered = ((1 << self.width) - 1) & ~covered
-        if uncovered:
-            t = (uncovered & -uncovered).bit_length() - 1
-            if self.point(support, (t,), eps) is not None:
-                covered |= uncovered
+        if uncovered and self._system_point(support, _UNPAID, eps) is not None:
+            covered |= uncovered
         return covered
 
 
@@ -510,10 +542,29 @@ def _supports(indices: Iterable[int], k: int) -> Iterator[tuple[int, ...]]:
 
 
 def _least_rotation(support: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:
-    """The lexicographically least rotation of ``support`` in Z_n, and the x
-    with support = rotation + x. The least rotation contains 0, so only
-    x in ``support`` are candidates."""
-    return min((tuple(sorted((s - x) % n for s in support)), x) for x in support)
+    """The lexicographically least rotation of the increasing ``support`` in
+    Z_n, and the least x with support = rotation + x, read from the gaps
+    between cyclically consecutive members.
+
+    The rotation by x = support[j] is 0 followed by the partial sums of the
+    gaps from j on; the gaps are positive, so those tuples compare as the
+    rotated gap tuples do, and the least rotation is read from the least
+    rotation of the gap tuple, ties to the least j. Booth (1980) finds that
+    in linear time; a support has a few members, so this takes the min of
+    its |S| rotated gap tuples, with no sort and no reduction mod n. One
+    member gives ((0,), s0); two, a < b with d = b - a, give ((0, d), a) if
+    d <= n - d and ((0, n - d), b) otherwise."""
+    if len(support) == 1:
+        return (0,), support[0]
+    if len(support) == 2:
+        a, b = support
+        d = b - a
+        return ((0, d), a) if 2 * d <= n else ((0, n - d), b)
+    gaps = [b - a for a, b in zip(support, support[1:])]
+    gaps.append(n - support[-1] + support[0])
+    j = min(range(len(gaps)), key=lambda i: gaps[i:] + gaps[:i])
+    rotated = gaps[j:] + gaps[:j]
+    return tuple(accumulate(rotated[:-1], initial=0)), support[j]
 
 
 def _require_k(g: WinLoseGame, k: int) -> None:
@@ -582,9 +633,16 @@ def _scan(
     rotated by one, as in every bipartified Cayley digraph; read once per
     game, ``g.shift_invariant``) the pair (R + t, C + t) mod n is feasible
     exactly when (R, C) is. So the scan visits only the row supports R that
-    are least among their rotations, and builds a column table once per
-    rotation orbit. The first feasible pair in lexicographic order has such an R, so
-    the witness is the same; ``pairs_refuted`` still counts every pair.
+    are least among their rotations, and keeps one column table per
+    rotation orbit: a column support C = rep + shift, with rep and shift
+    read from C's gaps in closed form (:func:`_least_rotation`), reads rep's
+    table rotated by shift. The first feasible pair in lexicographic order
+    has such an R, so the witness is the same; ``pairs_refuted`` still
+    counts every pair.
+
+    Each support's opponents are split into pattern classes once per
+    player system, and only a pair test fills the support's per-opponent
+    pattern list (:class:`_PlayerSystem`).
     """
     return _scan_systems(g, k, eps.as_integer_ratio(), _systems(g))
 
@@ -597,7 +655,8 @@ def _scan_systems(
     p_system, q_system = systems
     n = g.n
     symmetric = g.shift_invariant
-    ok_rows_of: dict[tuple[int, ...], int] = {}
+    rotate = digraph._rot
+    ok_rows_of: dict[tuple[int, ...], int] = {}  # one entry per orbit
     for rows in _supports(range(g.m), k):
         if symmetric:
             if rows[0]:
@@ -607,14 +666,13 @@ def _scan_systems(
         row_mask = sum(1 << i for i in rows)
         ok_cols = p_system.singletons(rows, eps)
         for cols in _supports([j for j in range(n) if ok_cols >> j & 1], k):
-            ok_rows = ok_rows_of.get(cols)
+            # cols = rep + shift, and the shift carries rep's table along
+            rep, shift = _least_rotation(cols, n) if symmetric else (cols, 0)
+            ok_rows = ok_rows_of.get(rep)
             if ok_rows is None:
-                # cols = rep + shift, and the shift carries rep's table along
-                rep, shift = _least_rotation(cols, n) if symmetric else (cols, 0)
-                base = ok_rows_of.get(rep)
-                if base is None:
-                    base = ok_rows_of[rep] = q_system.singletons(rep, eps)
-                ok_rows = ok_rows_of[cols] = _rot(base, shift, n)
+                ok_rows = ok_rows_of[rep] = q_system.singletons(rep, eps)
+            if shift:
+                ok_rows = rotate(ok_rows, shift, n)
             if row_mask & ~ok_rows:
                 continue
             found = _witness(p_system, q_system, rows, cols, eps)

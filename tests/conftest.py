@@ -1,9 +1,9 @@
 """Seeded generators, pinned search results, the previous Haight search
 kernel, Python-set sumsets and differences, the full undominated-set and
 shortest-cycle scans, the cell-by-cell shift test, the projected pattern
-tables, the support-keyed system cache, Fraction references for the
-equilibrium check, the two-scan cross-check and a fresh-interpreter runner
-shared across the suite."""
+tables, the sorted least rotation, the support-keyed system cache,
+Fraction references for the equilibrium check, the two-scan cross-check
+and a fresh-interpreter runner shared across the suite."""
 
 from __future__ import annotations
 
@@ -309,7 +309,8 @@ def reference_pattern_table(masks, support):
     from its mask over this player's strategies one position at a time
     (bit idx is bit ``support[idx]`` of the mask), and the pointwise-maximal
     patterns among them: the reference for ``wsne._support_table``, which
-    splits the opponents by this player's payer masks."""
+    splits the opponents by this player's payer masks into classes, and
+    ``wsne._opponent_patterns``, which fills the list from the classes."""
     pats = []
     for mask in masks:
         pat = 0
@@ -322,6 +323,14 @@ def reference_pattern_table(masks, support):
     return pats, maximal
 
 
+def reference_least_rotation(support, n):
+    """The lexicographically least rotation of ``support`` in Z_n and the
+    least x with support = rotation + x, by sorting every rotation through
+    0: the reference for ``wsne._least_rotation``, which reads the rotation
+    from the gaps between members."""
+    return min((tuple(sorted((s - x) % n for s in support)), x) for x in support)
+
+
 class SupportKeyedSystem(_PlayerSystem):
     """A player's support systems with the solved systems cached by eps,
     support and the opponent support's patterns, so that no two supports
@@ -329,7 +338,7 @@ class SupportKeyedSystem(_PlayerSystem):
     caches by eps and the system (size, patterns and maximal patterns)."""
 
     def point(self, support, opp_support, eps):
-        pats, maximal = self._table(support)
+        pats, maximal = self._patterns(support), self._table(support)[0]
         support_pats = frozenset(pats[t] for t in opp_support)
         key = (eps, support, support_pats)
         if key not in self._solved:

@@ -141,6 +141,23 @@ def test_search_and_haight_reverify_load_only_cli_formats_residues(tmp_path):
     assert loaded_after(tmp_path, ["reverify", "--cert", "h.json"]) == {"cli", "formats", "residues"}
 
 
+def test_check_and_witness_reverify_load_only_cli_formats_game_wsne(tmp_path):
+    # The Paley-7 game and its 1/2-WSNE on the bipartite 4-cycle, written
+    # by earlier processes; the two runs measured here build no digraph and
+    # no residue set.
+    loaded_after(
+        tmp_path,
+        ["cayley", "--q", "7", "--y", "1,2,4", "--out", "d.dg"],
+        ["bipartify", "--in", "d.dg", "--out", "g.wl"],
+        ["exhaust", "--game", "g.wl", "--k", "2", "--eps", "1/2", "--out", "witness.json"],
+    )
+    for argv in (
+        ["check", "--game", "g.wl", "--strategy", "witness.json", "--eps", "1/2"],
+        ["reverify", "--cert", "witness.json"],
+    ):
+        assert loaded_after(tmp_path, argv) == {"cli", "formats", "game", "wsne", *RATIONALS}, argv
+
+
 def test_digraph_subcommands_skip_the_equilibrium_layers(tmp_path):
     loaded = loaded_after(
         tmp_path,

@@ -24,6 +24,7 @@ from conftest import (
     random_game,
     reference_crosscheck,
     reference_first_undominated_side,
+    reference_least_rotation,
     reference_pattern_table,
     SupportKeyedSystem,
 )
@@ -48,6 +49,7 @@ from wsforge.feasibility import feasible_point
 from wsforge.game import _first_undominated_side
 from wsforge.wsne import (
     _below_half,
+    _least_rotation,
     _scaled,
     _scaled_payoffs,
     _scan,
@@ -916,17 +918,18 @@ def test_crosscheck_builds_each_pattern_table_once(monkeypatch):
 
 def test_crosscheck_searches_for_the_cycle_once_per_game(monkeypatch):
     # char_decision's shortest bipartite cycle does not depend on k: the
-    # cross-checks of one game at k = 1, 2, 3 search for it once.
-    import wsforge.game as game
+    # cross-checks of one game at k = 1, 2, 3 search for it once. The game
+    # module calls the search through the digraph module.
+    import wsforge.digraph as digraph
 
     searches = [0]
-    original = game._shortest_cycle
+    original = digraph._shortest_cycle
 
     def counted(d, symmetric):
         searches[0] += 1
         return original(d, symmetric)
 
-    monkeypatch.setattr(game, "_shortest_cycle", counted)
+    monkeypatch.setattr(digraph, "_shortest_cycle", counted)
     for g in criterion7_games(20):
         searches[0] = 0
         for k in (1, 2, 3):
@@ -949,9 +952,12 @@ PALEY107 = bipartify(cayley(107, ResidueSet.from_members(107, {x * x % 107 for x
 
 def test_paley107_witness_scan_builds_few_supports():
     # The scan stops at its witness, row support (0, 1), having generated
-    # only the supports it reached. The tracemalloc peak reads 6.3 MiB;
-    # building and sorting all 198,485 row supports of size <= 3 first
-    # read 26-27 MiB.
+    # only the supports it reached, and keeps one singleton table per
+    # rotation orbit of column supports, with no per-opponent pattern list
+    # for the supports no pair test reaches. The tracemalloc peak reads
+    # 1.5-1.8 MiB; a table per column support visited, each with its
+    # pattern list, read 6.0-6.3 MiB, and building and sorting all 198,485
+    # row supports of size <= 3 first read 26-27 MiB.
     tracemalloc.start()
     try:
         p, q = exhaustive_search(PALEY107, 3, F(1, 2))
@@ -959,7 +965,7 @@ def test_paley107_witness_scan_builds_few_supports():
     finally:
         tracemalloc.stop()
     assert p.support == (0, 1) and check_wsne(PALEY107, p, q, F(1, 2)).valid
-    assert peak < 10 * 2**20, peak
+    assert peak < 2 * 2**20, peak
 
 
 PALEY19 = bipartify(cayley(19, ResidueSet.from_members(19, [1, 4, 5, 6, 7, 9, 11, 16, 17])))
@@ -1081,10 +1087,11 @@ def test_singletons_match_one_system_per_pattern():
 
 def test_support_tables_match_the_projected_tables():
     # Each player's table on every support of size <= 3, split from its
-    # payer masks, against the projections of the opponent's payoff masks
-    # read from the game's matrices: every opponent strategy's pattern and
-    # the maximal set. Non-square games, with rows of A and B all zero or
-    # all one, so that some payer masks are empty or cover every opponent.
+    # payer masks and filled from the classes, against the projections of
+    # the opponent's payoff masks read from the game's matrices: every
+    # opponent strategy's pattern and the maximal set. Non-square games,
+    # with rows of A and B all zero or all one, so that some payer masks
+    # are empty or cover every opponent.
     rng = random.Random(94)
     seen = Counter()
     for _ in range(60):
@@ -1098,7 +1105,7 @@ def test_support_tables_match_the_projected_tables():
         g = WinLoseGame(m, n, a_rows, b_rows)
         for player, system, masks in zip(("row", "col"), _systems(g), _opponent_masks(g)):
             for support in _supports(range(system.size), 3):
-                pats, maximal = system._table(support)
+                pats, maximal = system._patterns(support), system._table(support)[0]
                 want_pats, want_maximal = reference_pattern_table(masks, support)
                 assert pats == want_pats, (g, player, support)
                 assert sorted(maximal) == sorted(want_maximal), (g, player, support)
@@ -1109,6 +1116,124 @@ def test_support_tables_match_the_projected_tables():
     assert seen["zero rows"] > 20 and seen["full rows"] > 20, seen
     assert min(seen[player, size] for player in ("row", "col") for size in (1, 2, 3)) > 100, seen
     assert min(seen[player, "several maximal"] for player in ("row", "col")) > 50, seen
+
+
+def test_point_and_singletons_fill_the_pattern_list_only_for_pair_tests(monkeypatch):
+    # singletons reads the support's maximal patterns and fills no
+    # per-opponent pattern list; point fills it once per support, from the
+    # classes of the one split, and its points are those of the systems
+    # built from the projected tables. singletons solves the system that
+    # point solves for an opponent no supported strategy pays, so such a
+    # point solves nothing new.
+    import wsforge.wsne as wsne
+
+    fills, splits = Counter(), Counter()
+    fill, split = wsne._opponent_patterns, wsne._support_table
+
+    def counted_fill(classes, width):
+        fills[id(classes)] += 1
+        return fill(classes, width)
+
+    def counted_split(payers, width, support):
+        splits[id(payers), support] += 1
+        return split(payers, width, support)
+
+    monkeypatch.setattr(wsne, "_opponent_patterns", counted_fill)
+    monkeypatch.setattr(wsne, "_support_table", counted_split)
+    rng = random.Random(95)
+    seen = Counter()
+    for _ in range(40):
+        m, n = rng.randrange(1, 8), rng.randrange(1, 8)
+        g = random_game(rng, m, n, p=rng.choice([0.2, 0.35, 0.5]), ensure_out_degree=False)
+        for system, masks in zip(_systems(g), _opponent_masks(g)):
+            own = list(_supports(range(system.size), 3))
+            for eps in ((0, 1), (1, 4), (1, 2), (1, 1)):
+                for support in own:
+                    system.singletons(support, eps)
+            assert not fills and set(splits.values()) == {1}, g
+            for support in rng.sample(own, min(len(own), 10)):
+                want_pats, want_maximal = reference_pattern_table(masks, support)
+                bits = sum(1 << s for s in support)
+                unpaid = [t for t, mask in enumerate(masks) if not mask & bits]
+                opps = list(_supports(range(system.width), 3))
+                for opp in rng.sample(opps, min(len(opps), 5)):
+                    for eps in ((1, 4), (1, 2)):
+                        want = system._solve_system(
+                            len(support), frozenset(want_pats[t] for t in opp), frozenset(want_maximal), eps
+                        )
+                        assert system.point(support, opp, eps) == want, (g, support, opp, eps)
+                        seen[want is None] += 1
+                solved = len(system._solved)
+                for t in unpaid:
+                    system.point(support, (t,), (1, 2))
+                assert len(system._solved) == solved, (g, support)
+                seen["unpaid"] += bool(unpaid)
+            assert set(fills.values()) == {1} and set(splits.values()) == {1}, g
+            assert len(fills) == len(system._pats) == min(len(own), 10), g
+            fills.clear()
+            splits.clear()
+    assert seen[True] > 500 and seen[False] > 500 and seen["unpaid"] > 100, seen
+
+
+def test_scan_fills_pattern_lists_only_for_supports_in_pair_tests(monkeypatch):
+    # The orbit scan of the K4-pool game at eps = 1/4 builds 59 support
+    # tables, most for its singleton conditions, and fills the pattern
+    # lists of only the 29 supports that its 42 pair tests call point on.
+    import wsforge.wsne as wsne
+
+    fills, pointed = [0], set()
+    fill, point = wsne._opponent_patterns, wsne._PlayerSystem.point
+
+    def counted_fill(classes, width):
+        fills[0] += 1
+        return fill(classes, width)
+
+    def recorded_point(self, support, opp_support, eps):
+        pointed.add((id(self), support))
+        return point(self, support, opp_support, eps)
+
+    monkeypatch.setattr(wsne, "_opponent_patterns", counted_fill)
+    monkeypatch.setattr(wsne._PlayerSystem, "point", recorded_point)
+    systems = _systems(K4_Q29)
+    assert _scan_systems(K4_Q29, 2, (1, 4), systems) == NoWitness(435**2)
+    filled = {(id(system), support) for system in systems for support in system._pats}
+    assert fills[0] == len(filled) == 29 and filled == pointed
+    assert sum(len(system._tables) for system in systems) == 59
+
+
+def test_least_rotation_matches_the_sorted_rotations():
+    # Every support of size <= 4 in Z_n for n <= 25, then seeded supports
+    # of size <= 6 up to n = 4096, against the reference, which sorts every
+    # rotation through 0 and breaks ties by the least x.
+    checked = 0
+    for n in range(1, 26):
+        for size in range(1, min(n, 4) + 1):
+            for support in combinations(range(n), size):
+                assert _least_rotation(support, n) == reference_least_rotation(support, n), (support, n)
+                checked += 1
+    rng = random.Random(96)
+    for _ in range(3000):
+        n = rng.choice([rng.randrange(2, 64), rng.randrange(64, 4097)])
+        size = rng.randrange(1, min(n, 6) + 1)
+        if rng.random() < 0.3 and n % size == 0:
+            # a support that a nontrivial rotation fixes: many tied rotations
+            step = n // size
+            start = rng.randrange(n)
+            support = tuple(sorted((start + i * step) % n for i in range(size)))
+        else:
+            support = tuple(sorted(rng.sample(range(n), size)))
+        assert _least_rotation(support, n) == reference_least_rotation(support, n), (support, n)
+        checked += 1
+    assert checked == 83_655 + 3000
+
+
+@pytest.mark.parametrize("n", [2, 4, 10, 28, 4096])
+def test_least_rotation_breaks_the_even_tie_to_the_smaller_x(n):
+    # (a, a + n/2) is (0, n/2) + a and (0, n/2) + (a + n/2): the tie goes
+    # to x = a, as the reference's min does.
+    for a in range(0, n // 2, max(1, n // 64)):
+        support = (a, a + n // 2)
+        assert _least_rotation(support, n) == ((0, n // 2), a) == reference_least_rotation(support, n)
 
 
 def _fm_system(dim, support_pats, maximal, eps):
