@@ -313,18 +313,14 @@ def wsne_from_cycle(
 # ---------------------------------------------------------------------------
 
 
-def _support_table(
-    payers: Sequence[int], width: int, support: tuple[int, ...]
-) -> tuple[frozenset[int], dict[int, int]]:
+def _maximal_patterns(payers: Sequence[int], width: int, support: tuple[int, ...]) -> frozenset[int]:
     """The pointwise-maximal payoff patterns of the ``width`` opponent
-    strategies on ``support``, and the classes of opponents that share a
-    pattern: pattern -> bitmask of its opponents. Independent of eps. Bit idx
-    of opponent t's pattern is bit t of the payer mask ``payers[support[idx]]``.
+    strategies on ``support``. Independent of eps. Bit idx of opponent t's
+    pattern is bit t of the payer mask ``payers[support[idx]]``.
 
     Each payer mask in turn splits the mask of all opponents into classes
     of one pattern, at most 2^|support| of them, and the maximal patterns are
-    read from the classes. Each opponent's own pattern is read from its
-    class only when a pair test needs it (:func:`_opponent_patterns`)."""
+    read from the classes."""
     classes = {0: (1 << width) - 1}
     for idx, s in enumerate(support):
         paid, bit = payers[s], 1 << idx
@@ -336,20 +332,7 @@ def _support_table(
             if hit != members:
                 split[pat] = members ^ hit
         classes = split
-    return frozenset(p for p in classes if not any(q != p and p & ~q == 0 for q in classes)), classes
-
-
-def _opponent_patterns(classes: dict[int, int], width: int) -> list[int]:
-    """Each of the ``width`` opponent strategies' patterns, from the classes
-    of :func:`_support_table`: one step per opponent outside the all-zero
-    class."""
-    pats = [0] * width
-    for pat, members in classes.items():
-        if pat:
-            while members:
-                pats[(members & -members).bit_length() - 1] = pat
-                members &= members - 1
-    return pats
+    return frozenset(p for p in classes if not any(q != p and p & ~q == 0 for q in classes))
 
 
 # The patterns of the opponents that no supported strategy pays: all zero.
@@ -370,9 +353,10 @@ class _PlayerSystem:
 
     Only the solving depends on eps, an argument of every solving call, as
     its integer ratio (a, b) with eps = a / b; scans at several eps share
-    the pattern tables. Each support's classes and maximal patterns
-    (:func:`_support_table`) are split once; its per-opponent pattern list
-    is filled from those classes on the first :meth:`point` call, which
+    the pattern tables. A support's table is its set of maximal patterns
+    (:func:`_maximal_patterns`), built once and shared by every support
+    with the same set. Its per-opponent pattern list, the transpose of the
+    support's payer masks, is built on the first :meth:`point` call, which
     only a pair test makes, since :meth:`singletons` needs the maximal
     patterns alone. The solved systems are cached by eps and system (size,
     patterns, maximal patterns), not by support, since both solvers' points
@@ -384,23 +368,24 @@ class _PlayerSystem:
         self.payers = payers
         self.width = width
         self.size = len(payers)
-        self._tables: dict[tuple[int, ...], tuple[frozenset[int], dict[int, int]]] = {}
-        self._pats: dict[tuple[int, ...], list[int]] = {}
+        self._tables: dict[tuple[int, ...], frozenset[int]] = {}
+        self._pats: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._maximal: dict[frozenset[int], frozenset[int]] = {}
         self._solved: dict[tuple, Optional[tuple[Fraction, ...]]] = {}
 
-    def _table(self, support: tuple[int, ...]) -> tuple[frozenset[int], dict[int, int]]:
+    def _table(self, support: tuple[int, ...]) -> frozenset[int]:
         hit = self._tables.get(support)
         if hit is None:
-            maximal, classes = _support_table(self.payers, self.width, support)
+            maximal = _maximal_patterns(self.payers, self.width, support)
             # many supports share one maximal set: keep one copy of it
-            hit = self._tables[support] = (self._maximal.setdefault(maximal, maximal), classes)
+            hit = self._tables[support] = self._maximal.setdefault(maximal, maximal)
         return hit
 
-    def _patterns(self, support: tuple[int, ...]) -> list[int]:
+    def _patterns(self, support: tuple[int, ...]) -> tuple[int, ...]:
         hit = self._pats.get(support)
         if hit is None:
-            hit = self._pats[support] = _opponent_patterns(self._table(support)[1], self.width)
+            rows = [self.payers[s] for s in support]
+            hit = self._pats[support] = digraph._transpose(rows, self.width)
         return hit
 
     def _system_point(
@@ -408,7 +393,7 @@ class _PlayerSystem:
     ) -> Optional[tuple[Fraction, ...]]:
         """The point of the system of ``support`` with the opponents'
         patterns ``support_pats``, solved once per system and eps."""
-        maximal = self._table(support)[0]
+        maximal = self._table(support)
         key = (eps, len(support), support_pats, maximal)
         if key not in self._solved:
             self._solved[key] = self._solve_system(len(support), support_pats, maximal, eps)
@@ -640,9 +625,9 @@ def _scan(
     has such an R, so the witness is the same; ``pairs_refuted`` still
     counts every pair.
 
-    Each support's opponents are split into pattern classes once per
-    player system, and only a pair test fills the support's per-opponent
-    pattern list (:class:`_PlayerSystem`).
+    Each player system keeps one set of maximal patterns per support, and
+    only a pair test builds the support's per-opponent pattern list
+    (:class:`_PlayerSystem`).
     """
     return _scan_systems(g, k, eps.as_integer_ratio(), _systems(g))
 

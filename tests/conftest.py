@@ -308,9 +308,9 @@ def reference_pattern_table(masks, support):
     """Each opponent strategy's payoff pattern on ``support``, projected
     from its mask over this player's strategies one position at a time
     (bit idx is bit ``support[idx]`` of the mask), and the pointwise-maximal
-    patterns among them: the reference for ``wsne._support_table``, which
+    patterns among them: the reference for ``wsne._maximal_patterns``, which
     splits the opponents by this player's payer masks into classes, and
-    ``wsne._opponent_patterns``, which fills the list from the classes."""
+    ``wsne._PlayerSystem._patterns``, which transposes the payer masks."""
     pats = []
     for mask in masks:
         pat = 0
@@ -320,7 +320,7 @@ def reference_pattern_table(masks, support):
         pats.append(pat)
     distinct = set(pats)
     maximal = {p for p in distinct if not any(q != p and p & ~q == 0 for q in distinct)}
-    return pats, maximal
+    return tuple(pats), maximal
 
 
 def reference_least_rotation(support, n):
@@ -338,7 +338,7 @@ class SupportKeyedSystem(_PlayerSystem):
     caches by eps and the system (size, patterns and maximal patterns)."""
 
     def point(self, support, opp_support, eps):
-        pats, maximal = self._patterns(support), self._table(support)[0]
+        pats, maximal = self._patterns(support), self._table(support)
         support_pats = frozenset(pats[t] for t in opp_support)
         key = (eps, support, support_pats)
         if key not in self._solved:

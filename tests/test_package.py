@@ -99,6 +99,36 @@ def test_sources_import_only_the_standard_library_and_use_every_import(path):
     assert not unused, f"{path.name}: imported and never used: {unused}"
 
 
+def test_sources_use_every_private_name():
+    # Each module-level private function, class and constant, and each
+    # single-underscore method, is read somewhere in the package beyond its
+    # definition, so that no helper outlives the code that called it.
+    # Dunders (a module's __getattr__ and __dir__, __init__) are not private.
+    defined, read = {}, set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [target.id for target in targets if isinstance(target, ast.Name)]
+            else:
+                names = []
+            if isinstance(node, ast.ClassDef):
+                names += [item.name for item in node.body if isinstance(item, ast.FunctionDef)]
+            private = [name for name in names if name.startswith("_") and not name.endswith("__")]
+            defined.update((name, f"{path.name}:{node.lineno}") for name in private)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert len(defined) > 50, sorted(defined)
+    unread = {name: where for name, where in defined.items() if name not in read}
+    assert not unread, f"defined and never read in src/wsforge: {unread}"
+
+
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         wsforge.no_such_name  # noqa: B018

@@ -896,13 +896,13 @@ def test_crosscheck_builds_each_pattern_table_once(monkeypatch):
     import wsforge.wsne as wsne
 
     builds = Counter()
-    original = wsne._support_table
+    original = wsne._maximal_patterns
 
     def counted(payers, width, support):
         builds[id(payers), support] += 1
         return original(payers, width, support)
 
-    monkeypatch.setattr(wsne, "_support_table", counted)
+    monkeypatch.setattr(wsne, "_maximal_patterns", counted)
     one_pass = two_scans = 0
     for g in criterion7_games(30):
         for k in (1, 2, 3):
@@ -955,9 +955,10 @@ def test_paley107_witness_scan_builds_few_supports():
     # only the supports it reached, and keeps one singleton table per
     # rotation orbit of column supports, with no per-opponent pattern list
     # for the supports no pair test reaches. The tracemalloc peak reads
-    # 1.5-1.8 MiB; a table per column support visited, each with its
-    # pattern list, read 6.0-6.3 MiB, and building and sorting all 198,485
-    # row supports of size <= 3 first read 26-27 MiB.
+    # 0.48 MiB; tables that also kept their pattern classes read 1.5-1.8
+    # MiB, a table per column support visited, each with its pattern list,
+    # 6.0-6.3 MiB, and building and sorting all 198,485 row supports of
+    # size <= 3 first 26-27 MiB.
     tracemalloc.start()
     try:
         p, q = exhaustive_search(PALEY107, 3, F(1, 2))
@@ -966,6 +967,25 @@ def test_paley107_witness_scan_builds_few_supports():
         tracemalloc.stop()
     assert p.support == (0, 1) and check_wsne(PALEY107, p, q, F(1, 2)).valid
     assert peak < 2 * 2**20, peak
+
+
+def test_paley107_systems_keep_only_the_maximal_sets():
+    # The same scan with its systems held after it: the column system keeps
+    # 1,910 support tables, nearly all on orbit representatives that no pair
+    # test reaches, each one shared frozenset of maximal patterns. Retained
+    # memory reads 0.33 MiB; tables that also kept each support's pattern
+    # classes read 1.6 MiB.
+    PALEY107.a_col_masks, PALEY107.shift_invariant  # cached before tracing
+    tracemalloc.start()
+    try:
+        systems = _systems(PALEY107)
+        p, q = _scan_systems(PALEY107, 3, (1, 2), systems)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert p.support == (0, 1) and check_wsne(PALEY107, p, q, F(1, 2)).valid
+    assert [len(system._tables) for system in systems] == [2, 1910]
+    assert retained < 2**20, retained
 
 
 PALEY19 = bipartify(cayley(19, ResidueSet.from_members(19, [1, 4, 5, 6, 7, 9, 11, 16, 17])))
@@ -1086,12 +1106,12 @@ def test_singletons_match_one_system_per_pattern():
 
 
 def test_support_tables_match_the_projected_tables():
-    # Each player's table on every support of size <= 3, split from its
-    # payer masks and filled from the classes, against the projections of
-    # the opponent's payoff masks read from the game's matrices: every
-    # opponent strategy's pattern and the maximal set. Non-square games,
-    # with rows of A and B all zero or all one, so that some payer masks
-    # are empty or cover every opponent.
+    # Each player's maximal set on every support of size <= 3, split from
+    # its payer masks, and its pattern list, their transpose, against the
+    # projections of the opponent's payoff masks read from the game's
+    # matrices: every opponent strategy's pattern and the maximal set.
+    # Non-square games, with rows of A and B all zero or all one, so that
+    # some payer masks are empty or cover every opponent.
     rng = random.Random(94)
     seen = Counter()
     for _ in range(60):
@@ -1105,7 +1125,7 @@ def test_support_tables_match_the_projected_tables():
         g = WinLoseGame(m, n, a_rows, b_rows)
         for player, system, masks in zip(("row", "col"), _systems(g), _opponent_masks(g)):
             for support in _supports(range(system.size), 3):
-                pats, maximal = system._patterns(support), system._table(support)[0]
+                pats, maximal = system._patterns(support), system._table(support)
                 want_pats, want_maximal = reference_pattern_table(masks, support)
                 assert pats == want_pats, (g, player, support)
                 assert sorted(maximal) == sorted(want_maximal), (g, player, support)
@@ -1120,37 +1140,40 @@ def test_support_tables_match_the_projected_tables():
 
 def test_point_and_singletons_fill_the_pattern_list_only_for_pair_tests(monkeypatch):
     # singletons reads the support's maximal patterns and fills no
-    # per-opponent pattern list; point fills it once per support, from the
-    # classes of the one split, and its points are those of the systems
-    # built from the projected tables. singletons solves the system that
-    # point solves for an opponent no supported strategy pays, so such a
-    # point solves nothing new.
+    # per-opponent pattern list; point fills it once per support, the one
+    # transpose of the support's payer masks, and its points are those of
+    # the systems built from the projected tables. singletons solves the
+    # system that point solves for an opponent no supported strategy pays,
+    # so such a point solves nothing new.
+    import wsforge.digraph as digraph
     import wsforge.wsne as wsne
 
-    fills, splits = Counter(), Counter()
-    fill, split = wsne._opponent_patterns, wsne._support_table
+    fills, splits = [0], Counter()
+    fill, split = digraph._transpose, wsne._maximal_patterns
 
-    def counted_fill(classes, width):
-        fills[id(classes)] += 1
-        return fill(classes, width)
+    def counted_fill(rows, width):
+        fills[0] += 1
+        return fill(rows, width)
 
     def counted_split(payers, width, support):
         splits[id(payers), support] += 1
         return split(payers, width, support)
 
-    monkeypatch.setattr(wsne, "_opponent_patterns", counted_fill)
-    monkeypatch.setattr(wsne, "_support_table", counted_split)
+    monkeypatch.setattr(digraph, "_transpose", counted_fill)
+    monkeypatch.setattr(wsne, "_maximal_patterns", counted_split)
     rng = random.Random(95)
     seen = Counter()
     for _ in range(40):
         m, n = rng.randrange(1, 8), rng.randrange(1, 8)
         g = random_game(rng, m, n, p=rng.choice([0.2, 0.35, 0.5]), ensure_out_degree=False)
-        for system, masks in zip(_systems(g), _opponent_masks(g)):
+        systems = _systems(g)
+        fills[0] = 0  # the column player's payer masks are A's columns, a transpose
+        for system, masks in zip(systems, _opponent_masks(g)):
             own = list(_supports(range(system.size), 3))
             for eps in ((0, 1), (1, 4), (1, 2), (1, 1)):
                 for support in own:
                     system.singletons(support, eps)
-            assert not fills and set(splits.values()) == {1}, g
+            assert not fills[0] and not system._pats and set(splits.values()) == {1}, g
             for support in rng.sample(own, min(len(own), 10)):
                 want_pats, want_maximal = reference_pattern_table(masks, support)
                 bits = sum(1 << s for s in support)
@@ -1168,9 +1191,10 @@ def test_point_and_singletons_fill_the_pattern_list_only_for_pair_tests(monkeypa
                     system.point(support, (t,), (1, 2))
                 assert len(system._solved) == solved, (g, support)
                 seen["unpaid"] += bool(unpaid)
-            assert set(fills.values()) == {1} and set(splits.values()) == {1}, g
-            assert len(fills) == len(system._pats) == min(len(own), 10), g
-            fills.clear()
+            # one fill per support filled: as many fills as pattern lists
+            assert fills[0] == len(system._pats) == min(len(own), 10), g
+            assert set(splits.values()) == {1}, g
+            fills[0] = 0
             splits.clear()
     assert seen[True] > 500 and seen[False] > 500 and seen["unpaid"] > 100, seen
 
@@ -1179,22 +1203,23 @@ def test_scan_fills_pattern_lists_only_for_supports_in_pair_tests(monkeypatch):
     # The orbit scan of the K4-pool game at eps = 1/4 builds 59 support
     # tables, most for its singleton conditions, and fills the pattern
     # lists of only the 29 supports that its 42 pair tests call point on.
+    import wsforge.digraph as digraph
     import wsforge.wsne as wsne
 
     fills, pointed = [0], set()
-    fill, point = wsne._opponent_patterns, wsne._PlayerSystem.point
+    fill, point = digraph._transpose, wsne._PlayerSystem.point
 
-    def counted_fill(classes, width):
+    def counted_fill(rows, width):
         fills[0] += 1
-        return fill(classes, width)
+        return fill(rows, width)
 
     def recorded_point(self, support, opp_support, eps):
         pointed.add((id(self), support))
         return point(self, support, opp_support, eps)
 
-    monkeypatch.setattr(wsne, "_opponent_patterns", counted_fill)
-    monkeypatch.setattr(wsne._PlayerSystem, "point", recorded_point)
     systems = _systems(K4_Q29)
+    monkeypatch.setattr(digraph, "_transpose", counted_fill)
+    monkeypatch.setattr(wsne._PlayerSystem, "point", recorded_point)
     assert _scan_systems(K4_Q29, 2, (1, 4), systems) == NoWitness(435**2)
     filled = {(id(system), support) for system in systems for support in system._pats}
     assert fills[0] == len(filled) == 29 and filled == pointed
