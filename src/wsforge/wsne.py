@@ -355,13 +355,12 @@ class _PlayerSystem:
     its integer ratio (a, b) with eps = a / b; scans at several eps share
     the pattern tables. A support's table is its set of maximal patterns
     (:func:`_maximal_patterns`), built once and shared by every support
-    with the same set. Its per-opponent pattern list, the transpose of the
-    support's payer masks, is built on the first :meth:`point` call, which
-    only a pair test makes, since :meth:`singletons` needs the maximal
-    patterns alone. The solved systems are cached by eps and system (size,
-    patterns, maximal patterns), not by support, since both solvers' points
-    depend on the rows' half-spaces alone. That collapses most of the
-    enumeration in :func:`exhaustive_search`.
+    with the same set; only a pair test's :meth:`point` builds the
+    per-opponent pattern list, the transpose of the payer masks. Below
+    eps = 1 a support with a common payer needs no table for
+    :meth:`singletons`. The solved systems are cached by eps and system
+    (size, patterns, maximal patterns), not by support, since both
+    solvers' points depend on the rows' half-spaces alone.
     """
 
     def __init__(self, payers: Sequence[int], width: int):
@@ -466,17 +465,20 @@ class _PlayerSystem:
         ``point(support, (t,), eps)`` is feasible.
 
         Every t that some s in ``support`` pays 1 is: with all mass on s, t
-        earns 1, the most any strategy earns. The others share the all-zero
-        pattern, so one system decides them all, the system that
-        ``point(support, (t,), eps)`` solves for each of them; it needs the
-        support's maximal patterns, not the opponents' pattern list.
+        earns 1, the most any strategy earns. The others earn 0 against any
+        distribution on the support, so one system, on the maximal patterns
+        alone, decides them all. Below eps = 1, when the support has a
+        common payer u, that system is infeasible with no solve: u earns
+        1 > 0 + eps.
         """
-        covered = 0
+        covered, common = 0, -1
         for s in support:
             covered |= self.payers[s]
+            common &= self.payers[s]
         uncovered = ((1 << self.width) - 1) & ~covered
-        if uncovered and self._system_point(support, _UNPAID, eps) is not None:
-            covered |= uncovered
+        if uncovered and not (common and eps[0] < eps[1]):
+            if self._system_point(support, _UNPAID, eps) is not None:
+                covered |= uncovered
         return covered
 
 
@@ -506,22 +508,28 @@ def _witness(
     return p_system.strategy(rows, x), q_system.strategy(cols, y)
 
 
-def _supports(indices: Iterable[int], k: int) -> Iterator[tuple[int, ...]]:
+def _supports(indices: Iterable[int], k: int, masks: Sequence[int] = ()) -> Iterator[tuple]:
     """Nonempty sets of at most k of the increasing ``indices``, in
     lexicographic tuple order, generated lazily: each set, then its
     extensions by later indices. A scan that stops early builds only the
-    sets it reaches."""
-    indices = tuple(indices)
-    open_sets: list[tuple[tuple[int, ...], int]] = []  # (set, position of its last index)
+    sets it reaches. Given ``masks``, each comes as (set, or, and) of its
+    members' masks, carried from the set it extends."""
+    items = [((i,), masks[i] if masks else 0) for i in indices]
+    tops = [((), 0, -1)]  # (set, or, and) of each open set, under the empty set
+    ends = []  # the position of each open set's last index
     nxt = 0
     while True:
-        if nxt < len(indices) and len(open_sets) < k:
-            support = (open_sets[-1][0] if open_sets else ()) + (indices[nxt],)
-            yield support
-            open_sets.append((support, nxt))
+        if nxt < len(items) and len(ends) < k:
+            support, covered, common = tops[-1]
+            single, mask = items[nxt]
+            top = (support + single, covered | mask, common & mask)
+            yield top if masks else top[0]
+            tops.append(top)
+            ends.append(nxt)
             nxt += 1
-        elif open_sets:
-            nxt = open_sets.pop()[1] + 1
+        elif ends:
+            tops.pop()
+            nxt = ends.pop() + 1
         else:
             return
 
@@ -533,12 +541,10 @@ def _least_rotation(support: tuple[int, ...], n: int) -> tuple[tuple[int, ...], 
 
     The rotation by x = support[j] is 0 followed by the partial sums of the
     gaps from j on; the gaps are positive, so those tuples compare as the
-    rotated gap tuples do, and the least rotation is read from the least
-    rotation of the gap tuple, ties to the least j. Booth (1980) finds that
-    in linear time; a support has a few members, so this takes the min of
-    its |S| rotated gap tuples, with no sort and no reduction mod n. One
-    member gives ((0,), s0); two, a < b with d = b - a, give ((0, d), a) if
-    d <= n - d and ((0, n - d), b) otherwise."""
+    rotated gap tuples do: the least rotation is the min of the |S| rotated
+    gap tuples, ties to the least j, with no sort and no reduction mod n.
+    Two members a < b with d = b - a give ((0, d), a) if d <= n - d and
+    ((0, n - d), b) otherwise."""
     if len(support) == 1:
         return (0,), support[0]
     if len(support) == 2:
@@ -611,23 +617,19 @@ def _scan(
 
     A pair (R, C) reaches the full systems only if every column of C is an
     eps-best response to some distribution on R, and every row of R to some
-    distribution on C; both singleton conditions are read from bitmask
-    tables, so the scan visits only the column supports inside R's table.
+    distribution on C (:meth:`_PlayerSystem.singletons`). The column side
+    is read from C's payer masks, their or and their and carried along
+    :func:`_supports`: R inside the or passes, and below eps = 1 a nonzero
+    and refutes; only the rest solve C's all-zero system.
 
     On a shift-invariant game (each row of A and of B its predecessor
-    rotated by one, as in every bipartified Cayley digraph; read once per
-    game, ``g.shift_invariant``) the pair (R + t, C + t) mod n is feasible
-    exactly when (R, C) is. So the scan visits only the row supports R that
-    are least among their rotations, and keeps one column table per
-    rotation orbit: a column support C = rep + shift, with rep and shift
-    read from C's gaps in closed form (:func:`_least_rotation`), reads rep's
-    table rotated by shift. The first feasible pair in lexicographic order
-    has such an R, so the witness is the same; ``pairs_refuted`` still
-    counts every pair.
-
-    Each player system keeps one set of maximal patterns per support, and
-    only a pair test builds the support's per-opponent pattern list
-    (:class:`_PlayerSystem`).
+    rotated by one, as in every bipartified Cayley digraph) the pair
+    (R + t, C + t) mod n is feasible exactly when (R, C) is. So the scan
+    visits only the row supports R that are least among their rotations,
+    and solves that all-zero system once per rotation orbit, on C's
+    representative (:func:`_least_rotation`). The first feasible pair in
+    lexicographic order has such an R, so the witness is the same;
+    ``pairs_refuted`` still counts every pair.
     """
     return _scan_systems(g, k, eps.as_integer_ratio(), _systems(g))
 
@@ -640,8 +642,8 @@ def _scan_systems(
     p_system, q_system = systems
     n = g.n
     symmetric = g.shift_invariant
-    rotate = digraph._rot
-    ok_rows_of: dict[tuple[int, ...], int] = {}  # one entry per orbit
+    below_one = eps[0] < eps[1]
+    unpaid_ok: dict[tuple[int, ...], bool] = {}  # one entry per orbit
     for rows in _supports(range(g.m), k):
         if symmetric:
             if rows[0]:
@@ -650,16 +652,18 @@ def _scan_systems(
                 continue
         row_mask = sum(1 << i for i in rows)
         ok_cols = p_system.singletons(rows, eps)
-        for cols in _supports([j for j in range(n) if ok_cols >> j & 1], k):
-            # cols = rep + shift, and the shift carries rep's table along
-            rep, shift = _least_rotation(cols, n) if symmetric else (cols, 0)
-            ok_rows = ok_rows_of.get(rep)
-            if ok_rows is None:
-                ok_rows = ok_rows_of[rep] = q_system.singletons(rep, eps)
-            if shift:
-                ok_rows = rotate(ok_rows, shift, n)
-            if row_mask & ~ok_rows:
-                continue
+        for cols, covered, common in _supports(
+            [j for j in range(n) if ok_cols >> j & 1], k, q_system.payers
+        ):
+            if row_mask & ~covered:
+                if common and below_one:
+                    continue
+                rep = _least_rotation(cols, n)[0] if symmetric else cols
+                ok = unpaid_ok.get(rep)
+                if ok is None:
+                    ok = unpaid_ok[rep] = q_system._system_point(rep, _UNPAID, eps) is not None
+                if not ok:
+                    continue
             found = _witness(p_system, q_system, rows, cols, eps)
             if found is not None:
                 return found
@@ -675,10 +679,9 @@ def crosscheck_characterization(g: WinLoseGame, k: int) -> CrosscheckReport:
     reported in that order. The scan, not the lemma, which shares the
     characterization's domination scan.
 
-    The characterization does not depend on eps, and neither do the
-    game's support systems (:func:`_systems`): they are built once and
-    scanned at each point, eps an argument of the scan, so the pattern
-    tables serve both points and the solved systems are cached per eps.
+    Neither the characterization nor the game's support systems
+    (:func:`_systems`) depend on eps: both points scan one pair of
+    systems, which share the pattern tables and cache solves per eps.
     """
     _require_k(g, k)
     witness = char_decision(g, k)  # raises on out-degree violations

@@ -1,9 +1,10 @@
 """Seeded generators, pinned search results, the previous Haight search
 kernel, Python-set sumsets and differences, the full undominated-set and
 shortest-cycle scans, the cell-by-cell shift test, the projected pattern
-tables, the sorted least rotation, the support-keyed system cache,
-Fraction references for the equilibrium check, the two-scan cross-check
-and a fresh-interpreter runner shared across the suite."""
+tables, the sorted least rotation, the support-keyed system cache, the
+always-solved singleton tables and their scan, Fraction references for
+the equilibrium check, the two-scan cross-check and a fresh-interpreter
+runner shared across the suite."""
 
 from __future__ import annotations
 
@@ -39,9 +40,11 @@ from wsforge.wsne import (
     CrosscheckPoint,
     CrosscheckReport,
     Violation,
+    _UNPAID,
     _PlayerSystem,
     _require_k,
     _scan,
+    _witness,
 )
 
 SRC = str(Path(wsforge.__file__).resolve().parents[1])
@@ -344,6 +347,47 @@ class SupportKeyedSystem(_PlayerSystem):
         if key not in self._solved:
             self._solved[key] = self._solve_system(len(support), support_pats, maximal, eps)
         return self._solved[key]
+
+
+class AlwaysSolvedSystem(_PlayerSystem):
+    """A player's support systems whose singleton table solves the all-zero
+    system on every support with an opponent it leaves unpaid: the
+    reference for ``wsne._PlayerSystem.singletons``, which skips that solve
+    below eps = 1 when the support has a common payer."""
+
+    def singletons(self, support, eps):
+        covered = 0
+        for s in support:
+            covered |= self.payers[s]
+        uncovered = ((1 << self.width) - 1) & ~covered
+        if uncovered and self._system_point(support, _UNPAID, eps) is not None:
+            covered |= uncovered
+        return covered
+
+
+def reference_singleton_scan(g: WinLoseGame, k: int, eps: Fraction):
+    """exhaustive_search as a scan of every support pair in lexicographic
+    order, with no lemma and no orbits, that tests a pair only when both
+    sides' singleton tables, read from :class:`AlwaysSolvedSystem`, pass
+    it: the reference for the scan's dominated-support rule."""
+    ratio = eps.as_integer_ratio()
+    p_system, q_system = AlwaysSolvedSystem(g.b_rows, g.n), AlwaysSolvedSystem(g.a_col_masks, g.m)
+    row_supports, col_supports = (
+        sorted(s for size in range(1, k + 1) for s in combinations(range(count), size))
+        for count in (g.m, g.n)
+    )
+    tables = [
+        (cols, sum(1 << j for j in cols), q_system.singletons(cols, ratio)) for cols in col_supports
+    ]
+    for rows in row_supports:
+        ok_cols = p_system.singletons(rows, ratio)
+        row_mask = sum(1 << i for i in rows)
+        for cols, col_mask, ok_rows in tables:
+            if not col_mask & ~ok_cols and not row_mask & ~ok_rows:
+                found = _witness(p_system, q_system, rows, cols, ratio)
+                if found is not None:
+                    return found
+    return NoWitness(len(row_supports) * len(col_supports))
 
 
 def fraction_payoffs(g: WinLoseGame, p: MixedStrategy, q: MixedStrategy):

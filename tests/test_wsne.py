@@ -15,6 +15,7 @@ from math import comb, lcm
 import pytest
 
 from conftest import (
+    AlwaysSolvedSystem,
     criterion7_games,
     crosscheck_digest,
     fraction_check_wsne,
@@ -26,6 +27,7 @@ from conftest import (
     reference_first_undominated_side,
     reference_least_rotation,
     reference_pattern_table,
+    reference_singleton_scan,
     SupportKeyedSystem,
 )
 from test_acceptance import K3_POOL, K4_POOL
@@ -703,17 +705,18 @@ def test_oracle_solves_each_cached_system_once(oracle_counts):
     # keyed by the system (size, patterns, maximal patterns), not by the
     # support, so the many supports of one system solve it once. The scan
     # itself, since exhaustive_search refutes these games by the
-    # constant-sum lemma below 1/2.
+    # constant-sum lemma below 1/2. Every set of <= 2 rows or columns has a
+    # common payer, so below eps = 1 no singleton condition solves a system.
     g = PALEY7_SWAPPED
     assert _scan(g, 2, F(1, 4)) == NoWitness(784)
-    assert oracle_counts == {"systems": 5, "fm": 0, "pairs": 84}
+    assert oracle_counts == {"systems": 1, "fm": 0, "pairs": 84}
     oracle_counts.update(systems=0, fm=0, pairs=0)
     p, q = _scan(g, 2, F(1, 2))
     assert check_wsne(g, p, q, F(1, 2)).valid
-    assert oracle_counts == {"systems": 6, "fm": 0, "pairs": 1}
+    assert oracle_counts == {"systems": 2, "fm": 0, "pairs": 1}
     oracle_counts.update(systems=0, fm=0, pairs=0)
     assert _scan(g, 3, F(1, 4)) == NoWitness(63**2)
-    assert oracle_counts == {"systems": 40, "fm": 34, "pairs": 1204}
+    assert oracle_counts == {"systems": 36, "fm": 34, "pairs": 1204}
 
 
 def test_orbit_scan_solves_one_row_support_per_orbit(oracle_counts):
@@ -723,29 +726,30 @@ def test_orbit_scan_solves_one_row_support_per_orbit(oracle_counts):
     # the pairs tested, not the systems solved: both scans meet as many
     # distinct systems.
     assert _scan(PALEY7, 2, F(1, 4)) == NoWitness(784)
-    assert oracle_counts == {"systems": 5, "fm": 0, "pairs": 12}
+    assert oracle_counts == {"systems": 1, "fm": 0, "pairs": 12}
     oracle_counts.update(systems=0, fm=0, pairs=0)
     p, q = _scan(PALEY7, 2, F(1, 2))
     assert (p.support, q.support) == ((0, 1), (1, 3))
     assert check_wsne(PALEY7, p, q, F(1, 2)).valid
-    assert oracle_counts == {"systems": 6, "fm": 0, "pairs": 1}
+    assert oracle_counts == {"systems": 2, "fm": 0, "pairs": 1}
     oracle_counts.update(systems=0, fm=0, pairs=0)
     assert _scan(PALEY7, 3, F(1, 4)) == NoWitness(63**2)
-    assert oracle_counts == {"systems": 40, "fm": 34, "pairs": 172}
+    assert oracle_counts == {"systems": 36, "fm": 34, "pairs": 172}
 
 
 def test_k4_pool_game_refutes_k2(oracle_counts):
     # The paper's k = 2 instance: the q = 29 Haight set of kappa 4, bipartified,
     # first relabelled so that the full scan runs, then as built. The orbit
-    # scan's pair tests meet 5 distinct systems; keyed by the support, they
-    # would be 59.
+    # scan's 42 pair tests meet one system; keyed by the support, they would
+    # be 29. Every pair of rows or columns has a common payer, so no
+    # singleton condition solves one.
     assert _scan(K4_Q29_SWAPPED, 2, F(1, 4)) == NoWitness(435**2)
     assert oracle_counts["pairs"] == 1218  # pairs passing every singleton condition
     p, q = _scan(K4_Q29_SWAPPED, 2, F(1, 2))
     assert check_wsne(K4_Q29_SWAPPED, p, q, F(1, 2)).valid
     oracle_counts.update(systems=0, fm=0, pairs=0)
     assert _scan(K4_Q29, 2, F(1, 4)) == NoWitness(435**2)
-    assert oracle_counts == {"systems": 5, "fm": 0, "pairs": 42}
+    assert oracle_counts == {"systems": 1, "fm": 0, "pairs": 42}
     p, q = _scan(K4_Q29, 2, F(1, 2))
     assert check_wsne(K4_Q29, p, q, F(1, 2)).valid
 
@@ -806,13 +810,25 @@ def test_lemma_is_never_taken_at_one_half(oracle_counts):
     assert oracle_counts["systems"] > 0
 
 
-def test_crosscheck_solves_systems_where_the_lemma_holds(oracle_counts):
-    # The characterization is checked against the exact systems, never
-    # against the domination scan the lemma shares with it.
+def test_crosscheck_solves_systems_where_the_lemma_holds(oracle_counts, monkeypatch):
+    # The characterization is checked against the scan's systems, never
+    # against the domination scan the lemma shares with it: each point reads
+    # the singleton table of the one least row support, (0,). A common payer
+    # decides it with no solve, since both points lie below eps = 1.
+    import wsforge.wsne as wsne
+
+    tables = [0]
+    original = wsne._PlayerSystem.singletons
+
+    def counted(self, support, eps):
+        tables[0] += 1
+        return original(self, support, eps)
+
+    monkeypatch.setattr(wsne._PlayerSystem, "singletons", counted)
     assert _below_half(PALEY7, 1)
     report = crosscheck_characterization(PALEY7, 1)
     assert report.agree
-    assert oracle_counts["systems"] > 0
+    assert tables[0] == 2 and oracle_counts["systems"] == 0
 
 
 def test_crosscheck_points_pinned():
@@ -885,8 +901,9 @@ def test_two_eps_scan_matches_two_scans(oracle_counts):
         seen[g.shift_invariant, tuple(isinstance(want[eps], NoWitness) for eps in (low, high))] += 1
     assert not any(refuted == (False, True) for _, refuted in seen)
     assert min(seen.values()) >= 5 and len(seen) == 6, seen
-    # the second eps of a pair solves systems of its own, in every order
-    assert resolved == 2 * 400, resolved
+    # the second eps of a pair solves systems of its own in most games and
+    # orders; below eps = 1 a common payer leaves some with nothing to solve
+    assert resolved == 712, resolved
 
 
 def test_crosscheck_builds_each_pattern_table_once(monkeypatch):
@@ -970,11 +987,11 @@ def test_paley107_witness_scan_builds_few_supports():
 
 
 def test_paley107_systems_keep_only_the_maximal_sets():
-    # The same scan with its systems held after it: the column system keeps
-    # 1,910 support tables, nearly all on orbit representatives that no pair
-    # test reaches, each one shared frozenset of maximal patterns. Retained
-    # memory reads 0.33 MiB; tables that also kept each support's pattern
-    # classes read 1.6 MiB.
+    # The same scan with its systems held after it: each system keeps one
+    # support table, for the one pair test; a common payer decides every
+    # singleton condition on the way. Retained memory reads 6 KiB; one table
+    # per orbit of column supports read 0.19-0.33 MiB, and tables that also
+    # kept each support's pattern classes 1.6 MiB.
     PALEY107.a_col_masks, PALEY107.shift_invariant  # cached before tracing
     tracemalloc.start()
     try:
@@ -984,7 +1001,7 @@ def test_paley107_systems_keep_only_the_maximal_sets():
     finally:
         tracemalloc.stop()
     assert p.support == (0, 1) and check_wsne(PALEY107, p, q, F(1, 2)).valid
-    assert [len(system._tables) for system in systems] == [2, 1910]
+    assert [len(system._tables) for system in systems] == [1, 1]
     assert retained < 2**20, retained
 
 
@@ -994,10 +1011,12 @@ PALEY19 = bipartify(cayley(19, ResidueSet.from_members(19, [1, 4, 5, 6, 7, 9, 11
 def test_paley19_scan_refutes_k3_at_49_100(oracle_counts):
     # No 49/100-WSNE with supports <= 3 on the 3-paradoxical Paley-19, decided
     # by the scan alone (exhaustive_search would apply the constant-sum
-    # lemma). Its 24,375 pair tests meet 38 distinct systems, 32 of them
-    # solved by Fourier-Motzkin; keyed by the support, they would be 8,589.
+    # lemma). Its 24,375 pair tests meet 32 distinct systems, 30 of them
+    # solved by Fourier-Motzkin; keyed by the support, they would be 8,467.
+    # Every set of <= 3 rows or columns has a common payer, so no singleton
+    # condition solves a system.
     assert _scan(PALEY19, 3, F(49, 100)) == NoWitness(1343281)
-    assert oracle_counts == {"systems": 38, "fm": 32, "pairs": 24375}
+    assert oracle_counts == {"systems": 32, "fm": 30, "pairs": 24375}
 
 
 PALEY23 = bipartify(cayley(23, ResidueSet.from_members(23, {x * x % 23 for x in range(1, 23)})))
@@ -1005,10 +1024,34 @@ PALEY23 = bipartify(cayley(23, ResidueSet.from_members(23, {x * x % 23 for x in 
 
 def test_paley23_scan_refutes_k3_at_49_100(oracle_counts):
     # The same claim on Paley-23, a larger orbit scan: a cache key that
-    # missed would solve thousands of systems here (16,825 keyed by the
-    # support), not 38.
+    # missed would solve thousands of systems here (16,647 keyed by the
+    # support), not 32.
     assert _scan(PALEY23, 3, F(49, 100)) == NoWitness(4190209)
-    assert oracle_counts == {"systems": 38, "fm": 32, "pairs": 62964}
+    assert oracle_counts == {"systems": 32, "fm": 30, "pairs": 62964}
+
+
+@pytest.mark.parametrize(
+    "g, refuted", [(PALEY19, 1343281), (PALEY23, 4190209)], ids=["paley19", "paley23"]
+)
+def test_paradoxical_scan_reads_no_column_orbit(monkeypatch, g, refuted):
+    # Every set of <= 3 columns of these 3-paradoxical games has a common
+    # payer, so below eps = 1 the column supports' singleton conditions are
+    # decided by their payer masks' or and and, with no orbit read:
+    # _least_rotation runs once per row support through 0 (172 and 254); a
+    # scan that read an orbit per column support would run it 44,590 and
+    # 116,139 times.
+    import wsforge.wsne as wsne
+
+    calls = [0]
+    original = wsne._least_rotation
+
+    def counted(support, n):
+        calls[0] += 1
+        return original(support, n)
+
+    monkeypatch.setattr(wsne, "_least_rotation", counted)
+    assert _scan(g, 3, F(49, 100)) == NoWitness(refuted)
+    assert calls[0] == sum(comb(g.n - 1, size - 1) for size in (1, 2, 3))
 
 
 def _random_tournament_game(rng, n):
@@ -1105,6 +1148,49 @@ def test_singletons_match_one_system_per_pattern():
     assert decided[True] > 1000 and decided[False] > 500
 
 
+def test_dominated_support_rule_matches_the_always_solved_tables():
+    # singletons and the scan against tables that solve the all-zero system
+    # on every support with an unpaid opponent: the same masks and results,
+    # with a solve skipped below eps = 1 wherever a support has a common
+    # payer, and none skipped at eps = 1 or 3/2, where the rule never fires.
+    # Seeded random and circulant games with m, n <= 5 at k < min(m, n),
+    # most of them zero-sum, then the K4-pool games at k = 2, which the lemma
+    # refutes below 1/2 and the scan at 1/4 too.
+    rng = random.Random(97)
+    cases = []
+    for _ in range(80):
+        if rng.random() < 0.4:
+            g = random_circulant_game(rng, rng.randrange(2, 6))
+        else:
+            m, n = rng.randrange(2, 6), rng.randrange(2, 6)
+            density, patched = rng.choice([0.2, 0.35, 0.5]), rng.random() < 0.5
+            g = random_game(rng, m, n, p=density, ensure_out_degree=patched)
+        if rng.random() < 0.6:  # zero-sum: B the complement of A
+            g = WinLoseGame(g.m, g.n, g.a_rows, tuple(~a & (1 << g.n) - 1 for a in g.a_rows))
+        cases.append((g, rng.randrange(1, min(g.m, g.n, 4))))
+    cases += [(bipartify(cayley(q, ResidueSet.from_members(q, ys))), 2) for q, ys in K4_POOL.items()]
+    epsilons = [F(0), F(1, 4), F(1, 2), F(99, 100), F(1), F(3, 2)]
+    skipped, seen = Counter(), Counter()
+    for g, k in cases:
+        for eps in epsilons:
+            ratio = eps.as_integer_ratio()
+            for system in _systems(g):
+                reference = AlwaysSolvedSystem(system.payers, system.width)
+                for support in _supports(range(system.size), k):
+                    got = system.singletons(support, ratio)
+                    assert got == reference.singletons(support, ratio), (g, eps, support)
+                assert system._solved.keys() <= reference._solved.keys(), (g, eps)
+                skipped[eps] += len(reference._solved) - len(system._solved)
+            want = reference_singleton_scan(g, k, eps)
+            for got in (exhaustive_search(g, k, eps), _scan(g, k, eps)):
+                assert got == want and repr(got) == repr(want), (g, k, eps)
+            seen[eps, isinstance(want, NoWitness)] += 1
+    assert skipped[F(1)] == skipped[F(3, 2)] == 0, skipped
+    assert min(skipped[eps] for eps in epsilons[:4]) > 100, skipped
+    assert min(seen[eps, False] for eps in epsilons) > 10, seen
+    assert min(seen[eps, True] for eps in epsilons[:3]) > 10, seen
+
+
 def test_support_tables_match_the_projected_tables():
     # Each player's maximal set on every support of size <= 3, split from
     # its payer masks, and its pattern list, their transpose, against the
@@ -1144,7 +1230,9 @@ def test_point_and_singletons_fill_the_pattern_list_only_for_pair_tests(monkeypa
     # transpose of the support's payer masks, and its points are those of
     # the systems built from the projected tables. singletons solves the
     # system that point solves for an opponent no supported strategy pays,
-    # so such a point solves nothing new.
+    # so such a point solves nothing new, unless the support has a common
+    # payer: then singletons solves nothing, and below eps = 1 the point is
+    # None.
     import wsforge.digraph as digraph
     import wsforge.wsne as wsne
 
@@ -1186,23 +1274,30 @@ def test_point_and_singletons_fill_the_pattern_list_only_for_pair_tests(monkeypa
                         )
                         assert system.point(support, opp, eps) == want, (g, support, opp, eps)
                         seen[want is None] += 1
+                common = -1
+                for s in support:
+                    common &= system.payers[s]
                 solved = len(system._solved)
                 for t in unpaid:
-                    system.point(support, (t,), (1, 2))
-                assert len(system._solved) == solved, (g, support)
+                    point = system.point(support, (t,), (1, 2))
+                    assert point is None or not common, (g, support, t)
+                if not common:
+                    assert len(system._solved) == solved, (g, support)
                 seen["unpaid"] += bool(unpaid)
+                seen["unpaid, common payer"] += bool(unpaid and common)
             # one fill per support filled: as many fills as pattern lists
             assert fills[0] == len(system._pats) == min(len(own), 10), g
             assert set(splits.values()) == {1}, g
             fills[0] = 0
             splits.clear()
     assert seen[True] > 500 and seen[False] > 500 and seen["unpaid"] > 100, seen
+    assert seen["unpaid, common payer"] > 100, seen
 
 
 def test_scan_fills_pattern_lists_only_for_supports_in_pair_tests(monkeypatch):
-    # The orbit scan of the K4-pool game at eps = 1/4 builds 59 support
-    # tables, most for its singleton conditions, and fills the pattern
-    # lists of only the 29 supports that its 42 pair tests call point on.
+    # The orbit scan of the K4-pool game at eps = 1/4 builds support tables
+    # and fills pattern lists for only the 29 supports that its 42 pair
+    # tests call point on: a common payer decides every singleton condition.
     import wsforge.digraph as digraph
     import wsforge.wsne as wsne
 
@@ -1223,7 +1318,7 @@ def test_scan_fills_pattern_lists_only_for_supports_in_pair_tests(monkeypatch):
     assert _scan_systems(K4_Q29, 2, (1, 4), systems) == NoWitness(435**2)
     filled = {(id(system), support) for system in systems for support in system._pats}
     assert fills[0] == len(filled) == 29 and filled == pointed
-    assert sum(len(system._tables) for system in systems) == 59
+    assert sum(len(system._tables) for system in systems) == 29
 
 
 def test_least_rotation_matches_the_sorted_rotations():
